@@ -239,12 +239,15 @@ def complete(
     mode="AT",
     locals_order=(),
     limit=None,
+    pruner=None,
 ):
     """Enumerate every valid (rf, mo) completion of a pre-execution.
 
     Yields Execution objects. rf candidates are constrained to same
     location / same value writes; mo ranges over all per-location total
-    orders of atomic writes.
+    orders of atomic writes. A pruner (cut.CutPruner) narrows the rf
+    candidates, rejects rf choices and drops mo orders that its filter
+    would discard, so only the completions it keeps are built.
     """
     acts = tuple(actions)
     byid = {a.aid: a for a in acts}
@@ -259,6 +262,8 @@ def complete(
         ]
         if r.vals[0] == 0:
             opts = [None] + opts
+        if pruner is not None:
+            opts = pruner.sources(r.aid, opts)
         cands.append(opts)
     movars = {}
     for w in writes:
@@ -273,6 +278,13 @@ def complete(
         rf = frozenset(
             (w, r.aid) for w, r in zip(choice, reads) if w is not None
         )
+        mo_choices = mo_spaces
+        if pruner is not None:
+            keep = pruner.admit(rf)
+            if keep is None:
+                continue
+            mo_choices = [[o for o in orders if keep(o)]
+                          for orders in mo_spaces]
         rf_hb = {
             (w, r)
             for (w, r) in rf
@@ -315,7 +327,7 @@ def complete(
                     break
             if bad:
                 continue
-        for mo_choice in itertools.product(*mo_spaces):
+        for mo_choice in itertools.product(*mo_choices):
             mo = frozenset(
                 (order[i], order[j])
                 for order in mo_choice

@@ -96,14 +96,22 @@ def block_local(
     sigmas=None,
     limit=None,
     check_vs=True,
+    cut_only=False,
 ):
     """All executions of block B under the reduced context ctx.
 
     Code actions come from the thread-local semantics and sit sb-between
     call and ret; context actions carry no sb; R seeds hb and S extends at.
+    With cut_only, only the executions that cut.cut keeps are built, in
+    the same order, and limit caps those.
     """
     B = tuple(B)
     _check_context(ctx, lang.vars_of(B) if check_vs else None)
+    pruner = None
+    if cut_only:
+        from .cut import CutPruner  # cut imports this module
+
+        pruner = CutPruner(ctx.actions, ctx.S)
     if locals_order is None:
         locals_order = lang.locals_of(B)
     if live is None:
@@ -137,6 +145,7 @@ def block_local(
                 mode=mode,
                 locals_order=locals_order,
                 limit=limit,
+                pruner=pruner,
             ):
                 out.append(X)
                 if limit is not None and len(out) > limit:

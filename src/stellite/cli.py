@@ -240,7 +240,6 @@ def cmd_verify(args) -> int:
           + (f" ({verdict.stats.get('error')})" if verdict.outcome == "Unknown"
              else ""))
     print(f"contexts={verdict.stats['contexts']}"
-          f" executions={verdict.stats['x1']}"
           f" cut={verdict.stats['x1_cut']} candidates={verdict.stats['x2']}"
           f" time={dt:.2f}s")
     _emit(args, report, verdict)

@@ -5,6 +5,9 @@ code-block in an essential way: context reads must be visible (read from
 code writes), no two context reads may share a reads-from source, and
 non-visible context writes must be separated in mo by a visible write.
 Context LL/SC pairs are kept or rejected as a unit.
+
+CutPruner applies the same rules inside rf × mo completion
+(block_local(..., cut_only=True)); explain_cut stays the reference.
 """
 
 from __future__ import annotations
@@ -77,3 +80,59 @@ def explain_cut(X: Execution):
 
 def cut(X: Execution) -> bool:
     return explain_cut(X) is None
+
+
+class CutPruner:
+    """The three cut rules, applied while complete() chooses rf and mo for
+    block-local executions under one reduced context.
+
+    Ids outside the context are code actions: boundary actions neither
+    read nor write, so they never appear in rf or mo. complete() with a
+    pruner yields exactly the completions that cut() keeps.
+    """
+
+    def __init__(self, actions, S):
+        unit = {a.aid: frozenset({a.aid}) for a in actions}
+        for (ll, sc) in S:
+            unit[ll] = unit[sc] = frozenset({ll, sc})
+        self._unit = unit
+        self._ctx = frozenset(unit)
+        self._reads = tuple(a.aid for a in actions if is_read(a))
+        self._writes = tuple(a.aid for a in actions if is_write(a))
+        self._lone_reads = frozenset(
+            r for r in self._reads if len(unit[r]) == 1
+        )
+
+    def sources(self, r, opts):
+        """The rf candidates of read r worth trying: an unpaired context
+        read is visible only when it reads from a code write."""
+        if r not in self._lone_reads:
+            return opts
+        return [w for w in opts if w is not None and w not in self._ctx]
+
+    def admit(self, rf):
+        """None if rf leaves a context read or LL/SC pair non-visible or
+        lets two context reads share a source; else a test that keeps one
+        location's mo order."""
+        ctx = self._ctx
+        seen = set()
+        shown = set()
+        for (w, r) in rf:
+            if r in ctx:
+                if w in seen:
+                    return None
+                seen.add(w)
+                if w not in ctx:
+                    shown.add(r)
+            elif w in ctx:
+                shown.add(w)
+        unit = self._unit
+        if any(not unit[r] & shown for r in self._reads):
+            return None
+        hidden = {w for w in self._writes if not unit[w] & shown}
+        # mo orders the atomic writes of one location totally, so two
+        # non-visible context writes are separated by a visible or code
+        # write exactly when no two non-visible ones are mo-adjacent
+        return lambda order: not any(
+            a in hidden and b in hidden for a, b in zip(order, order[1:])
+        )

@@ -7,7 +7,6 @@ from pathlib import Path
 from stellite import lang
 from stellite.axiomatic import EnumConfig, enumerate_program
 from stellite.blocklocal import block_local, code_of
-from stellite.cut import cut
 from stellite.verifier import (
     check_cut_refinement,
     check_q_instance,
@@ -281,9 +280,7 @@ def test_criterion_6d_finiteness_across_enumeration_orders():
         for order in ("asc", "desc"):
             n = 0
             for ctx in enumerate_contexts(B, B, budget, order=order):
-                for X in block_local(B, ctx, check_vs=False):
-                    if cut(X):
-                        n += 1
+                n += len(block_local(B, ctx, check_vs=False, cut_only=True))
             counts.append(n)
         assert counts[0] == counts[1], (btxt, counts)
     _report(6, True, f"cut-filtered execution counts stable across two"

@@ -57,6 +57,14 @@ def test_verify_json_report_is_deterministic_and_witness_is_valid(
     capsys.readouterr()
 
 
+def test_verify_rejects_nonatomic_blocks(capsys):
+    rc = main(["verify", str(CORPUS / "na_load_reorder.tr")])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "instance --na" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_emits_a_dot_witness(tmp_path, capsys):
     rc = main(
         [

@@ -1,11 +1,19 @@
 """The redundancy filter over block-local executions."""
 
+from pathlib import Path
+
+from hypothesis import example, given, settings, strategies as st
+
 from stellite import lang
 from stellite.axiomatic import Action, is_read, is_write
 from stellite.blocklocal import CutContext, block_local, code_of, contx_of
 from stellite.cut import cut, explain_cut, vis
+from stellite.verifier import enumerate_contexts
 
 from oracles import sample_block_local
+from test_acceptance import SUITE
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _ctx(*specs):
@@ -97,3 +105,84 @@ def test_cut_invariants_on_samples():
                 if is_write(a) and a.gvar == g and a.aid in v
             )
             assert nonvis <= visw + 1
+
+
+# ---------------------------------------------------------------------------
+# cut_only=True (the filter applied during completion) against the slow
+# path, filter(cut, block_local)
+
+
+def _assert_fast_path_matches(B, ctx, values):
+    fast = block_local(B, ctx, values=values, check_vs=False, cut_only=True)
+    slow = [X for X in block_local(B, ctx, values=values, check_vs=False)
+            if cut(X)]
+    assert len(set(fast)) == len(fast)
+    assert set(fast) == set(slow)
+    # same order too, so the first refutation witness does not move
+    assert fast == slow
+
+
+def test_cut_only_matches_the_filtered_slow_path_on_the_corpus():
+    blocks = {
+        lang.unparse_block(side)
+        for fname, _ in SUITE
+        for side in lang.parse_transformation((CORPUS / fname).read_text())
+    }
+    for btxt in sorted(blocks):
+        B = lang.parse_block(btxt)
+        for ctx in enumerate_contexts(B, B):
+            _assert_fast_path_matches(B, ctx, frozenset({0, 1}))
+
+
+_STMTS = st.sampled_from([
+    "l := ld(x)", "m := ld(y)", "ld(x)", "st(x, l)", "st(x, 1)", "st(y, m)",
+    "st(y, 0)", "fc", "l := LL(x); m := SC(x, l)", "m := LL(y); m := SC(y, 1)",
+])
+
+
+@st.composite
+def _cases(draw):
+    """A block of one to three statements, a value domain and a context of
+    one to four loads, stores, LL/SC actions and S-paired LL/SC pairs
+    (fences among them)."""
+    values = frozenset(range(draw(st.sampled_from([2, 3]))))
+    block = "; ".join(draw(st.lists(_STMTS, min_size=1, max_size=3)))
+    # one shared location most of the time, so that the actions interact
+    locs = draw(st.sampled_from([["x"], ["y"], ["x", "y"]]))
+    acts, S = [], set()
+    for i in range(draw(st.integers(1, 4))):
+        # loads twice as often, so that two of them may share a source
+        shape = draw(st.sampled_from(
+            ["load", "load", "store", "LL", "SC", "pair", "fence"]))
+        loc = draw(st.sampled_from(locs))
+        v1, v2 = (draw(st.sampled_from(sorted(values))) for _ in "ab")
+        if shape in ("pair", "fence"):
+            if shape == "fence":
+                loc, v1, v2 = lang.FENCE_VAR, 0, 0
+            ll = Action(f"c{i}l", "LL", loc, (v1,), "context")
+            sc = Action(f"c{i}s", "SC", loc, (v2,), "context")
+            acts += [ll, sc]
+            S.add((ll.aid, sc.aid))
+        else:
+            acts.append(Action(f"c{i}", shape, loc, (v1,), "context"))
+    return block, CutContext(tuple(acts), frozenset(), frozenset(S)), values
+
+
+_V2 = frozenset({0, 1})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cases())
+# one example per cut rule: two reads sharing the code store, two
+# mo-adjacent non-visible stores, an LL/SC pair made visible by its SC
+@example(("st(x, 1)", _ctx(("r0", "load", "x", 1), ("r1", "load", "x", 1)),
+          _V2))
+@example(("l := ld(x)", _ctx(("w0", "store", "x", 1), ("w1", "store", "x", 0),
+                             ("w2", "store", "x", 1)), _V2))
+@example(("l := ld(x)", CutContext(
+    (Action("p", "LL", "x", (0,), "context"),
+     Action("q", "SC", "x", (1,), "context")),
+    frozenset(), frozenset({("p", "q")})), _V2))
+def test_cut_only_matches_the_filtered_slow_path_on_random_blocks(case):
+    block, ctx, values = case
+    _assert_fast_path_matches(lang.parse_block(block), ctx, values)

@@ -192,6 +192,24 @@ def test_overflowing_the_execution_budget_reports_unknown():
     assert "error" in v.stats
 
 
+def test_the_execution_budget_caps_cut_survivors_on_the_b1_side():
+    B1, B2 = lang.parse_block("ld(x)"), lang.parse_block("skip")
+    budget = context_bound(B1, B2)
+    ctxs = enumerate_contexts(B1, B2, budget)
+
+    def peak(B, cut_only):
+        return max(len(block_local(B, c, check_vs=False, cut_only=cut_only))
+                   for c in ctxs)
+
+    survivors = peak(B1, True)
+    # B1's unfiltered executions would overflow a cap its survivors fit
+    assert peak(B2, False) <= survivors < peak(B1, False)
+    within = dataclasses.replace(budget, max_block_execs=survivors)
+    assert check_cut_refinement(B1, B2, within).outcome == "Verified"
+    below = dataclasses.replace(budget, max_block_execs=survivors - 1)
+    assert check_cut_refinement(B1, B2, below).outcome == "Unknown"
+
+
 def test_refutation_witnesses_pass_the_filter_and_lack_a_match():
     from stellite.history import hist_ext, refines_ext
 
