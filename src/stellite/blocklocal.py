@@ -85,6 +85,40 @@ def _check_context(ctx: CutContext, vs):
         seen_sc.add(sc)
 
 
+@dataclass(frozen=True)
+class PreExecution:
+    """The part of a block-local execution that no context changes: the
+    boundary and code actions, their sb and their at."""
+
+    actions: tuple  # call, the code actions, ret
+    sb: frozenset
+    at: frozenset
+
+
+def pre_executions(B, sigma, values, locals_order):
+    """The pre-executions of block B from the local map sigma, in
+    thread-local order. values is the context's value domain; the block's
+    literals are added to it."""
+    values = frozenset(values) | lang.literals_of(B)
+    callv = tuple(sigma[l] for l in locals_order)
+    out = []
+    for (code, sbc, sigma2) in lang.thread_local_block(
+        B, sigma, values, origin="code"
+    ):
+        retv = tuple(sigma2[l] for l in locals_order)
+        call = Action(CALL, "call", None, callv, "boundary")
+        ret = Action(RET, "ret", None, retv, "boundary")
+        sb = set(sbc)
+        for c in code:
+            sb.add((CALL, c.aid))
+            sb.add((c.aid, RET))
+        sb.add((CALL, RET))
+        sb = frozenset(sb)
+        out.append(PreExecution((call,) + code + (ret,), sb,
+                                derive_at(code, sb)))
+    return out
+
+
 def block_local(
     B,
     ctx: CutContext,
@@ -97,6 +131,8 @@ def block_local(
     limit=None,
     check_vs=True,
     cut_only=False,
+    pre=None,
+    pruner=None,
 ):
     """All executions of block B under the reduced context ctx.
 
@@ -104,11 +140,17 @@ def block_local(
     call and ret; context actions carry no sb; R seeds hb and S extends at.
     With cut_only, only the executions that cut.cut keeps are built, in
     the same order, and limit caps those.
+
+    A caller that checks B under many contexts may pass what does not
+    depend on the context: pre, the pre_executions of B from each of
+    sigmas, and with cut_only the cut.CutPruner of ctx. Both are built
+    here when not given.
     """
     B = tuple(B)
     _check_context(ctx, lang.vars_of(B) if check_vs else None)
-    pruner = None
-    if cut_only:
+    if not cut_only:
+        pruner = None
+    elif pruner is None:
         from .cut import CutPruner  # cut imports this module
 
         pruner = CutPruner(ctx.actions, ctx.S)
@@ -118,29 +160,18 @@ def block_local(
         live = lang.live_in(B)
     if sigmas is None:
         sigmas = sigma_space(locals_order, live, values)
-    values = frozenset(values) | lang.literals_of(B)
+    if pre is None:
+        pre = (pre_executions(B, sigma, values, locals_order)
+               for sigma in sigmas)
+    # a context LL is ordered before its paired SC in any real context
+    r_ctx = frozenset(ctx.R) | frozenset(ctx.S)
     out = []
-    for sigma in sigmas:
-        callv = tuple(sigma[l] for l in locals_order)
-        for (code, sbc, sigma2) in lang.thread_local_block(
-            B, sigma, values, origin="code"
-        ):
-            retv = tuple(sigma2[l] for l in locals_order)
-            call = Action(CALL, "call", None, callv, "boundary")
-            ret = Action(RET, "ret", None, retv, "boundary")
-            acts = (call,) + code + (ret,) + tuple(ctx.actions)
-            sb = set(sbc)
-            for c in code:
-                sb.add((CALL, c.aid))
-                sb.add((c.aid, RET))
-            sb.add((CALL, RET))
-            at = derive_at(code, frozenset(sb)) | ctx.S
-            # a context LL is ordered before its paired SC in any real context
-            r_ctx = frozenset(ctx.R) | frozenset(ctx.S)
+    for pres in pre:
+        for p in pres:
             for X in complete(
-                acts,
-                frozenset(sb),
-                frozenset(at),
+                p.actions + tuple(ctx.actions),
+                p.sb,
+                p.at | ctx.S,
                 r_ctx=r_ctx,
                 mode=mode,
                 locals_order=locals_order,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from pathlib import Path
@@ -49,22 +48,28 @@ def execution_to_json(X: Execution) -> dict:
 
 
 def execution_from_json(d: dict) -> Execution:
-    acts = tuple(
-        Action(n["id"], n["kind"], n["var"], tuple(n["values"]), n["origin"])
-        for n in d["nodes"]
-    )
-    rel = lambda name: frozenset(map(tuple, d["edges"][name]))
-    return Execution(
-        actions=acts,
-        sb=rel("sb"),
-        at=rel("at"),
-        rf=rel("rf"),
-        mo=rel("mo"),
-        hb=rel("hb"),
-        mode=d.get("mode", "AT"),
-        r_ctx=frozenset(map(tuple, d.get("context_hb", []))),
-        locals_order=tuple(d.get("locals", [])),
-    )
+    """The inverse of execution_to_json; ValueError if d has another
+    shape."""
+    try:
+        acts = tuple(
+            Action(n["id"], n["kind"], n["var"], tuple(n["values"]),
+                   n["origin"])
+            for n in d["nodes"]
+        )
+        rel = lambda name: frozenset(map(tuple, d["edges"][name]))
+        return Execution(
+            actions=acts,
+            sb=rel("sb"),
+            at=rel("at"),
+            rf=rel("rf"),
+            mo=rel("mo"),
+            hb=rel("hb"),
+            mode=d.get("mode", "AT"),
+            r_ctx=frozenset(map(tuple, d.get("context_hb", []))),
+            locals_order=tuple(d.get("locals", [])),
+        )
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"not an execution: {exc}") from exc
 
 
 def history_to_json(E) -> dict:
@@ -329,8 +334,6 @@ def main(argv=None) -> int:
                     "axiomatic memory model",
     )
     ap.add_argument("--version", action="version", version=__version__)
-    ap.add_argument("--seed", type=int, default=None,
-                    help="seed for randomized self-checks")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     v = sub.add_parser("verify", help="check a transformation file")
@@ -346,7 +349,6 @@ def main(argv=None) -> int:
     s.add_argument("litmus")
     s.add_argument("--na", action="store_true")
     s.add_argument("--values", type=int, default=2)
-    s.add_argument("--observable", default=None)
     s.add_argument("--forbid", default=None,
                    help="fail (exit 1) if this l=v,... outcome is admitted")
     s.add_argument("--json", default=None)
@@ -371,8 +373,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 3 if e.code not in (0, None) else 0
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.fn(args)
     except (ParseError, FileNotFoundError, ValueError, KeyError) as exc:

@@ -18,9 +18,11 @@ from .blocklocal import (
     CutContext,
     block_local,
     downclosure,
+    pre_executions,
     sigma_space,
 )
-from .history import hist, hist_ext, refines_ext, refines_h
+from .cut import CutPruner
+from .history import PairIndex, hist, hist_ext, refines_h, refines_masks
 
 
 @dataclass
@@ -248,15 +250,24 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None,
     live = lang.live_in(B1) | lang.live_in(B2)
     sigmas = sigma_space(locals_order, live, budget.values)
     stats = {"contexts": 0, "x1_cut": 0, "x2": 0}
+    # each block's pre-executions from each sigma, which no context
+    # changes, built once per verdict
+    pre1, pre2 = (
+        [pre_executions(B, sigma, budget.values, locals_order)
+         for sigma in sigmas]
+        for B in (B1, B2)
+    )
     try:
         for ctx in enumerate_contexts(B1, B2, budget, order=order):
             stats["contexts"] += 1
-            for sigma in sigmas:
+            pruner = CutPruner(ctx.actions, ctx.S)
+            index = PairIndex(a.aid for a in ctx.actions)
+            for i, sigma in enumerate(sigmas):
                 x1s = block_local(
                     B1, ctx, values=budget.values,
                     locals_order=locals_order, sigmas=[sigma],
                     limit=budget.max_block_execs, check_vs=False,
-                    cut_only=True,
+                    cut_only=True, pre=[pre1[i]], pruner=pruner,
                 )
                 stats["x1_cut"] += len(x1s)
                 if not x1s:
@@ -265,21 +276,26 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None,
                     B2, ctx, values=budget.values,
                     locals_order=locals_order, sigmas=[sigma],
                     limit=budget.max_block_execs, check_vs=False,
+                    pre=[pre2[i]],
                 )
                 stats["x2"] += len(x2s)
                 # B2's extended histories, computed in order as far as the
-                # scan needs them
-                h2s = []
-
-                def candidates():
-                    yield from h2s
-                    for Y in x2s[len(h2s):]:
-                        h2s.append(hist_ext(Y))
-                        yield h2s[-1]
-
+                # scan needs them, and their masks grouped by action set
+                h2s, groups = [], {}
                 for X in x1s:
                     e1 = hist_ext(X)
-                    if not any(refines_ext(e1, e2) for e2 in candidates()):
+                    key, m1 = index.key(e1), index.masks(e1)
+                    if any(refines_masks(m1, m2)
+                           for m2 in groups.get(key, ())):
+                        continue
+                    for Y in x2s[len(h2s):]:
+                        e2 = hist_ext(Y)
+                        h2s.append(e2)
+                        k2, m2 = index.key(e2), index.masks(e2)
+                        groups.setdefault(k2, []).append(m2)
+                        if k2 == key and refines_masks(m1, m2):
+                            break
+                    else:
                         return Verdict(
                             "Refuted",
                             witness=Witness(ctx, dict(sigma), X, e1, h2s),

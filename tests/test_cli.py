@@ -1,9 +1,13 @@
 """End-to-end command-line behaviour."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stellite import lang
 from stellite.axiomatic import valid
@@ -188,3 +192,81 @@ def test_version_flag(capsys):
     rc = main(["--version"])
     out = capsys.readouterr().out
     assert rc == 0 and "0.1.0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "1", "simulate", str(CORPUS / "sb.lit")],
+    ["simulate", str(CORPUS / "sb.lit"), "--observable", "x"],
+])
+def test_removed_flags_are_input_errors(argv, capsys):
+    assert main(argv) == 3
+    capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# bad input: every entry point exits with 0-3 and raises nothing
+
+
+def _witness_json():
+    from oracles import single_load_instance_execs
+
+    return json.dumps(execution_to_json(single_load_instance_execs()[0]))
+
+
+# per subcommand, the valid contents of its input files in argument order
+_VALID = {
+    "verify": [(CORPUS / "load_to_local_intro.tr").read_text()],
+    "simulate": [(CORPUS / "sb.lit").read_text()],
+    "instance": [(CORPUS / "store_collapse_wide.tr").read_text(),
+                 (CORPUS / "single_load.ctx").read_text()],
+    "adversary": [_witness_json(), "st(x,11)"],
+}
+
+# the characters of every input language, so that random text gets past
+# the first token now and then
+_TEXT = st.text(alphabet=sorted(set(
+    "".join(t for ts in _VALID.values() for t in ts) + "~>|{}#\n\x00\xff"
+)), max_size=30)
+
+
+@st.composite
+def _bad_inputs(draw):
+    """A subcommand, and its input files with one of them replaced by
+    random text or cut short."""
+    cmd = draw(st.sampled_from(sorted(_VALID)))
+    files = list(_VALID[cmd])
+    i = draw(st.integers(0, len(files) - 1))
+    if draw(st.booleans()):
+        files[i] = draw(_TEXT)
+    else:
+        files[i] = files[i][:draw(st.integers(0, len(files[i])))]
+    return cmd, files
+
+
+def _argv(cmd, paths):
+    if cmd == "verify":
+        return ["verify", paths[0], "--budget", "total=2"]
+    if cmd == "simulate":
+        return ["simulate", paths[0]]
+    if cmd == "instance":
+        return ["instance", paths[0], "--context", paths[1]]
+    return ["adversary", paths[0], "--block", paths[1], "--check"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bad_inputs())
+# JSON that is not an object once raised TypeError
+@example(("adversary", ["0", "st(x,11)"]))
+def test_bad_input_exits_with_a_code_and_no_traceback(case):
+    cmd, texts = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, text in enumerate(texts):
+            path = Path(tmp) / f"in{i}"
+            path.write_text(text, encoding="utf-8", errors="surrogateescape")
+            paths.append(str(path))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(_argv(cmd, paths))
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -6,8 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from stellite import lang
 from stellite.axiomatic import Action, is_read, is_write
-from stellite.blocklocal import CutContext, block_local, code_of, contx_of
-from stellite.cut import cut, explain_cut, vis
+from stellite.blocklocal import (
+    CutContext,
+    block_local,
+    code_of,
+    contx_of,
+    pre_executions,
+    sigma_space,
+)
+from stellite.cut import CutPruner, cut, explain_cut, vis
 from stellite.verifier import enumerate_contexts
 
 from oracles import sample_block_local
@@ -112,14 +119,33 @@ def test_cut_invariants_on_samples():
 # path, filter(cut, block_local)
 
 
-def _assert_fast_path_matches(B, ctx, values):
+def _assert_fast_path_matches(B, ctx, values, pres=None):
+    """pres, the pre-executions of B from each sigma, are built once per
+    block by the caller, as check_cut_refinement builds them once per
+    verdict; with them, block_local must give what it gives alone."""
     fast = block_local(B, ctx, values=values, check_vs=False, cut_only=True)
-    slow = [X for X in block_local(B, ctx, values=values, check_vs=False)
-            if cut(X)]
+    every = block_local(B, ctx, values=values, check_vs=False)
+    slow = [X for X in every if cut(X)]
     assert len(set(fast)) == len(fast)
     assert set(fast) == set(slow)
     # same order too, so the first refutation witness does not move
     assert fast == slow
+    if pres is None:
+        pres = _pre_executions(B, values)
+    pruner = CutPruner(ctx.actions, ctx.S)
+    for cut_only, want in ((True, fast), (False, every)):
+        shared = [X for sigma, pre in pres
+                  for X in block_local(B, ctx, values=values,
+                                       sigmas=[sigma], check_vs=False,
+                                       cut_only=cut_only, pre=[pre],
+                                       pruner=pruner)]
+        assert shared == want
+
+
+def _pre_executions(B, values):
+    locals_order = lang.locals_of(B)
+    return [(sigma, pre_executions(B, sigma, values, locals_order))
+            for sigma in sigma_space(locals_order, lang.live_in(B), values)]
 
 
 def test_cut_only_matches_the_filtered_slow_path_on_the_corpus():
@@ -128,10 +154,12 @@ def test_cut_only_matches_the_filtered_slow_path_on_the_corpus():
         for fname, _ in SUITE
         for side in lang.parse_transformation((CORPUS / fname).read_text())
     }
+    values = frozenset({0, 1})
     for btxt in sorted(blocks):
         B = lang.parse_block(btxt)
+        pres = _pre_executions(B, values)
         for ctx in enumerate_contexts(B, B):
-            _assert_fast_path_matches(B, ctx, frozenset({0, 1}))
+            _assert_fast_path_matches(B, ctx, values, pres)
 
 
 _STMTS = st.sampled_from([

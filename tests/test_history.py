@@ -1,15 +1,28 @@
 """Histories, extended histories and their refinement orders."""
 
+import functools
+
+from hypothesis import given, settings, strategies as st
+
 from stellite import lang
-from stellite.blocklocal import CALL, RET, CutContext, block_local, contx_of
+from stellite.blocklocal import (
+    CALL,
+    RET,
+    CutContext,
+    block_local,
+    contx_of,
+    downclosure,
+)
 from stellite.history import (
     ExtendedHistory,
     History,
+    PairIndex,
     deny,
     hist,
     hist_ext,
     refines_ext,
     refines_h,
+    refines_masks,
 )
 
 from oracles import (
@@ -125,3 +138,36 @@ def test_deny_agrees_with_the_add_edge_oracle():
             )
         checked += 1
     assert checked >= 500
+
+
+def test_deny_agrees_with_the_oracle_on_prefixes():
+    # prefixes may lack ret, or call as well
+    checked = 0
+    for X in sample_block_local(520)[::40]:
+        for P in downclosure(X):
+            D, _ = deny(P)
+            for (u, v) in deny_domain(P):
+                assert ((u, v) in D) == oracle_deny_hit(P, u, v), (P, u, v)
+            checked += RET not in {a.aid for a in P.actions}
+    assert checked
+
+
+@functools.cache
+def _histories_by_context():
+    """The sampled executions' extended histories, grouped by context."""
+    groups = {}
+    for X in sample_block_local(1000):
+        groups.setdefault(contx_of(X), []).append(hist_ext(X))
+    return sorted(groups.items(), key=repr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_the_mask_test_agrees_with_refines_ext_within_one_context(data):
+    ctx, hs = data.draw(st.sampled_from(_histories_by_context()))
+    index = PairIndex(a.aid for a in ctx)
+    coded = [(index.key(E), index.masks(E)) for E in hs]
+    for E1, (k1, m1) in zip(hs, coded):
+        for E2, (k2, m2) in zip(hs, coded):
+            assert (k1 == k2 and refines_masks(m1, m2)) == \
+                refines_ext(E1, E2), (ctx, E1, E2)

@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from stellite import lang
-from stellite.blocklocal import CutContext, block_local
+from stellite import lang, verifier
+from stellite.blocklocal import CutContext, block_local, sigma_space
 from stellite.cut import cut
+from stellite.history import hist_ext, refines_ext
 from stellite.verifier import (
     Budget,
     check_cut_refinement,
@@ -269,6 +270,78 @@ def test_refutation_witnesses_pass_the_filter_and_lack_a_match():
     assert cut(w.execution)
     e1 = hist_ext(w.execution)
     assert not any(refines_ext(e1, e2) for e2 in w.candidates)
+
+
+# ---------------------------------------------------------------------------
+# the domination scan against the linear refines_ext scan it replaced
+
+# the rows of the benchmark's verify-generate workload, checked at V=3
+GENERATE_ROWS = ["load_after_store_elim.tr", "store_collapse.tr",
+                 "load_collapse.tr", "writeback_elim.tr"]
+
+
+def _linear_scan(B1, B2, budget, computed):
+    """check_cut_refinement as a plain scan: both blocks' executions built
+    afresh for each context and sigma, and each new-block execution
+    compared by refines_ext with the original block's extended histories,
+    computed in order as far as needed. computed collects the executions
+    whose extended histories were computed, in order."""
+    locals_order = tuple(sorted(set(lang.locals_of(B1))
+                                | set(lang.locals_of(B2))))
+    live = lang.live_in(B1) | lang.live_in(B2)
+    stats = {"contexts": 0, "x1_cut": 0, "x2": 0}
+
+    def ext(X):
+        computed.append(X)
+        return hist_ext(X)
+
+    for ctx in enumerate_contexts(B1, B2, budget):
+        stats["contexts"] += 1
+        for sigma in sigma_space(locals_order, live, budget.values):
+            kw = dict(values=budget.values, locals_order=locals_order,
+                      sigmas=[sigma], limit=budget.max_block_execs,
+                      check_vs=False)
+            x1s = block_local(B1, ctx, cut_only=True, **kw)
+            stats["x1_cut"] += len(x1s)
+            if not x1s:
+                continue
+            x2s = block_local(B2, ctx, **kw)
+            stats["x2"] += len(x2s)
+            h2s = []
+
+            def candidates():
+                yield from h2s
+                for Y in x2s[len(h2s):]:
+                    h2s.append(ext(Y))
+                    yield h2s[-1]
+
+            for X in x1s:
+                e1 = ext(X)
+                if not any(refines_ext(e1, e2) for e2 in candidates()):
+                    return "Refuted", stats, (ctx, dict(sigma), X, e1, h2s)
+    return "Verified", stats, None
+
+
+@pytest.mark.parametrize(
+    "fname,nvalues",
+    [(f, 2) for f, _ in SUITE] + [(f, 3) for f in GENERATE_ROWS])
+def test_the_mask_scan_matches_the_linear_scan(fname, nvalues, monkeypatch):
+    B2, B1 = lang.parse_transformation((CORPUS / fname).read_text())
+    budget = context_bound(B1, B2, frozenset(range(nvalues)))
+    slow_computed, fast_computed = [], []
+    slow = _linear_scan(B1, B2, budget, slow_computed)
+    monkeypatch.setattr(verifier, "hist_ext",
+                        lambda X: fast_computed.append(X) or hist_ext(X))
+    fast = check_cut_refinement(B1, B2, budget)
+    assert fast.outcome == slow[0]
+    assert fast.stats == slow[1]
+    # the same histories computed in the same order, so the same witness
+    # and candidate list
+    assert fast_computed == slow_computed
+    w = fast.witness
+    assert (None if w is None else
+            (w.context, w.sigma, w.execution, w.hist, w.candidates)
+            ) == slow[2]
 
 
 # ---------------------------------------------------------------------------
