@@ -21,7 +21,7 @@ from .axiomatic import (
     enumerate_program,
     is_write,
 )
-from .blocklocal import CALL, RET, code_of, contx_of
+from .blocklocal import CALL, RET, code_of, contx_of, in_r_shape
 from .history import hist
 from .lang import (
     Assign,
@@ -59,13 +59,7 @@ def closed_R(X) -> frozenset:
     """The happens-before consequences of the context relation, projected
     to its allowed shape; this is what the construction can reproduce."""
     ctx = {a.aid for a in contx_of(X)}
-    return frozenset(
-        (u, v)
-        for (u, v) in X.hb
-        if (u in ctx and v in ctx)
-        or (u in ctx and v == CALL)
-        or (u == RET and v in ctx)
-    )
+    return frozenset((u, v) for (u, v) in X.hb if in_r_shape(u, v, ctx))
 
 
 def _fresh_local(counter):
@@ -236,14 +230,6 @@ def _hole_region(Z):
     return kc, kr, region
 
 
-def _hb_to_all(Z, u, targets):
-    return all((u, t) in Z.hb for t in targets)
-
-
-def _hb_from_all(Z, targets, v):
-    return all((t, v) in Z.hb for t in targets)
-
-
 def reproduce(X, B, cfg: EnumConfig | None = None) -> bool:
     """Does the adversarial context for X, wrapped around B, admit an
     error-free execution whose code and interface replay X?"""
@@ -261,10 +247,7 @@ def reproduce(X, B, cfg: EnumConfig | None = None) -> bool:
     expected = closure(set(closed_R(X)) | chain)
     ctx_ids = {a.aid for a in contx_of(X)}
     expected = frozenset(
-        (u, v) for (u, v) in expected
-        if (u in ctx_ids and v in ctx_ids)
-        or (u in ctx_ids and v == CALL) or (u == RET and v in ctx_ids)
-    )
+        (u, v) for (u, v) in expected if in_r_shape(u, v, ctx_ids))
     for Z in res.executions:
         if _matches(Z, X, ac, target_code, expected):
             return True
@@ -335,14 +318,8 @@ def _relations_match(Z, X, g, code_ids):
 
 
 def _hbc_matches(Z, X, g, expected):
-    got = set()
-    ctx = [a.aid for a in contx_of(X)]
-    for u in ctx:
-        for v in ctx:
-            if u != v and (g[u], g[v]) in Z.hb:
-                got.add((u, v))
-        if g[CALL] is not None and (g[u], g[CALL]) in Z.hb:
-            got.add((u, CALL))
-        if g[RET] is not None and (g[RET], g[u]) in Z.hb:
-            got.add((RET, u))
+    ctx = {a.aid for a in contx_of(X)}
+    nodes = ctx | {CALL, RET}
+    got = {(u, v) for u in nodes for v in nodes
+           if u != v and in_r_shape(u, v, ctx) and (g[u], g[v]) in Z.hb}
     return got == set(expected)

@@ -81,7 +81,7 @@ class Execution:
 # relation helpers
 
 
-def closure(edges, nodes=None):
+def closure(edges):
     """Transitive closure of a set of id pairs."""
     succ = {}
     for u, v in edges:
@@ -99,78 +99,153 @@ def closure(edges, nodes=None):
     return frozenset((u, v) for u, vs in succ.items() for v in vs)
 
 
+def _hb_rf(rf, byid, mode):
+    """The rf edges that seed hb: all of rf, but in NA mode none into or
+    out of an NA action."""
+    if mode != "NA":
+        return set(rf)
+    return {(w, r) for (w, r) in rf
+            if not (is_na(byid[w]) or is_na(byid[r]))}
+
+
 def derive_hb(actions, sb, rf, R=frozenset(), mode="AT"):
-    """hb = (sb ∪ rf ∪ R)+; in NA mode rf edges into NA reads are dropped."""
+    """hb = (sb ∪ rf ∪ R)+, with rf filtered by _hb_rf."""
     byid = {a.aid: a for a in actions}
-    rf_edges = set(rf)
-    if mode == "NA":
-        rf_edges = {
-            (w, r)
-            for (w, r) in rf_edges
-            if not (is_na(byid[w]) or is_na(byid[r]))
-        }
-    return closure(set(sb) | rf_edges | set(R))
-
-
-def acyclic(rel) -> bool:
-    return not any(u == v for u, v in rel)
+    return closure(set(sb) | _hb_rf(rf, byid, mode) | set(R))
 
 
 # ---------------------------------------------------------------------------
-# validity
+# validity: each axiom is defined once below; check_axioms tests a given
+# execution with these definitions and complete keeps them while it builds
+
+
+def _may_read_from(w, r):
+    """Whether read r may read from write w, or from the initial value 0
+    when w is None: same location, same value."""
+    if w is None:
+        return r.vals == (0,)
+    return w.gvar == r.gvar and w.vals == r.vals
+
+
+def _hb_cycle(hb):
+    """An action that happens before itself (HBDEF), or None."""
+    return next((u for (u, v) in hb if u == v), None)
+
+
+def _rf_violation(reads, writes, byid, rf, hb, mode):
+    """The first break of RFVAL, RFHBNA or COHERNA as (name, witness), or
+    None. RFVAL: a read without a source may read the initial value and
+    no write of its location happens before it. In NA mode, RFHBNA: an rf
+    edge into or out of an NA action is in hb; COHERNA: no NA write of
+    its location happens between an NA read and its source."""
+    srcs = {r for (_, r) in rf}
+    for r in reads:
+        if r.aid in srcs:
+            continue
+        if not _may_read_from(None, r):
+            return ("RFVAL", (r.aid,))
+        for w in writes:
+            if w.gvar == r.gvar and (w.aid, r.aid) in hb:
+                return ("RFVAL", (r.aid, w.aid))
+    if mode != "NA":
+        return None
+    for (w, r) in rf:
+        if (is_na(byid[w]) or is_na(byid[r])) and (w, r) not in hb:
+            return ("RFHBNA", (w, r))
+    for (w1, r) in rf:
+        ra = byid[r]
+        if not is_na(ra):
+            continue
+        for w2 in writes:
+            if (is_na(w2) and w2.gvar == ra.gvar and (w1, w2.aid) in hb
+                    and (w2.aid, r) in hb):
+                return ("COHERNA", (w1, w2.aid, r))
+    return None
+
+
+def _mo_locations(writes):
+    """The ids of each location's atomic writes, the writes mo orders."""
+    locs = {}
+    for w in writes:
+        if is_atomic_write(w):
+            locs.setdefault(w.gvar, []).append(w.aid)
+    return locs
+
+
+def _mo_masks(ws, hb, rf, at, byid):
+    """Three bit masks over the writes ws of one location for each write
+    c: the writes that must come before c (HBVSMO), the writes c may not
+    follow because c happens before one of their readers (COHERENCE), and
+    the SCs that must come right after c because their LL reads c (ATOM).
+    An LL that reads no write constrains no SC."""
+    idx = {w: i for i, w in enumerate(ws)}
+    preds = [sum(1 << idx[w] for w in ws if (w, c) in hb) for c in ws]
+    late = [0] * len(ws)
+    succ = [0] * len(ws)
+    src = {}
+    for (w, r) in rf:
+        src[r] = w
+        if w in idx:
+            for i, c in enumerate(ws):
+                if (c, r) in hb:
+                    late[i] |= 1 << idx[w]
+    for (ll, sc) in at:
+        w = src.get(ll)
+        if w in idx and sc in idx and byid[sc].kind == "SC":
+            succ[idx[w]] |= 1 << idx[sc]
+    return preds, late, succ
+
+
+def _mo_step(masks, placed, last, i):
+    """The mo axiom that placing write i of a location next would break,
+    or None. placed has the bits of the writes already placed, last is
+    the write placed last (-1 for none)."""
+    preds, late, succ = masks
+    if preds[i] & ~placed:
+        return "HBVSMO"
+    if late[i] & placed:
+        return "COHERENCE"
+    if last >= 0 and succ[last] & ~placed & ~(1 << i):
+        return "ATOM"
+    return None
 
 
 def check_axioms(X: Execution):
-    """Return None if X is valid, else (axiom name, witness tuple)."""
+    """Return None if X is valid, else (axiom name, witness tuple).
+
+    MO and RFWF are well-formedness: mo orders each location's atomic
+    writes totally and nothing else, and a read reads from at most one
+    write, which _may_read_from allows. The mo axioms are then checked
+    along each location's mo order."""
     byid = X.by_id()
+    reads = [a for a in X.actions if is_read(a)]
+    writes = [a for a in X.actions if is_write(a)]
+    orders, total = [], set()
+    for loc in _mo_locations(writes).values():
+        ws = sorted(loc, key=lambda w: sum((u, w) in X.mo for u in loc))
+        orders.append(ws)
+        total.update(itertools.combinations(ws, 2))
+    if total != X.mo:
+        return ("MO", min(total ^ X.mo, key=repr))
+    srcs = {}
+    for (w, r) in X.rf:
+        wa, ra = byid.get(w), byid.get(r)
+        if (wa is None or ra is None or not is_write(wa) or not is_read(ra)
+                or not _may_read_from(wa, ra) or srcs.setdefault(r, w) != w):
+            return ("RFWF", (w, r))
     hb = derive_hb(X.actions, X.sb, X.rf, X.r_ctx, X.mode)
     if hb != X.hb:
         return ("HBDEF", ("hb differs from derived closure",))
-    for u, v in hb:
-        if u == v:
-            return ("HBDEF", (u,))
-    rf_of = {r: w for (w, r) in X.rf}
-    for w1, w2 in X.mo:
-        if (w2, w1) in hb:
-            return ("HBVSMO", (w2, w1))
-    for (w1, r) in X.rf:
-        for (a, w2) in X.mo:
-            if a == w1 and (w2, r) in hb:
-                return ("COHERENCE", (w1, w2, r))
-    for a in X.actions:
-        if is_read(a) and a.aid not in rf_of:
-            if a.vals and a.vals[0] != 0:
-                return ("RFVAL", (a.aid,))
-            for w in X.actions:
-                if is_write(w) and w.gvar == a.gvar and (w.aid, a.aid) in hb:
-                    return ("RFVAL", (a.aid, w.aid))
-    for (ll, sc) in X.at:
-        if byid[sc].kind != "SC":
-            continue
-        w1 = rf_of.get(ll)
-        if w1 is None:
-            continue
-        for w2 in X.actions:
-            if (w1, w2.aid) in X.mo and (w2.aid, sc) in X.mo:
-                return ("ATOM", (ll, sc, w1, w2.aid))
-    if X.mode == "NA":
-        for (w, r) in X.rf:
-            if (is_na(byid[w]) or is_na(byid[r])) and (w, r) not in hb:
-                return ("RFHBNA", (w, r))
-        for (w1, r) in X.rf:
-            ra = byid[r]
-            if not is_na(ra):
-                continue
-            for w2 in X.actions:
-                if (
-                    is_na(w2)
-                    and is_write(w2)
-                    and w2.gvar == ra.gvar
-                    and (w1, w2.aid) in hb
-                    and (w2.aid, r) in hb
-                ):
-                    return ("COHERNA", (w1, w2.aid, r))
-    return None
+    u = _hb_cycle(hb)
+    if u is not None:
+        return ("HBDEF", (u,))
+    for ws in orders:
+        masks = _mo_masks(ws, hb, X.rf, X.at, byid)
+        for i in range(len(ws)):
+            name = _mo_step(masks, (1 << i) - 1, i - 1, i)
+            if name is not None:
+                return (name, tuple(ws[:i + 1]))
+    return _rf_violation(reads, writes, byid, X.rf, hb, X.mode)
 
 
 def valid(X: Execution) -> bool:
@@ -231,29 +306,15 @@ def derive_at(actions, sb):
 # completion of a pre-execution to valid executions
 
 
-def _mo_orders(ws, hb, readers, atom, hidden):
-    """The total orders of the writes ws of one location that keep
-    HBVSMO, COHERENCE and ATOM, and leave no two hidden writes adjacent,
-    in itertools.permutations(ws) order.
-
-    readers maps a write to the reads that read from it; atom maps the
-    write an LL reads to the SCs paired with that LL. Each axiom is a
-    test on the order built so far, so a prefix that breaks one is not
-    extended: a write goes after every write that happens before it, not
-    after a write one of whose readers it happens before, and right after
-    the source of an unplaced paired SC only if it is that SC.
-    """
+def _mo_orders(ws, hb, rf, at, byid, hidden):
+    """The total orders of the writes ws of one location that keep the mo
+    axioms (_mo_step) and leave no two hidden writes adjacent, in
+    itertools.permutations(ws) order. A prefix that breaks one is not
+    extended."""
     n = len(ws)
     if n == 1:
         return [tuple(ws)]
-    # bit masks over ws: the writes that must come before each write, the
-    # writes it may not follow, and the SCs that must come right after it
-    bit = {w: 1 << i for i, w in enumerate(ws)}
-    preds = [sum(bit[w] for w in ws if (w, c) in hb) for c in ws]
-    late = [sum(bit[w] for w in ws
-                if any((c, r) in hb for r in readers.get(w, ())))
-            for c in ws]
-    succ = [sum(bit.get(sc, 0) for sc in atom.get(w, ())) for w in ws]
+    masks = _mo_masks(ws, hb, rf, at, byid)
     hid = [w in hidden for w in ws]
     full = (1 << n) - 1
     out, order = [], []
@@ -263,14 +324,11 @@ def _mo_orders(ws, hb, readers, atom, hidden):
             out.append(tuple(ws[i] for i in order))
             return
         for i in range(n):
-            b = 1 << i
-            if placed & b or preds[i] & ~placed or late[i] & placed:
-                continue
-            if last >= 0 and (succ[last] & ~placed & ~b
-                              or (hid[last] and hid[i])):
+            if (placed & 1 << i or _mo_step(masks, placed, last, i)
+                    or last >= 0 and hid[last] and hid[i]):
                 continue
             order.append(i)
-            grow(placed | b, i)
+            grow(placed | 1 << i, i)
             order.pop()
 
     grow(0, -1)
@@ -289,12 +347,12 @@ def complete(
 ):
     """Enumerate every valid (rf, mo) completion of a pre-execution.
 
-    Yields Execution objects. rf candidates are constrained to same
-    location / same value writes; mo ranges over the per-location total
-    orders of atomic writes that keep the axioms (_mo_orders). A pruner
-    (cut.CutPruner) narrows the rf candidates, rejects rf choices and
-    drops mo orders that its filter would discard, so only the
-    completions it keeps are built.
+    Yields Execution objects. rf candidates are the writes a read may
+    read from (_may_read_from); an rf choice is kept when hb is acyclic
+    and _rf_violation finds nothing, and mo ranges over the per-location
+    orders of _mo_orders. A pruner (cut.CutPruner) narrows the rf
+    candidates, rejects rf choices and drops mo orders that its filter
+    would discard, so only the completions it keeps are built.
     """
     acts = tuple(actions)
     byid = {a.aid: a for a in acts}
@@ -302,20 +360,12 @@ def complete(
     writes = [a for a in acts if is_write(a)]
     cands = []
     for r in reads:
-        opts = [
-            w.aid
-            for w in writes
-            if w.gvar == r.gvar and w.vals and w.vals[0] == r.vals[0]
-        ]
-        if r.vals[0] == 0:
-            opts = [None] + opts
+        opts = [None] if _may_read_from(None, r) else []
+        opts += [w.aid for w in writes if _may_read_from(w, r)]
         if pruner is not None:
             opts = pruner.sources(r.aid, opts)
         cands.append(opts)
-    movars = {}
-    for w in writes:
-        if is_atomic_write(w):
-            movars.setdefault(w.gvar, []).append(w.aid)
+    movars = _mo_locations(writes)
     base = set(sb) | set(r_ctx)
     count = 0
     for choice in itertools.product(*cands):
@@ -327,55 +377,11 @@ def complete(
             hidden = pruner.admit(rf, reads)
             if hidden is None:
                 continue
-        rf_hb = {
-            (w, r)
-            for (w, r) in rf
-            if not (mode == "NA" and (is_na(byid[w]) or is_na(byid[r])))
-        }
-        hb = closure(base | rf_hb)
-        if any(u == v for u, v in hb):
+        hb = closure(base | _hb_rf(rf, byid, mode))
+        if (_hb_cycle(hb) is not None
+                or _rf_violation(reads, writes, byid, rf, hb, mode)):
             continue
-        # RFVAL for rf-less reads
-        rf_of = {r: w for (w, r) in rf}
-        ok = True
-        for r in reads:
-            if r.aid in rf_of:
-                continue
-            if any(
-                w.gvar == r.gvar and (w.aid, r.aid) in hb for w in writes
-            ):
-                ok = False
-                break
-        if not ok:
-            continue
-        if mode == "NA":
-            if any((w, r) not in hb for (w, r) in rf - frozenset(rf_hb)):
-                continue
-            bad = False
-            for (w1, r) in rf:
-                ra = byid[r]
-                if not is_na(ra):
-                    continue
-                for w2 in writes:
-                    if (
-                        is_na(w2)
-                        and w2.gvar == ra.gvar
-                        and (w1, w2.aid) in hb
-                        and (w2.aid, r) in hb
-                    ):
-                        bad = True
-                        break
-                if bad:
-                    break
-            if bad:
-                continue
-        readers, atom = {}, {}
-        for (w, r) in rf:
-            readers.setdefault(w, []).append(r)
-        for (ll, sc) in at:
-            if byid[sc].kind == "SC" and rf_of.get(ll) is not None:
-                atom.setdefault(rf_of[ll], []).append(sc)
-        mo_choices = [_mo_orders(ws, hb, readers, atom, hidden)
+        mo_choices = [_mo_orders(ws, hb, rf, at, byid, hidden)
                       for ws in movars.values()]
         for mo_choice in itertools.product(*mo_choices):
             mo = frozenset(itertools.chain.from_iterable(

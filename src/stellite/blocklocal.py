@@ -49,6 +49,12 @@ def sigma_space(locals_order, live, values):
     return out or [{l: 0 for l in locals_order}]
 
 
+def in_r_shape(u, v, ids):
+    """Whether (u, v) has the shape of a context relation edge over the
+    context action ids: ctx→ctx, ctx→call or ret→ctx."""
+    return (u in ids and (v in ids or v == CALL)) or (u == RET and v in ids)
+
+
 def _check_context(ctx: CutContext, vs):
     paired = {i for pair in ctx.S for i in pair}
     for a in ctx.actions:
@@ -66,11 +72,8 @@ def _check_context(ctx: CutContext, vs):
                 f"context action {a} is outside the block's variable set"
             )
     ids = ctx.ids()
-    dom = ids | {CALL}
-    cod = ids | {RET}
     for (u, v) in ctx.R:
-        if not ((u in ids and v in ids) or (u in ids and v == CALL)
-                or (u == RET and v in ids)):
+        if not in_r_shape(u, v, ids):
             raise ValueError(f"R edge ({u},{v}) outside its allowed shape")
     seen_ll, seen_sc = set(), set()
     byid = {a.aid: a for a in ctx.actions}
@@ -126,7 +129,6 @@ def block_local(
     values=frozenset({0, 1}),
     mode="AT",
     locals_order=None,
-    live=None,
     sigmas=None,
     limit=None,
     check_vs=True,
@@ -156,10 +158,8 @@ def block_local(
         pruner = CutPruner(ctx.actions, ctx.S)
     if locals_order is None:
         locals_order = lang.locals_of(B)
-    if live is None:
-        live = lang.live_in(B)
     if sigmas is None:
-        sigmas = sigma_space(locals_order, live, values)
+        sigmas = sigma_space(locals_order, lang.live_in(B), values)
     if pre is None:
         pre = (pre_executions(B, sigma, values, locals_order)
                for sigma in sigmas)

@@ -13,7 +13,16 @@ import time
 from pathlib import Path
 
 from . import __version__, adversary, lang, verifier
-from .axiomatic import Action, EnumConfig, Execution, enumerate_program, safe
+from .axiomatic import (
+    READ_KINDS,
+    WRITE_KINDS,
+    Action,
+    EnumConfig,
+    Execution,
+    check_axioms,
+    enumerate_program,
+    safe,
+)
 from .blocklocal import CutContext
 from .cut import explain_cut
 from .lang import ParseError
@@ -47,25 +56,42 @@ def execution_to_json(X: Execution) -> dict:
     }
 
 
+_KINDS = READ_KINDS | WRITE_KINDS | {"SC_f", "call", "ret"}
+_ORIGINS = ("code", "context", "boundary")
+
+
 def execution_from_json(d: dict) -> Execution:
     """The inverse of execution_to_json; ValueError if d has another
-    shape."""
+    shape, an unknown node kind or origin, or an edge whose endpoint is
+    not a node."""
     try:
         acts = tuple(
             Action(n["id"], n["kind"], n["var"], tuple(n["values"]),
                    n["origin"])
             for n in d["nodes"]
         )
-        rel = lambda name: frozenset(map(tuple, d["edges"][name]))
+        rels = {name: frozenset(map(tuple, d["edges"][name]))
+                for name in ("sb", "rf", "mo", "hb", "at")}
+        rels["context_hb"] = frozenset(map(tuple, d.get("context_hb", [])))
+        ids = {a.aid for a in acts}
+        for a in acts:
+            if a.kind not in _KINDS or a.origin not in _ORIGINS:
+                raise ValueError(f"node {a.aid!r} has kind {a.kind!r} and"
+                                 f" origin {a.origin!r}")
+        for name, edges in rels.items():
+            for (u, v) in edges:
+                if u not in ids or v not in ids:
+                    raise ValueError(f"{name} edge ({u!r}, {v!r}) has an"
+                                     " endpoint that is not a node")
         return Execution(
             actions=acts,
-            sb=rel("sb"),
-            at=rel("at"),
-            rf=rel("rf"),
-            mo=rel("mo"),
-            hb=rel("hb"),
+            sb=rels["sb"],
+            at=rels["at"],
+            rf=rels["rf"],
+            mo=rels["mo"],
+            hb=rels["hb"],
             mode=d.get("mode", "AT"),
-            r_ctx=frozenset(map(tuple, d.get("context_hb", []))),
+            r_ctx=rels["context_hb"],
             locals_order=tuple(d.get("locals", [])),
         )
     except (TypeError, KeyError, AttributeError) as exc:
@@ -317,6 +343,9 @@ def cmd_instance(args) -> int:
 
 def cmd_adversary(args) -> int:
     X = execution_from_json(json.loads(Path(args.execfile).read_text()))
+    broken = check_axioms(X)
+    if broken is not None:
+        raise ValueError(f"the execution breaks {broken[0]}: {broken[1]}")
     B = lang.parse_block(Path(args.block).read_text())
     ac = adversary.build_context(X)
     print(lang.unparse(ac.program))

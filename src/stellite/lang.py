@@ -285,17 +285,44 @@ def _check_llsc(stmts, pending):
     return pending
 
 
-def _gvar_uses(stmts, uses):
+def _stmts(stmts):
+    """Every statement of stmts in source order, the statements nested in
+    if branches and code regions included."""
     for s in stmts:
+        yield s
+        if isinstance(s, IfStmt):
+            yield from _stmts(s.then)
+            yield from _stmts(s.els)
+        elif isinstance(s, CodeRegion):
+            yield from _stmts(s.body)
+
+
+def _atoms(s):
+    """The ("var", l) and ("lit", n) atoms statement s reads."""
+    if isinstance(s, Assign):
+        return s.expr[1:] if s.expr[0] in ("eq", "ne") else (s.expr,)
+    if isinstance(s, StoreStmt):
+        return (s.src,)
+    if isinstance(s, SCStmt):
+        return (("var", s.src),)
+    if isinstance(s, IfStmt):
+        return (("var", s.cond),)
+    return ()
+
+
+def _written(s):
+    """The local statement s writes, or None."""
+    if isinstance(s, (Assign, LLStmt, SCStmt, LoadStmt)):
+        return s.lhs
+    return None
+
+
+def _gvar_uses(stmts, uses):
+    for s in _stmts(stmts):
         if isinstance(s, (LoadStmt, StoreStmt)):
             uses.setdefault(s.gvar, set()).add("na" if s.na else "at")
         elif isinstance(s, (LLStmt, SCStmt)):
             uses.setdefault(s.gvar, set()).add("at")
-        elif isinstance(s, IfStmt):
-            _gvar_uses(s.then, uses)
-            _gvar_uses(s.els, uses)
-        elif isinstance(s, CodeRegion):
-            _gvar_uses(s.body, uses)
     return uses
 
 
@@ -319,13 +346,7 @@ def check_wellformed(p):
 
 
 def _count_holes(stmts):
-    n = 0
-    for s in stmts:
-        if isinstance(s, HoleStmt):
-            n += 1
-        elif isinstance(s, IfStmt):
-            n += _count_holes(s.then) + _count_holes(s.els)
-    return n
+    return sum(isinstance(s, HoleStmt) for s in _stmts(stmts))
 
 
 # ---------------------------------------------------------------------------
@@ -407,40 +428,11 @@ def na_vars_of(p) -> frozenset:
 def locals_of(p) -> tuple:
     """All locals mentioned, in a fixed (sorted) order."""
     out = set()
-
-    def atom(a):
-        if a[0] == "var":
-            out.add(a[1])
-
-    def walk(stmts):
-        for s in stmts:
-            if isinstance(s, Assign):
-                out.add(s.lhs)
-                e = s.expr
-                if e[0] in ("eq", "ne"):
-                    atom(e[1])
-                    atom(e[2])
-                else:
-                    atom(e)
-            elif isinstance(s, LoadStmt):
-                if s.lhs is not None:
-                    out.add(s.lhs)
-            elif isinstance(s, StoreStmt):
-                atom(s.src)
-            elif isinstance(s, LLStmt):
-                out.add(s.lhs)
-            elif isinstance(s, SCStmt):
-                out.add(s.lhs)
-                out.add(s.src)
-            elif isinstance(s, IfStmt):
-                out.add(s.cond)
-                walk(s.then)
-                walk(s.els)
-            elif isinstance(s, CodeRegion):
-                walk(s.body)
-
     for th in threads_of(p):
-        walk(th)
+        for s in _stmts(th):
+            out.update(a[1] for a in _atoms(s) if a[0] == "var")
+            out.add(_written(s))
+    out.discard(None)
     return tuple(sorted(out))
 
 
@@ -448,37 +440,17 @@ def live_in(p) -> frozenset:
     """Locals read before they are written."""
     live = set()
 
-    def atom(a, written):
-        if a[0] == "var" and a[1] not in written:
-            live.add(a[1])
-
     def walk(stmts, written):
         for s in stmts:
-            if isinstance(s, Assign):
-                e = s.expr
-                if e[0] in ("eq", "ne"):
-                    atom(e[1], written)
-                    atom(e[2], written)
-                else:
-                    atom(e, written)
-                written.add(s.lhs)
-            elif isinstance(s, LoadStmt):
-                if s.lhs is not None:
-                    written.add(s.lhs)
-            elif isinstance(s, StoreStmt):
-                atom(s.src, written)
-            elif isinstance(s, LLStmt):
-                written.add(s.lhs)
-            elif isinstance(s, SCStmt):
-                atom(("var", s.src), written)
-                written.add(s.lhs)
-            elif isinstance(s, IfStmt):
-                atom(("var", s.cond), written)
-                w1 = walk(s.then, set(written))
-                w2 = walk(s.els, set(written))
-                written |= w1 & w2
+            live.update(a[1] for a in _atoms(s)
+                        if a[0] == "var" and a[1] not in written)
+            if isinstance(s, IfStmt):
+                both = walk(s.then, set(written)) & walk(s.els, set(written))
+                written |= both
             elif isinstance(s, CodeRegion):
                 walk(s.body, written)
+            elif (w := _written(s)) is not None:
+                written.add(w)
         return written
 
     for th in threads_of(p):
@@ -488,32 +460,8 @@ def live_in(p) -> frozenset:
 
 def literals_of(p) -> frozenset:
     """Integer literals appearing in the source; these extend Val."""
-    out = set()
-
-    def atom(a):
-        if a[0] == "lit":
-            out.add(a[1])
-
-    def walk(stmts):
-        for s in stmts:
-            if isinstance(s, Assign):
-                e = s.expr
-                if e[0] in ("eq", "ne"):
-                    atom(e[1])
-                    atom(e[2])
-                else:
-                    atom(e)
-            elif isinstance(s, StoreStmt):
-                atom(s.src)
-            elif isinstance(s, IfStmt):
-                walk(s.then)
-                walk(s.els)
-            elif isinstance(s, CodeRegion):
-                walk(s.body)
-
-    for th in threads_of(p):
-        walk(th)
-    return frozenset(out)
+    return frozenset(a[1] for th in threads_of(p) for s in _stmts(th)
+                     for a in _atoms(s) if a[0] == "lit")
 
 
 # ---------------------------------------------------------------------------

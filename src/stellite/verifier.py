@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import lang
-from .axiomatic import Action, BudgetExceeded, safe
+from .axiomatic import Action, BudgetExceeded, is_read, is_write, safe
 from .blocklocal import (
     CutContext,
     block_local,
@@ -83,9 +83,9 @@ def _code_counts(B, values):
         for (acts, _, _) in lang.thread_local_block(B, sigma, vals):
             r, w = {}, {}
             for a in acts:
-                if a.kind in ("load", "load_NA", "LL"):
+                if is_read(a):
                     r[a.gvar] = r.get(a.gvar, 0) + 1
-                elif a.kind in ("store", "store_NA", "SC"):
+                elif is_write(a):
                     w[a.gvar] = w.get(a.gvar, 0) + 1
             for g, n in r.items():
                 reads[g] = max(reads.get(g, 0), n)

@@ -213,6 +213,31 @@ def _witness_json():
     return json.dumps(execution_to_json(single_load_instance_execs()[0]))
 
 
+def _node(d, aid):
+    return next(n for n in d["nodes"] if n["id"] == aid)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["edges"]["hb"].append(["nowhere", "a1"]), "not a node"),
+    (lambda d: _node(d, "call").update(kind="bogus"), "bogus"),
+    # the context read a1 reads 11 from the code store b0
+    (lambda d: _node(d, "a1").update(values=[12]), "RFWF"),
+], ids=["undefined endpoint", "bogus kind", "rf between different values"])
+def test_adversary_rejects_a_malformed_execution(mutate, message, tmp_path,
+                                                 capsys):
+    d = json.loads(_witness_json())
+    mutate(d)
+    execfile = tmp_path / "exec.json"
+    execfile.write_text(json.dumps(d))
+    blockfile = tmp_path / "block.txt"
+    blockfile.write_text("st(x,11)")
+    rc = main(
+        ["adversary", str(execfile), "--block", str(blockfile), "--check"]
+    )
+    err = capsys.readouterr().err
+    assert rc == 3 and message in err and "Traceback" not in err
+
+
 # per subcommand, the valid contents of its input files in argument order
 _VALID = {
     "verify": [(CORPUS / "load_to_local_intro.tr").read_text()],

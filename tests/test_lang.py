@@ -143,6 +143,36 @@ def test_live_in_is_read_before_written():
     assert "l" not in lang.live_in(lang.parse_block("l := ld(x); st(y, l)"))
 
 
+# (program, block substituted into its hole or None,
+#  locals_of, live_in, literals_of, vars_of)
+WALKER_CASES = [
+    # the branches write different locals, so both stay live after the if
+    ("if (c) { l := 1 } else { m := 1 }; st(x, l); st(y, m)", None,
+     ("c", "l", "m"), {"c", "l", "m"}, {1}, {"x", "y"}),
+    ("if (c) { l := 1 } else { l := 2 }; st(x, l)", None,
+     ("c", "l"), {"c"}, {1, 2}, {"x"}),
+    ("l := m == 3; k := 4 != m", None, ("k", "l", "m"), {"m"}, {3, 4}, set()),
+    ("l := LL(x); m := SC(x, k)", None, ("k", "l", "m"), {"k"}, set(), {"x"}),
+    # the block sits in a code region inside the if
+    ("a := ld(y); if (a) { {-} } ||| st(y, 1)",
+     "l := ld(x); st(z, l); k := l != 7",
+     ("a", "k", "l"), set(), {1, 7}, {"x", "y", "z"}),
+]
+
+
+@pytest.mark.parametrize("text, block, locs, live, lits, gvars", WALKER_CASES)
+def test_static_queries_see_nested_statements(text, block, locs, live, lits,
+                                              gvars):
+    p = lang.parse_program(text)
+    if block is not None:
+        p = lang.substitute(p, lang.parse_block(block))
+        assert isinstance(p.threads[0][1].then[0], lang.CodeRegion)
+    assert lang.locals_of(p) == locs
+    assert lang.live_in(p) == live
+    assert lang.literals_of(p) == lits
+    assert lang.vars_of(p) == gvars
+
+
 def test_substitute_fills_the_hole_and_round_trips():
     ctx = lang.parse_program("st(y,1); {-} ||| ld(y)")
     filled = lang.substitute(ctx, lang.parse_block("st(x,1)"))
