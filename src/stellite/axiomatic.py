@@ -335,29 +335,22 @@ def _mo_orders(ws, hb, rf, at, byid, hidden):
     return out
 
 
-def complete(
-    actions,
-    sb,
-    at,
-    r_ctx=frozenset(),
-    mode="AT",
-    locals_order=(),
-    limit=None,
-    pruner=None,
-):
-    """Enumerate every valid (rf, mo) completion of a pre-execution.
+def rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT", pruner=None):
+    """The valid completions of a pre-execution, one class per rf choice.
 
-    Yields Execution objects. rf candidates are the writes a read may
-    read from (_may_read_from); an rf choice is kept when hb is acyclic
-    and _rf_violation finds nothing, and mo ranges over the per-location
-    orders of _mo_orders. A pruner (cut.CutPruner) narrows the rf
-    candidates, rejects rf choices and drops mo orders that its filter
-    would discard, so only the completions it keeps are built.
+    Yields (rf, hb, mo_choices) for every rf choice that has a valid
+    completion: rf candidates are the writes a read may read from
+    (_may_read_from); an rf choice is kept when hb is acyclic and
+    _rf_violation finds nothing; mo_choices holds, per location, the
+    orders of its writes that _mo_orders keeps, and each element of
+    their product completes the class. hb, and so everything that hb
+    alone decides, is the same for every mo order of a class. A pruner
+    (cut.CutPruner) narrows the rf candidates, rejects rf choices and
+    drops mo orders that its filter would discard.
     """
-    acts = tuple(actions)
-    byid = {a.aid: a for a in acts}
-    reads = [a for a in acts if is_read(a)]
-    writes = [a for a in acts if is_write(a)]
+    byid = {a.aid: a for a in actions}
+    reads = [a for a in actions if is_read(a)]
+    writes = [a for a in actions if is_write(a)]
     cands = []
     for r in reads:
         opts = [None] if _may_read_from(None, r) else []
@@ -367,7 +360,6 @@ def complete(
         cands.append(opts)
     movars = _mo_locations(writes)
     base = set(sb) | set(r_ctx)
-    count = 0
     for choice in itertools.product(*cands):
         rf = frozenset(
             (w, r.aid) for w, r in zip(choice, reads) if w is not None
@@ -383,26 +375,65 @@ def complete(
             continue
         mo_choices = [_mo_orders(ws, hb, rf, at, byid, hidden)
                       for ws in movars.values()]
-        for mo_choice in itertools.product(*mo_choices):
-            mo = frozenset(itertools.chain.from_iterable(
-                itertools.combinations(order, 2) for order in mo_choice
-            ))
+        if all(mo_choices):
+            yield rf, hb, mo_choices
+
+
+def mo_pairs(mo_choice):
+    """The mo relation of one element of a class's mo_choices product."""
+    return frozenset(itertools.chain.from_iterable(
+        itertools.combinations(order, 2) for order in mo_choice
+    ))
+
+
+def class_executions(pre, rf, hb, mo_choices, mode="AT", locals_order=()):
+    """The executions of one rf class of the pre-execution pre, the
+    (actions, sb, at, r_ctx) that rf_classes took, one for each element
+    of the product of mo_choices, in order."""
+    actions, sb, at, r_ctx = pre
+    for mo_choice in itertools.product(*mo_choices):
+        yield Execution(
+            actions=actions,
+            sb=sb,
+            at=at,
+            rf=rf,
+            mo=mo_pairs(mo_choice),
+            hb=hb,
+            mode=mode,
+            r_ctx=r_ctx,
+            locals_order=locals_order,
+        )
+
+
+def complete(
+    actions,
+    sb,
+    at,
+    r_ctx=frozenset(),
+    mode="AT",
+    locals_order=(),
+    limit=None,
+    pruner=None,
+):
+    """Enumerate every valid (rf, mo) completion of a pre-execution.
+
+    Yields Execution objects: the classes of rf_classes, in order, each
+    flattened by class_executions. With a pruner only the completions
+    its filter keeps are built. More than limit completions raise
+    BudgetExceeded.
+    """
+    pre = (tuple(actions), frozenset(sb), frozenset(at), frozenset(r_ctx))
+    locals_order = tuple(locals_order)
+    count = 0
+    for rf, hb, mo_choices in rf_classes(*pre, mode, pruner):
+        for X in class_executions(pre, rf, hb, mo_choices, mode,
+                                  locals_order):
             count += 1
             if limit is not None and count > limit:
                 raise BudgetExceeded(
                     f"more than {limit} completions of one pre-execution"
                 )
-            yield Execution(
-                actions=acts,
-                sb=frozenset(sb),
-                at=frozenset(at),
-                rf=rf,
-                mo=mo,
-                hb=hb,
-                mode=mode,
-                r_ctx=frozenset(r_ctx),
-                locals_order=tuple(locals_order),
-            )
+            yield X
 
 
 class BudgetExceeded(Exception):

@@ -21,6 +21,7 @@ from .axiomatic import (
     derive_at,
     is_read,
     is_write,
+    rf_classes,
 )
 
 CALL = "call"
@@ -163,27 +164,37 @@ def block_local(
     if pre is None:
         pre = (pre_executions(B, sigma, values, locals_order)
                for sigma in sigmas)
-    # a context LL is ordered before its paired SC in any real context
-    r_ctx = frozenset(ctx.R) | frozenset(ctx.S)
     out = []
     for pres in pre:
         for p in pres:
-            for X in complete(
-                p.actions + tuple(ctx.actions),
-                p.sb,
-                p.at | ctx.S,
-                r_ctx=r_ctx,
-                mode=mode,
-                locals_order=locals_order,
-                limit=limit,
-                pruner=pruner,
-            ):
+            for X in complete(*_under(p, ctx), mode=mode,
+                              locals_order=locals_order, limit=limit,
+                              pruner=pruner):
                 out.append(X)
                 if limit is not None and len(out) > limit:
                     raise BudgetExceeded(
                         "block-local execution budget exceeded"
                     )
     return out
+
+
+def _under(p: PreExecution, ctx: CutContext):
+    """The actions, sb, at and hb seed edges of the pre-execution p put
+    under ctx: a context LL is ordered before its paired SC in any real
+    context."""
+    return (p.actions + tuple(ctx.actions), p.sb, p.at | ctx.S,
+            frozenset(ctx.R) | frozenset(ctx.S))
+
+
+def block_classes(pres, ctx: CutContext):
+    """The executions block_local builds from the pre-executions pres
+    under ctx, as the rf classes of axiomatic.rf_classes in the same
+    order: (pre, rf, hb, mo_choices), where pre is the (actions, sb, at,
+    r_ctx) of a pre-execution under ctx."""
+    for p in pres:
+        pre = _under(p, ctx)
+        for (rf, hb, mo_choices) in rf_classes(*pre):
+            yield pre, rf, hb, mo_choices
 
 
 def code_of(X: Execution):

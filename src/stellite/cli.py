@@ -62,8 +62,9 @@ _ORIGINS = ("code", "context", "boundary")
 
 def execution_from_json(d: dict) -> Execution:
     """The inverse of execution_to_json; ValueError if d has another
-    shape, an unknown node kind or origin, or an edge whose endpoint is
-    not a node."""
+    shape, a node id defined twice, an unknown node kind or origin, a var
+    that is not a string or null or a value that is not an integer, or an
+    edge whose endpoint is not a node."""
     try:
         acts = tuple(
             Action(n["id"], n["kind"], n["var"], tuple(n["values"]),
@@ -73,11 +74,18 @@ def execution_from_json(d: dict) -> Execution:
         rels = {name: frozenset(map(tuple, d["edges"][name]))
                 for name in ("sb", "rf", "mo", "hb", "at")}
         rels["context_hb"] = frozenset(map(tuple, d.get("context_hb", [])))
-        ids = {a.aid for a in acts}
+        ids = set()
         for a in acts:
+            if a.aid in ids:
+                raise ValueError(f"node {a.aid!r} is defined twice")
+            ids.add(a.aid)
             if a.kind not in _KINDS or a.origin not in _ORIGINS:
                 raise ValueError(f"node {a.aid!r} has kind {a.kind!r} and"
                                  f" origin {a.origin!r}")
+            if not (a.gvar is None or isinstance(a.gvar, str)) or any(
+                    type(v) is not int for v in a.vals):
+                raise ValueError(f"node {a.aid!r} has var {a.gvar!r} and"
+                                 f" values {list(a.vals)!r}")
         for name, edges in rels.items():
             for (u, v) in edges:
                 if u not in ids or v not in ids:

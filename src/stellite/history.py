@@ -32,85 +32,149 @@ def _boundary(X: Execution):
     return tuple(a for a in X.actions if a.aid in (CALL, RET))
 
 
-def hist(X: Execution) -> History:
-    """Guarantee: hb projected to context-to-context, context-to-ret and
-    call-to-context pairs."""
-    ctx = {a.aid for a in contx_of(X)}
-    G = frozenset(
+def _guarantee(hb, ctx):
+    """hb projected to context-to-context, context-to-ret and
+    call-to-context pairs; ctx holds the context's ids."""
+    return frozenset(
         (u, v)
-        for (u, v) in X.hb
-        if (u in ctx and v in ctx)
-        or (u in ctx and v == RET)
-        or (u == CALL and v in ctx)
+        for (u, v) in hb
+        if (u in ctx and (v in ctx or v == RET)) or (u == CALL and v in ctx)
     )
-    A = frozenset(contx_of(X)) | frozenset(_boundary(X))
-    return History(A, G)
+
+
+def hist(X: Execution) -> History:
+    """X's context and boundary actions and its guarantee."""
+    ctx = contx_of(X)
+    G = _guarantee(X.hb, {a.aid for a in ctx})
+    return History(frozenset(ctx) | frozenset(_boundary(X)), G)
+
+
+class PairIndex:
+    """One bit for each pair of a context's ids, call and ret, the pairs
+    that every edge of a guarantee, a deny or an acyclicity relation
+    under that context joins. Under one context the action sets of
+    extended histories differ only in the values of call and ret, which
+    key returns."""
+
+    def __init__(self, ctx_ids):
+        ids = [*ctx_ids, CALL, RET]
+        k = len(ids)
+        self.bit = {
+            (u, v): 1 << (i * k + j)
+            for i, u in enumerate(ids)
+            for j, v in enumerate(ids)
+        }
+
+    def encode(self, pairs):
+        bit = self.bit
+        return sum(bit[p] for p in pairs)
+
+    def decode(self, mask):
+        return frozenset(p for p, b in self.bit.items() if mask & b)
+
+    @staticmethod
+    def key(actions):
+        """The values of the boundary actions among actions: equal
+        exactly when two histories under one context have equal action
+        sets."""
+        return tuple(sorted((a.aid, a.vals) for a in actions
+                            if a.origin == "boundary"))
+
+
+class ClassMasks:
+    """The extended histories of the executions that share actions, rf
+    and hb, an rf class of rf_classes, as PairIndex masks.
+
+    key, the guarantee and the acyclicity edges depend on hb alone and
+    are built once; deny(mo) gives the deny edges of one mo order.
+
+    The actions are indexed densely and up[i], the actions i reaches by
+    reflexive hb (hb*), is a bit row. A threat mask per write folds the
+    three axioms into one test: T[a] holds each b such that a hb* u and
+    v hb* b give a violation once (u,v) is enforced, so (u,v) is denied
+    exactly when the threats of the writes up to u meet up[v]. Only the
+    rf-less reads' threats are fixed by the class; mo adds the others.
+    """
+
+    def __init__(self, actions, rf, hb, index: PairIndex):
+        pos = {a.aid: i for i, a in enumerate(actions)}
+        up = [1 << i for i in range(len(actions))]
+        for (a, b) in hb:
+            up[pos[a]] |= 1 << pos[b]
+        ctx = [a.aid for a in actions if a.origin == "context"]
+        self.key = PairIndex.key(actions)
+        self.guarantee = index.encode(_guarantee(hb, set(ctx)))
+        # a write would happen before an rf-less read of its location
+        readers = {r for (_, r) in rf}
+        unread = {}
+        for i, a in enumerate(actions):
+            if is_read(a) and a.aid not in readers:
+                unread[a.gvar] = unread.get(a.gvar, 0) | 1 << i
+        writes = [i for i, a in enumerate(actions) if is_write(a)]
+        self._unread = [unread.get(a.gvar, 0) if is_write(a) else 0
+                        for a in actions]
+        self._pos = pos
+        # what a write w1 puts at risk in each write w2 mo-after it: w1,
+        # which an edge could make w2 happen before (HBVSMO), and the
+        # readers of w1, which would then see w2 happen before them
+        # (COHERENCE)
+        read_by = {}
+        for (w, r) in rf:
+            read_by[w] = read_by.get(w, 0) | 1 << pos[r]
+        self._mo_threat = {a.aid: 1 << i | read_by.get(a.aid, 0)
+                           for i, a in enumerate(actions) if is_write(a)}
+        # a prefix of an execution (blocklocal.downclosure) may lack call
+        # or ret, and then has no edges to or from it
+        rows = [(v, up[pos[v]]) for v in ctx + [CALL] if v in pos]
+        self._rows = []
+        acyc = 0
+        for u in ctx + [RET]:
+            if u not in pos:
+                continue
+            bu = 1 << pos[u]
+            targets = []
+            for (v, row) in rows:
+                if u == v or (u == RET and v == CALL):
+                    continue
+                bit = index.bit[u, v]
+                targets.append((row, bit))
+                if row & bu:
+                    # adding (u,v) would close an hb cycle; these edges
+                    # are fully determined by the guarantee
+                    acyc |= bit
+            # the writes that reach u by hb*, whose threats (u,v) meets
+            self._rows.append(([i for i in writes if up[i] & bu], targets))
+        self.acyc = acyc
+
+    def deny(self, mo):
+        """The deny mask of the execution of this class with the mo
+        relation mo, pairs (w1, w2) of w1 mo-before w2."""
+        pos, mo_threat = self._pos, self._mo_threat
+        threat = list(self._unread)
+        for (w1, w2) in mo:
+            threat[pos[w2]] |= mo_threat[w1]
+        D = 0
+        for (preds, targets) in self._rows:
+            reach = 0
+            for i in preds:
+                reach |= threat[i]
+            if reach:
+                for (row, bit) in targets:
+                    if reach & row:
+                        D |= bit
+        return D
 
 
 def deny(X: Execution, include_acyc: bool = False):
     """Deny edges: (u,v) such that enforcing u happens-before v would
-    complete an axiom violation. Computed with reflexive hb, hb*.
-
-    The actions are indexed densely and up[i], the actions i reaches by
-    hb*, is a bit row. A threat mask per action folds the three axioms
-    into one test: T[a] holds each b such that a hb* u and v hb* b give a
-    violation once (u,v) is enforced, so (u,v) is denied exactly when
-    the threats of the actions up to u meet up[v].
-    """
-    index = {a.aid: i for i, a in enumerate(X.actions)}
-    n = len(index)
-    up = [1 << i for i in range(n)]
-    for (a, b) in X.hb:
-        up[index[a]] |= 1 << index[b]
-    threat = [0] * n
-    # a write mo-after w1 would be forced before it
-    for (w2, w1) in X.mo:
-        threat[index[w1]] |= 1 << index[w2]
-    # a read would see w1 with w2, mo-after w1, happening before it
-    mo_after = {}
-    for (w1, w2) in X.mo:
-        mo_after.setdefault(w1, []).append(index[w2])
-    for (w1, r) in X.rf:
-        for w2 in mo_after.get(w1, ()):
-            threat[w2] |= 1 << index[r]
-    # a write would happen before an rf-less read of its location
-    readers = {r for (_, r) in X.rf}
-    unread = {}
-    for i, a in enumerate(X.actions):
-        if is_read(a) and a.aid not in readers:
-            unread[a.gvar] = unread.get(a.gvar, 0) | 1 << i
-    if unread:
-        for i, a in enumerate(X.actions):
-            if is_write(a):
-                threat[i] |= unread.get(a.gvar, 0)
-    threats = [(up[a], t) for a, t in enumerate(threat) if t]
-    ctx = [a.aid for a in contx_of(X)]
-    # a prefix of an execution (blocklocal.downclosure) may lack call or
-    # ret, and then has no edges to or from it
-    rows = [(v, up[index[v]]) for v in ctx + [CALL] if v in index]
-    D, acyc = set(), set()
-    for u in ctx + [RET]:
-        if u not in index:
-            continue
-        bu = 1 << index[u]
-        # the threats of every action that reaches u by hb*
-        reach = 0
-        for (row, t) in threats:
-            if row & bu:
-                reach |= t
-        for (v, row) in rows:
-            if u == v or (u == RET and v == CALL):
-                continue
-            if reach & row:
-                D.add((u, v))
-            if row & bu:
-                # adding (u,v) would close an hb cycle; these edges are
-                # fully determined by the guarantee, so they are kept
-                # separately
-                acyc.add((u, v))
+    complete an axiom violation (see ClassMasks), and the acyclicity
+    edges, those (u,v) whose reverse is already in hb."""
+    index = PairIndex(a.aid for a in contx_of(X))
+    masks = ClassMasks(X.actions, X.rf, X.hb, index)
+    D, acyc = index.decode(masks.deny(X.mo)), index.decode(masks.acyc)
     if include_acyc:
         D |= acyc
-    return frozenset(D), frozenset(acyc)
+    return D, acyc
 
 
 def hist_ext(X: Execution, include_acyc: bool = False) -> ExtendedHistory:
@@ -134,43 +198,3 @@ def refines_ext(E1: ExtendedHistory, E2: ExtendedHistory) -> bool:
         and E2.G <= E1.G
         and E2.D <= (E1.D | E1.acyc)
     )
-
-
-class PairIndex:
-    """Extended histories of block-local executions under one context,
-    encoded for a bitwise refines_ext.
-
-    Under one context the action sets differ only in the values of call
-    and ret, which key returns, and every edge of G, D and acyc joins two
-    of the context's ids, call and ret; each such pair has one bit.
-    """
-
-    def __init__(self, ctx_ids):
-        ids = [*ctx_ids, CALL, RET]
-        k = len(ids)
-        self._bit = {
-            (u, v): 1 << (i * k + j)
-            for i, u in enumerate(ids)
-            for j, v in enumerate(ids)
-        }
-
-    @staticmethod
-    def key(E: ExtendedHistory):
-        """The values of E's boundary actions: equal exactly when two
-        histories under one context have equal action sets."""
-        return tuple(sorted((a.aid, a.vals) for a in E.A
-                            if a.origin == "boundary"))
-
-    def masks(self, E: ExtendedHistory):
-        """E's guarantee and E's deny and acyclicity edges as bit masks."""
-        bit = self._bit
-        return (sum(bit[p] for p in E.G),
-                sum(bit[p] for p in E.D | E.acyc))
-
-
-def refines_masks(m1, m2) -> bool:
-    """refines_ext(E1, E2) for two extended histories with one action set,
-    on their PairIndex masks. The right side's acyclicity edges may join
-    its deny edges: they are the reverse of its guarantee within the deny
-    domain, so once G2 is in G1 they are in E1's acyclicity edges."""
-    return not (m2[0] & ~m1[0] or m2[1] & ~m1[1])

@@ -2,27 +2,40 @@
 
 check_cut_refinement decides the finite, cut-based refinement between two
 blocks by enumerating every reduced context within a derived per-location
-budget and comparing extended histories. check_q_instance decides the
-quantified refinement at one explicit context instance (optionally with
-non-atomics and prefix matching for racy executions).
+budget and comparing extended histories. It keeps the original block's
+executions as rf classes (blocklocal.block_classes) with their
+history.ClassMasks, and computes a class's deny masks, one per mo order,
+only as far as the domination scan needs them. check_q_instance decides
+the quantified refinement at one explicit context instance (optionally
+with non-atomics and prefix matching for racy executions).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import lang
-from .axiomatic import Action, BudgetExceeded, is_read, is_write, safe
+from .axiomatic import (
+    Action,
+    BudgetExceeded,
+    class_executions,
+    is_read,
+    is_write,
+    mo_pairs,
+    safe,
+)
 from .blocklocal import (
     CutContext,
+    block_classes,
     block_local,
     downclosure,
     pre_executions,
     sigma_space,
 )
 from .cut import CutPruner
-from .history import PairIndex, hist, hist_ext, refines_h, refines_masks
+from .history import ClassMasks, PairIndex, hist, hist_ext, refines_h
 
 
 @dataclass
@@ -228,11 +241,71 @@ def enumerate_contexts(B1, B2, budget: Budget | None = None, order="asc"):
         yield from ctxs
 
 
+class _Class:
+    """One rf class of the original block's executions under a context:
+    its ClassMasks, and the deny masks of its mo orders, computed in
+    order only as far as a domination test needs them. An mo order only
+    adds threats, so every deny mask of the class holds floor, the deny
+    mask with no mo at all."""
+
+    def __init__(self, pre, rf, hb, mo_choices, index):
+        self.rf_class = (pre, rf, hb, mo_choices)
+        self.masks = masks = ClassMasks(pre[0], rf, hb, index)
+        self.floor = masks.deny(()) | masks.acyc
+        self.size = math.prod(map(len, mo_choices))
+        self.denies = []
+        self._orders = itertools.product(*mo_choices)
+
+    def dominates(self, guarantee, deny):
+        """Whether some execution of the class dominates one of the other
+        block with the same action set, the given guarantee mask and the
+        given mask of deny and acyclicity edges. Testing a class's deny
+        and acyclicity edges together is refines_ext: its acyclicity
+        edges are the reverse of its guarantee within the deny domain,
+        so once that guarantee is inside the other's, they are the
+        other's acyclicity edges."""
+        masks = self.masks
+        if masks.guarantee & ~guarantee or self.floor & ~deny:
+            return False
+        if any(not d & ~deny for d in self.denies):
+            return True
+        for mo_choice in self._orders:
+            d = masks.deny(mo_pairs(mo_choice)) | masks.acyc
+            self.denies.append(d)
+            if not d & ~deny:
+                return True
+        return False
+
+
+def _undominated(x1s, classes, index):
+    """The first of the new block's executions x1s that no class of the
+    original block dominates, or None. x1s share ClassMasks while they
+    share an rf class, as complete yields them."""
+    groups = {}
+    for c in classes:
+        groups.setdefault(c.masks.key, []).append(c)
+    hb = None
+    for X in x1s:
+        if X.hb is not hb:
+            hb = X.hb
+            masks = ClassMasks(X.actions, X.rf, hb, index)
+        deny = masks.deny(X.mo) | masks.acyc
+        if not any(c.dominates(masks.guarantee, deny)
+                   for c in groups.get(masks.key, ())):
+            return X
+    return None
+
+
 def check_cut_refinement(B1, B2, budget: Budget | None = None,
                          order="asc") -> Verdict:
     """Does every cut execution of B1 under every reduced context have an
     extended history dominated by some execution of B2 under the same
-    context? Blocks with non-atomic accesses raise ValueError."""
+    context? Blocks with non-atomic accesses raise ValueError.
+
+    Verdict.stats counts the contexts, B1's cut survivors (x1_cut), and
+    B2's executions (x2), rf classes (x2_classes) and the deny masks of
+    its mo orders that the scan computed (x2_denies), over the contexts
+    and initial local states where B1 has survivors."""
     if isinstance(B1, str):
         B1 = lang.parse_block(B1)
     if isinstance(B2, str):
@@ -249,7 +322,8 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None,
                                 | set(lang.locals_of(B2))))
     live = lang.live_in(B1) | lang.live_in(B2)
     sigmas = sigma_space(locals_order, live, budget.values)
-    stats = {"contexts": 0, "x1_cut": 0, "x2": 0}
+    stats = {"contexts": 0, "x1_cut": 0, "x2": 0, "x2_classes": 0,
+             "x2_denies": 0}
     # each block's pre-executions from each sigma, which no context
     # changes, built once per verdict
     pre1, pre2 = (
@@ -272,35 +346,29 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None,
                 stats["x1_cut"] += len(x1s)
                 if not x1s:
                     continue
-                x2s = block_local(
-                    B2, ctx, values=budget.values,
-                    locals_order=locals_order, sigmas=[sigma],
-                    limit=budget.max_block_execs, check_vs=False,
-                    pre=[pre2[i]],
+                classes = [_Class(*c, index)
+                           for c in block_classes(pre2[i], ctx)]
+                size = sum(c.size for c in classes)
+                if (budget.max_block_execs is not None
+                        and size > budget.max_block_execs):
+                    raise BudgetExceeded(
+                        "block-local execution budget exceeded")
+                stats["x2"] += size
+                stats["x2_classes"] += len(classes)
+                X = _undominated(x1s, classes, index)
+                stats["x2_denies"] += sum(len(c.denies) for c in classes)
+                if X is None:
+                    continue
+                e1 = hist_ext(X)
+                # every candidate, in the order block_local builds them
+                h2s = [hist_ext(Y) for c in classes
+                       for Y in class_executions(
+                           *c.rf_class, locals_order=locals_order)]
+                return Verdict(
+                    "Refuted",
+                    witness=Witness(ctx, dict(sigma), X, e1, h2s),
+                    stats=stats,
                 )
-                stats["x2"] += len(x2s)
-                # B2's extended histories, computed in order as far as the
-                # scan needs them, and their masks grouped by action set
-                h2s, groups = [], {}
-                for X in x1s:
-                    e1 = hist_ext(X)
-                    key, m1 = index.key(e1), index.masks(e1)
-                    if any(refines_masks(m1, m2)
-                           for m2 in groups.get(key, ())):
-                        continue
-                    for Y in x2s[len(h2s):]:
-                        e2 = hist_ext(Y)
-                        h2s.append(e2)
-                        k2, m2 = index.key(e2), index.masks(e2)
-                        groups.setdefault(k2, []).append(m2)
-                        if k2 == key and refines_masks(m1, m2):
-                            break
-                    else:
-                        return Verdict(
-                            "Refuted",
-                            witness=Witness(ctx, dict(sigma), X, e1, h2s),
-                            stats=stats,
-                        )
     except BudgetExceeded as exc:
         stats["error"] = str(exc)
         return Verdict("Unknown", stats=stats)

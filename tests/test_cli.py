@@ -222,7 +222,12 @@ def _node(d, aid):
     (lambda d: _node(d, "call").update(kind="bogus"), "bogus"),
     # the context read a1 reads 11 from the code store b0
     (lambda d: _node(d, "a1").update(values=[12]), "RFWF"),
-], ids=["undefined endpoint", "bogus kind", "rf between different values"])
+    (lambda d: _node(d, "b0").update(var=["x"]), "node 'b0' has var"),
+    (lambda d: _node(d, "b0").update(values=[[11]]), "node 'b0' has var"),
+    (lambda d: d["nodes"].append(dict(_node(d, "b0"))),
+     "node 'b0' is defined twice"),
+], ids=["undefined endpoint", "bogus kind", "rf between different values",
+        "list var", "list value", "duplicate id"])
 def test_adversary_rejects_a_malformed_execution(mutate, message, tmp_path,
                                                  capsys):
     d = json.loads(_witness_json())
@@ -254,17 +259,43 @@ _TEXT = st.text(alphabet=sorted(set(
 )), max_size=30)
 
 
+# JSON values to put in a node field
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 12)
+    | st.text(alphabet="abxy01", max_size=3),
+    lambda inner: st.lists(inner, max_size=2), max_leaves=3)
+
+
+@st.composite
+def _mutated_execution(draw):
+    """The valid execution file with one field of one node replaced, or
+    one node repeated."""
+    d = json.loads(_VALID["adversary"][0])
+    node = draw(st.sampled_from(d["nodes"]))
+    if draw(st.booleans()):
+        d["nodes"].append(dict(node))
+    else:
+        node[draw(st.sampled_from(sorted(node)))] = draw(_JSON)
+    return json.dumps(d)
+
+
 @st.composite
 def _bad_inputs(draw):
     """A subcommand, and its input files with one of them replaced by
-    random text or cut short."""
+    random text, cut short or, for an execution file, with a node
+    changed."""
     cmd = draw(st.sampled_from(sorted(_VALID)))
     files = list(_VALID[cmd])
     i = draw(st.integers(0, len(files) - 1))
-    if draw(st.booleans()):
+    how = draw(st.sampled_from(
+        ["text", "cut", "node"] if cmd == "adversary" and i == 0
+        else ["text", "cut"]))
+    if how == "text":
         files[i] = draw(_TEXT)
-    else:
+    elif how == "cut":
         files[i] = files[i][:draw(st.integers(0, len(files[i])))]
+    else:
+        files[i] = draw(_mutated_execution())
     return cmd, files
 
 
@@ -295,3 +326,12 @@ def test_bad_input_exits_with_a_code_and_no_traceback(case):
             rc = main(_argv(cmd, paths))
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def test_verify_json_reports_rf_classes_and_deny_masks(tmp_path, capsys):
+    f = tmp_path / "r.json"
+    assert main(["verify", str(CORPUS / "load_dup.tr"), "--json",
+                 str(f)]) == 0
+    stats = json.loads(f.read_text())["stats"]
+    assert stats["x2_classes"] > 0 and 0 < stats["x2_denies"] <= stats["x2"]
+    capsys.readouterr()

@@ -1,19 +1,26 @@
 """Histories, extended histories and their refinement orders."""
 
 import functools
+import itertools
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from stellite import lang
+from stellite.axiomatic import complete, mo_pairs, rf_classes
 from stellite.blocklocal import (
     CALL,
     RET,
     CutContext,
+    block_classes,
     block_local,
     contx_of,
     downclosure,
+    pre_executions,
+    sigma_space,
 )
 from stellite.history import (
+    ClassMasks,
     ExtendedHistory,
     History,
     PairIndex,
@@ -22,8 +29,9 @@ from stellite.history import (
     hist_ext,
     refines_ext,
     refines_h,
-    refines_masks,
 )
+from stellite.verifier import check_cut_refinement, context_bound, \
+    enumerate_contexts
 
 from oracles import (
     deny_domain,
@@ -31,6 +39,9 @@ from oracles import (
     oracle_deny_hit,
     sample_block_local,
 )
+from test_acceptance import SUITE
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_empty_context_gives_empty_guarantee_and_deny():
@@ -153,21 +164,109 @@ def test_deny_agrees_with_the_oracle_on_prefixes():
 
 
 @functools.cache
-def _histories_by_context():
-    """The sampled executions' extended histories, grouped by context."""
+def _sample():
+    return sample_block_local(1000)
+
+
+@functools.cache
+def _executions_by_context():
+    """The sampled executions, grouped by context."""
     groups = {}
-    for X in sample_block_local(1000):
-        groups.setdefault(contx_of(X), []).append(hist_ext(X))
+    for X in _sample():
+        groups.setdefault(contx_of(X), []).append(X)
     return sorted(groups.items(), key=repr)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_the_mask_test_agrees_with_refines_ext_within_one_context(data):
-    ctx, hs = data.draw(st.sampled_from(_histories_by_context()))
+    ctx, xs = data.draw(st.sampled_from(_executions_by_context()))
     index = PairIndex(a.aid for a in ctx)
-    coded = [(index.key(E), index.masks(E)) for E in hs]
-    for E1, (k1, m1) in zip(hs, coded):
-        for E2, (k2, m2) in zip(hs, coded):
-            assert (k1 == k2 and refines_masks(m1, m2)) == \
+    coded = []
+    for X in xs:
+        m = ClassMasks(X.actions, X.rf, X.hb, index)
+        coded.append((m.key, m.guarantee, m.deny(X.mo) | m.acyc))
+    hs = [hist_ext(X) for X in xs]
+    for E1, (k1, g1, d1) in zip(hs, coded):
+        for E2, (k2, g2, d2) in zip(hs, coded):
+            assert (k1 == k2 and not g2 & ~g1 and not d2 & ~d1) == \
                 refines_ext(E1, E2), (ctx, E1, E2)
+
+
+# ---------------------------------------------------------------------------
+# the masks of an rf class against the executions complete flattens it to
+
+
+def _assert_classes_match(classes, flat, index):
+    """classes, (pre, rf, hb, mo_choices) tuples, flattened over their
+    mo orders, give the executions flat in order; and for each class and
+    mo order the class's masks are the PairIndex encoding of hist_ext of
+    that execution. Yields each execution once it is checked."""
+    flat = iter(flat)
+    for (pre, rf, hb, mo_choices) in classes:
+        acts = pre[0]
+        masks = ClassMasks(acts, rf, hb, index)
+        for mo_choice in itertools.product(*mo_choices):
+            X = next(flat)
+            mo = mo_pairs(mo_choice)
+            assert (X.actions, X.rf, X.hb, X.mo) == (acts, rf, hb, mo)
+            E = hist_ext(X)
+            assert masks.key == PairIndex.key(E.A)
+            assert masks.guarantee == index.encode(E.G)
+            assert masks.acyc == index.encode(E.acyc)
+            assert masks.deny(mo) == index.encode(E.D)
+            # the scan's floor: mo only adds deny edges
+            assert not masks.deny(()) & ~masks.deny(mo)
+            yield X
+    assert next(flat, None) is None
+
+
+def test_class_masks_match_the_flattened_executions_on_the_corpus():
+    # each block of each SUITE row at V=2, under every context its check
+    # enumerates; a check that refutes stops at the witness's context
+    values = frozenset({0, 1})
+    seen, checked = set(), 0
+    for fname, _ in SUITE:
+        B2, B1 = lang.parse_transformation((CORPUS / fname).read_text())
+        budget = context_bound(B1, B2, values)
+        reached = check_cut_refinement(B1, B2, budget).stats["contexts"]
+        for ctx in itertools.islice(enumerate_contexts(B1, B2, budget),
+                                    reached):
+            index = PairIndex(a.aid for a in ctx.actions)
+            for B in (B1, B2):
+                if (B, ctx) in seen:
+                    continue
+                seen.add((B, ctx))
+                locals_order = lang.locals_of(B)
+                pres = [pre_executions(B, sigma, values, locals_order)
+                        for sigma in sigma_space(locals_order,
+                                                 lang.live_in(B), values)]
+                flat = block_local(B, ctx, values=values, check_vs=False,
+                                   pre=pres)
+                classes = block_classes(
+                    [p for ps in pres for p in ps], ctx)
+                checked += sum(1 for _ in _assert_classes_match(
+                    classes, flat, index))
+    assert checked > 50_000
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_class_masks_match_the_flattened_executions_and_the_oracle(data):
+    # a sampled execution's actions, sb, at and context hb seed edges are
+    # a pre-execution under a context; complete it again, class by class
+    X = data.draw(st.sampled_from(_sample()))
+    pre = (X.actions, X.sb, X.at, X.r_ctx)
+    index = PairIndex(a.aid for a in contx_of(X))
+    flat = list(complete(*pre, mode=X.mode, locals_order=X.locals_order))
+    assert X in flat
+    classes = ((pre, *c) for c in rf_classes(*pre, X.mode))
+    for Y in _assert_classes_match(classes, flat, index):
+        # the deny and acyclicity edges by their definitions, not through
+        # the threat masks both sides share
+        m = ClassMasks(Y.actions, Y.rf, Y.hb, index)
+        dom = deny_domain(Y)
+        assert index.decode(m.deny(Y.mo)) == {
+            (u, v) for (u, v) in dom if oracle_deny_hit(Y, u, v)}, Y
+        assert index.decode(m.acyc) == {
+            (u, v) for (u, v) in dom if (v, u) in Y.hb}, Y

@@ -334,11 +334,13 @@ def test_the_mask_scan_matches_the_linear_scan(fname, nvalues, monkeypatch):
                         lambda X: fast_computed.append(X) or hist_ext(X))
     fast = check_cut_refinement(B1, B2, budget)
     assert fast.outcome == slow[0]
-    assert fast.stats == slow[1]
-    # the same histories computed in the same order, so the same witness
-    # and candidate list
-    assert fast_computed == slow_computed
+    assert {k: fast.stats[k] for k in slow[1]} == slow[1]
+    assert fast.stats["x2_denies"] <= fast.stats["x2"]
     w = fast.witness
+    # the scan compares masks of rf classes; extended histories are built
+    # only for a refutation's witness and candidate list
+    assert [hist_ext(X) for X in fast_computed] == (
+        [] if w is None else [w.hist, *w.candidates])
     assert (None if w is None else
             (w.context, w.sigma, w.execution, w.hist, w.candidates)
             ) == slow[2]
