@@ -41,7 +41,6 @@ from .lang import (  # noqa: F401
     parse_block,
     parse_program,
     parse_transformation,
-    thread_local,
     vars_of,
 )
 from .verifier import (  # noqa: F401

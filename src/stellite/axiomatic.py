@@ -405,35 +405,18 @@ def class_executions(pre, rf, hb, mo_choices, mode="AT", locals_order=()):
         )
 
 
-def complete(
-    actions,
-    sb,
-    at,
-    r_ctx=frozenset(),
-    mode="AT",
-    locals_order=(),
-    limit=None,
-    pruner=None,
-):
+def complete(actions, sb, at, r_ctx=frozenset(), mode="AT",
+             locals_order=()):
     """Enumerate every valid (rf, mo) completion of a pre-execution.
 
     Yields Execution objects: the classes of rf_classes, in order, each
-    flattened by class_executions. With a pruner only the completions
-    its filter keeps are built. More than limit completions raise
-    BudgetExceeded.
+    flattened by class_executions. A caller that needs a cap counts
+    what it takes.
     """
     pre = (tuple(actions), frozenset(sb), frozenset(at), frozenset(r_ctx))
-    locals_order = tuple(locals_order)
-    count = 0
-    for rf, hb, mo_choices in rf_classes(*pre, mode, pruner):
-        for X in class_executions(pre, rf, hb, mo_choices, mode,
-                                  locals_order):
-            count += 1
-            if limit is not None and count > limit:
-                raise BudgetExceeded(
-                    f"more than {limit} completions of one pre-execution"
-                )
-            yield X
+    for rf, hb, mo_choices in rf_classes(*pre, mode):
+        yield from class_executions(pre, rf, hb, mo_choices, mode,
+                                    tuple(locals_order))
 
 
 class BudgetExceeded(Exception):
@@ -484,17 +467,14 @@ def enumerate_program(P, cfg: EnumConfig | None = None) -> EnumResult:
         acts = tuple(a for (aa, _, _) in combo for a in aa)
         sb = frozenset(p for (_, s, _) in combo for p in s)
         at = derive_at(acts, sb)
-        try:
-            for X in complete(acts, sb, at, mode=cfg.mode, limit=cfg.limit):
-                execs.append(X)
-                outcomes.append(tuple(dict(s) for (_, _, s) in combo))
-                if cfg.mode == "NA" and not safe(X):
-                    any_unsafe = True
-                if cfg.limit is not None and len(execs) > cfg.limit:
-                    truncated = True
-                    break
-        except BudgetExceeded:
-            truncated = True
+        for X in complete(acts, sb, at, mode=cfg.mode):
+            execs.append(X)
+            outcomes.append(tuple(dict(s) for (_, _, s) in combo))
+            if cfg.mode == "NA" and not safe(X):
+                any_unsafe = True
+            if cfg.limit is not None and len(execs) > cfg.limit:
+                truncated = True
+                break
         if truncated:
             break
     return EnumResult(

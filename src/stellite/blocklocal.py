@@ -17,10 +17,8 @@ from .axiomatic import (
     Action,
     BudgetExceeded,
     Execution,
-    complete,
+    class_executions,
     derive_at,
-    is_read,
-    is_write,
     rf_classes,
 )
 
@@ -134,26 +132,19 @@ def block_local(
     limit=None,
     check_vs=True,
     cut_only=False,
-    pre=None,
-    pruner=None,
 ):
-    """All executions of block B under the reduced context ctx.
+    """All executions of block B under the reduced context ctx, the rf
+    classes of block_classes from each of sigmas flattened in order.
 
     Code actions come from the thread-local semantics and sit sb-between
     call and ret; context actions carry no sb; R seeds hb and S extends at.
     With cut_only, only the executions that cut.cut keeps are built, in
-    the same order, and limit caps those.
-
-    A caller that checks B under many contexts may pass what does not
-    depend on the context: pre, the pre_executions of B from each of
-    sigmas, and with cut_only the cut.CutPruner of ctx. Both are built
-    here when not given.
+    the same order. More than limit executions raise BudgetExceeded.
     """
     B = tuple(B)
     _check_context(ctx, lang.vars_of(B) if check_vs else None)
-    if not cut_only:
-        pruner = None
-    elif pruner is None:
+    pruner = None
+    if cut_only:
         from .cut import CutPruner  # cut imports this module
 
         pruner = CutPruner(ctx.actions, ctx.S)
@@ -161,15 +152,11 @@ def block_local(
         locals_order = lang.locals_of(B)
     if sigmas is None:
         sigmas = sigma_space(locals_order, lang.live_in(B), values)
-    if pre is None:
-        pre = (pre_executions(B, sigma, values, locals_order)
-               for sigma in sigmas)
     out = []
-    for pres in pre:
-        for p in pres:
-            for X in complete(*_under(p, ctx), mode=mode,
-                              locals_order=locals_order, limit=limit,
-                              pruner=pruner):
+    for sigma in sigmas:
+        pres = pre_executions(B, sigma, values, locals_order)
+        for c in block_classes(pres, ctx, mode, pruner):
+            for X in class_executions(*c, mode, locals_order):
                 out.append(X)
                 if limit is not None and len(out) > limit:
                     raise BudgetExceeded(
@@ -186,14 +173,17 @@ def _under(p: PreExecution, ctx: CutContext):
             frozenset(ctx.R) | frozenset(ctx.S))
 
 
-def block_classes(pres, ctx: CutContext):
-    """The executions block_local builds from the pre-executions pres
-    under ctx, as the rf classes of axiomatic.rf_classes in the same
-    order: (pre, rf, hb, mo_choices), where pre is the (actions, sb, at,
-    r_ctx) of a pre-execution under ctx."""
+def block_classes(pres, ctx: CutContext, mode="AT", pruner=None):
+    """The valid executions of the pre-executions pres under ctx, as the
+    rf classes of axiomatic.rf_classes, in order: (pre, rf, hb,
+    mo_choices), where pre is the (actions, sb, at, r_ctx) of a
+    pre-execution under ctx, and axiomatic.class_executions flattens
+    one. This is the one place a pre-execution is put under a context
+    and completed. A pruner (cut.CutPruner of ctx) keeps only the
+    executions that cut.cut keeps."""
     for p in pres:
         pre = _under(p, ctx)
-        for (rf, hb, mo_choices) in rf_classes(*pre):
+        for (rf, hb, mo_choices) in rf_classes(*pre, mode, pruner):
             yield pre, rf, hb, mo_choices
 
 

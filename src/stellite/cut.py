@@ -39,7 +39,8 @@ argument above does not reach them, and keeping their non-visible pairs
 refutes fence elimination on a shape nothing here confirms or rules out.
 
 CutPruner applies the same rules inside rf × mo completion
-(block_local(..., cut_only=True)); explain_cut stays the reference.
+(blocklocal.block_classes with a pruner); explain_cut stays the
+reference.
 """
 
 from __future__ import annotations
@@ -128,12 +129,13 @@ def cut(X: Execution) -> bool:
 
 
 class CutPruner:
-    """The three cut rules, applied while complete() chooses rf and mo for
-    block-local executions under one reduced context.
+    """The three cut rules, applied while axiomatic.rf_classes chooses rf
+    and mo for block-local executions under one reduced context.
 
     Ids outside the context are code actions: boundary actions neither
-    read nor write, so they never appear in rf or mo. complete() with a
-    pruner yields exactly the completions that cut() keeps.
+    read nor write, so they never appear in rf or mo. rf_classes, and so
+    blocklocal.block_classes, with a pruner yields exactly the classes
+    and mo orders of the completions that cut() keeps.
     """
 
     def __init__(self, actions, S):

@@ -165,21 +165,18 @@ class ClassMasks:
         return D
 
 
-def deny(X: Execution, include_acyc: bool = False):
+def deny(X: Execution):
     """Deny edges: (u,v) such that enforcing u happens-before v would
     complete an axiom violation (see ClassMasks), and the acyclicity
     edges, those (u,v) whose reverse is already in hb."""
     index = PairIndex(a.aid for a in contx_of(X))
     masks = ClassMasks(X.actions, X.rf, X.hb, index)
-    D, acyc = index.decode(masks.deny(X.mo)), index.decode(masks.acyc)
-    if include_acyc:
-        D |= acyc
-    return D, acyc
+    return index.decode(masks.deny(X.mo)), index.decode(masks.acyc)
 
 
-def hist_ext(X: Execution, include_acyc: bool = False) -> ExtendedHistory:
+def hist_ext(X: Execution) -> ExtendedHistory:
     h = hist(X)
-    D, acyc = deny(X, include_acyc=include_acyc)
+    D, acyc = deny(X)
     return ExtendedHistory(h.A, h.G, D, acyc)
 
 

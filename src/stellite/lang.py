@@ -575,29 +575,6 @@ def thread_local_block(
     ]
 
 
-def thread_local(p, sigma, values=frozenset({0, 1})):
-    """The thread-local semantics of a block or whole program.
-
-    For a parallel composition the actions and sb of all threads are
-    combined and the *input* sigma is returned unchanged.
-    """
-    threads = threads_of(p)
-    if isinstance(p, Program) and len(threads) > 1:
-        import itertools as it
-
-        per = [
-            thread_local_block(th, sigma, values, prefix=f"t{i}.")
-            for i, th in enumerate(threads)
-        ]
-        out = []
-        for combo in it.product(*per):
-            acts = tuple(a for (aa, _, _) in combo for a in aa)
-            sb = frozenset(pr for (_, s, _) in combo for pr in s)
-            out.append((acts, sb, dict(sigma)))
-        return out
-    return thread_local_block(threads[0], sigma, values)
-
-
 # ---------------------------------------------------------------------------
 # substitution and unparsing
 

@@ -2,10 +2,10 @@
 
 check_cut_refinement decides the finite, cut-based refinement between two
 blocks by enumerating every reduced context within a derived per-location
-budget and comparing extended histories. It keeps the original block's
-executions as rf classes (blocklocal.block_classes) with their
-history.ClassMasks, and computes a class's deny masks, one per mo order,
-only as far as the domination scan needs them. check_q_instance decides
+budget and comparing extended histories. It keeps both blocks' executions
+as rf classes (blocklocal.block_classes) with their history.ClassMasks,
+and computes an original-block class's deny masks, one per mo order, only
+as far as the domination scan needs them. check_q_instance decides
 the quantified refinement at one explicit context instance (optionally
 with non-atomics and prefix matching for racy executions).
 """
@@ -242,11 +242,11 @@ def enumerate_contexts(B1, B2, budget: Budget | None = None, order="asc"):
 
 
 class _Class:
-    """One rf class of the original block's executions under a context:
-    its ClassMasks, and the deny masks of its mo orders, computed in
-    order only as far as a domination test needs them. An mo order only
-    adds threats, so every deny mask of the class holds floor, the deny
-    mask with no mo at all."""
+    """One rf class of a block's executions under a context: its
+    ClassMasks, and, when it is the original block's, the deny masks of
+    its mo orders, computed in order only as far as a domination test
+    needs them. An mo order only adds threats, so every deny mask of the
+    class holds floor, the deny mask with no mo at all."""
 
     def __init__(self, pre, rf, hb, mo_choices, index):
         self.rf_class = (pre, rf, hb, mo_choices)
@@ -277,23 +277,34 @@ class _Class:
         return False
 
 
-def _undominated(x1s, classes, index):
-    """The first of the new block's executions x1s that no class of the
-    original block dominates, or None. x1s share ClassMasks while they
-    share an rf class, as complete yields them."""
+def _undominated(x1s, classes, locals_order):
+    """The first execution of the new block's classes x1s that no class
+    of the original block dominates, or None. The executions of one
+    class share its ClassMasks and differ only in their deny masks."""
     groups = {}
     for c in classes:
         groups.setdefault(c.masks.key, []).append(c)
-    hb = None
-    for X in x1s:
-        if X.hb is not hb:
-            hb = X.hb
-            masks = ClassMasks(X.actions, X.rf, hb, index)
-        deny = masks.deny(X.mo) | masks.acyc
-        if not any(c.dominates(masks.guarantee, deny)
-                   for c in groups.get(masks.key, ())):
-            return X
+    for c1 in x1s:
+        masks = c1.masks
+        rivals = groups.get(masks.key, ())
+        for X in class_executions(*c1.rf_class, locals_order=locals_order):
+            deny = masks.deny(X.mo) | masks.acyc
+            if not any(c.dominates(masks.guarantee, deny) for c in rivals):
+                return X
     return None
+
+
+def _classes(pres, ctx, index, limit, pruner=None):
+    """The rf classes of the pre-executions pres under ctx, as _Class,
+    with their total size; more than limit executions in all raise
+    BudgetExceeded."""
+    classes, size = [], 0
+    for c in block_classes(pres, ctx, pruner=pruner):
+        classes.append(_Class(*c, index))
+        size += classes[-1].size
+        if limit is not None and size > limit:
+            raise BudgetExceeded("block-local execution budget exceeded")
+    return classes, size
 
 
 def check_cut_refinement(B1, B2, budget: Budget | None = None,
@@ -301,6 +312,10 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None,
     """Does every cut execution of B1 under every reduced context have an
     extended history dominated by some execution of B2 under the same
     context? Blocks with non-atomic accesses raise ValueError.
+
+    Both blocks are scanned as rf classes (blocklocal.block_classes):
+    B1's cut survivors, built with the cut.CutPruner of each context,
+    and all of B2's executions, built only where B1 has survivors.
 
     Verdict.stats counts the contexts, B1's cut survivors (x1_cut), and
     B2's executions (x2), rf classes (x2_classes) and the deny masks of
@@ -318,6 +333,7 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None,
         )
     if budget is None:
         budget = context_bound(B1, B2)
+    limit = budget.max_block_execs
     locals_order = tuple(sorted(set(lang.locals_of(B1))
                                 | set(lang.locals_of(B2))))
     live = lang.live_in(B1) | lang.live_in(B2)
@@ -337,30 +353,19 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None,
             pruner = CutPruner(ctx.actions, ctx.S)
             index = PairIndex(a.aid for a in ctx.actions)
             for i, sigma in enumerate(sigmas):
-                x1s = block_local(
-                    B1, ctx, values=budget.values,
-                    locals_order=locals_order, sigmas=[sigma],
-                    limit=budget.max_block_execs, check_vs=False,
-                    cut_only=True, pre=[pre1[i]], pruner=pruner,
-                )
-                stats["x1_cut"] += len(x1s)
-                if not x1s:
+                x1s, size1 = _classes(pre1[i], ctx, index, limit, pruner)
+                stats["x1_cut"] += size1
+                if not size1:
                     continue
-                classes = [_Class(*c, index)
-                           for c in block_classes(pre2[i], ctx)]
-                size = sum(c.size for c in classes)
-                if (budget.max_block_execs is not None
-                        and size > budget.max_block_execs):
-                    raise BudgetExceeded(
-                        "block-local execution budget exceeded")
+                classes, size = _classes(pre2[i], ctx, index, limit)
                 stats["x2"] += size
                 stats["x2_classes"] += len(classes)
-                X = _undominated(x1s, classes, index)
+                X = _undominated(x1s, classes, locals_order)
                 stats["x2_denies"] += sum(len(c.denies) for c in classes)
                 if X is None:
                     continue
                 e1 = hist_ext(X)
-                # every candidate, in the order block_local builds them
+                # every candidate, in the order block_classes yields them
                 h2s = [hist_ext(Y) for c in classes
                        for Y in class_executions(
                            *c.rf_class, locals_order=locals_order)]

@@ -296,6 +296,25 @@ def test_emitted_executions_satisfy_structural_invariants():
         assert not any((u, u) in X.mo for u in byid)
 
 
+def test_the_execution_limit_truncates_to_a_prefix():
+    # six executions over three pre-executions, two mo orders each
+    P = lang.parse_program("st(x,1) ||| st(x,2) ||| a := ld(x)")
+    full = enumerate_program(P, EnumConfig(limit=None))
+    n = len(full.executions)
+    assert n == 6 and not full.truncated
+    for k in range(n):
+        res = enumerate_program(P, EnumConfig(limit=k))
+        assert res.truncated, k
+        assert len(res.executions) <= k + 1
+        assert res.executions == full.executions[:len(res.executions)]
+        assert res.outcomes == full.outcomes[:len(res.outcomes)]
+    for k in (n, n + 1):
+        res = enumerate_program(P, EnumConfig(limit=k))
+        assert not res.truncated
+        assert res.executions == full.executions
+        assert res.outcomes == full.outcomes
+
+
 # ---------------------------------------------------------------------------
 # observation
 

@@ -1,11 +1,9 @@
 """Block-local executions under reduced contexts."""
 
-from pathlib import Path
-
 import pytest
 
 from stellite import lang
-from stellite.axiomatic import Action, complete, derive_at, derive_hb, valid
+from stellite.axiomatic import Action, derive_hb, valid
 from stellite.blocklocal import (
     CALL,
     RET,
@@ -14,16 +12,10 @@ from stellite.blocklocal import (
     code_of,
     contx_of,
     downclosure,
-    pre_executions,
     sigma_space,
 )
-from stellite.cut import CutPruner
-from stellite.verifier import enumerate_contexts
 
 from oracles import forced_read_instance_execs, single_load_instance_execs
-from test_acceptance import SUITE
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_sigma_space_pins_dead_locals_to_zero():
@@ -153,56 +145,3 @@ def test_downclosure_members_are_predecessor_closed():
                 if v in keep:
                     assert u in keep
         assert X in downclosure(X)
-
-
-# ---------------------------------------------------------------------------
-# pre-executions built once and shared by every context, against building
-# each one inline under each context and sigma; test_cut.py compares the
-# shared path with block_local's own, unfiltered as well
-
-
-def _inline_cut_executions(B, ctx, sigma, values, locals_order):
-    """block_local(..., cut_only=True) of one sigma with each
-    pre-execution built in place, under this one context, and a pruner of
-    its own."""
-    values = frozenset(values) | lang.literals_of(B)
-    pruner = CutPruner(ctx.actions, ctx.S)
-    callv = tuple(sigma[l] for l in locals_order)
-    out = []
-    for (code, sbc, sigma2) in lang.thread_local_block(B, sigma, values):
-        retv = tuple(sigma2[l] for l in locals_order)
-        call = Action(CALL, "call", None, callv, "boundary")
-        ret = Action(RET, "ret", None, retv, "boundary")
-        sb = set(sbc) | {(CALL, RET)}
-        for c in code:
-            sb |= {(CALL, c.aid), (c.aid, RET)}
-        at = derive_at(code, frozenset(sb)) | ctx.S
-        out += complete((call,) + code + (ret,) + ctx.actions,
-                        frozenset(sb), frozenset(at),
-                        r_ctx=frozenset(ctx.R) | frozenset(ctx.S),
-                        locals_order=locals_order, pruner=pruner)
-    return out
-
-
-def test_shared_pre_executions_give_the_inline_executions():
-    values = frozenset({0, 1})
-    blocks = {
-        lang.unparse_block(side)
-        for fname, _ in SUITE
-        for side in lang.parse_transformation((CORPUS / fname).read_text())
-    }
-    for btxt in sorted(blocks):
-        B = lang.parse_block(btxt)
-        locals_order = lang.locals_of(B)
-        sigmas = sigma_space(locals_order, lang.live_in(B), values)
-        pres = [pre_executions(B, sg, values, locals_order) for sg in sigmas]
-        for ctx in enumerate_contexts(B, B):
-            pruner = CutPruner(ctx.actions, ctx.S)
-            for sigma, pre in zip(sigmas, pres):
-                shared = block_local(
-                    B, ctx, values=values, locals_order=locals_order,
-                    sigmas=[sigma], check_vs=False, cut_only=True,
-                    pre=[pre], pruner=pruner)
-                inline = _inline_cut_executions(B, ctx, sigma, values,
-                                                locals_order)
-                assert shared == inline, (btxt, ctx, sigma)

@@ -11,10 +11,8 @@ from stellite.blocklocal import (
     block_local,
     code_of,
     contx_of,
-    pre_executions,
-    sigma_space,
 )
-from stellite.cut import CutPruner, cut, explain_cut, vis
+from stellite.cut import cut, explain_cut, vis
 from stellite.verifier import enumerate_contexts
 
 from oracles import sample_block_local
@@ -119,10 +117,7 @@ def test_cut_invariants_on_samples():
 # path, filter(cut, block_local)
 
 
-def _assert_fast_path_matches(B, ctx, values, pres=None):
-    """pres, the pre-executions of B from each sigma, are built once per
-    block by the caller, as check_cut_refinement builds them once per
-    verdict; with them, block_local must give what it gives alone."""
+def _assert_fast_path_matches(B, ctx, values):
     fast = block_local(B, ctx, values=values, check_vs=False, cut_only=True)
     every = block_local(B, ctx, values=values, check_vs=False)
     slow = [X for X in every if cut(X)]
@@ -130,22 +125,6 @@ def _assert_fast_path_matches(B, ctx, values, pres=None):
     assert set(fast) == set(slow)
     # same order too, so the first refutation witness does not move
     assert fast == slow
-    if pres is None:
-        pres = _pre_executions(B, values)
-    pruner = CutPruner(ctx.actions, ctx.S)
-    for cut_only, want in ((True, fast), (False, every)):
-        shared = [X for sigma, pre in pres
-                  for X in block_local(B, ctx, values=values,
-                                       sigmas=[sigma], check_vs=False,
-                                       cut_only=cut_only, pre=[pre],
-                                       pruner=pruner)]
-        assert shared == want
-
-
-def _pre_executions(B, values):
-    locals_order = lang.locals_of(B)
-    return [(sigma, pre_executions(B, sigma, values, locals_order))
-            for sigma in sigma_space(locals_order, lang.live_in(B), values)]
 
 
 def test_cut_only_matches_the_filtered_slow_path_on_the_corpus():
@@ -157,9 +136,8 @@ def test_cut_only_matches_the_filtered_slow_path_on_the_corpus():
     values = frozenset({0, 1})
     for btxt in sorted(blocks):
         B = lang.parse_block(btxt)
-        pres = _pre_executions(B, values)
         for ctx in enumerate_contexts(B, B):
-            _assert_fast_path_matches(B, ctx, values, pres)
+            _assert_fast_path_matches(B, ctx, values)
 
 
 _STMTS = st.sampled_from([

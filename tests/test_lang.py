@@ -114,12 +114,6 @@ def test_if_takes_then_branch_on_any_nonzero_value():
     assert acts[0].gvar == "y"
 
 
-def test_parallel_composition_returns_the_input_sigma():
-    prog = lang.parse_program("st(x,1) ||| l := ld(x)")
-    res = lang.thread_local(prog, {"l": 0})
-    assert res and all(sg == {"l": 0} for (_, _, sg) in res)
-
-
 def test_pre_execution_count_lower_bound_for_global_reads():
     # n value-free reads over k values give at least k^n pre-executions
     assert len(pre_executions("ld(x); ld(x)")) >= 4
