@@ -68,17 +68,15 @@ def _fresh_local(counter):
     return f"w{n}"
 
 
-def build_context(X, R=None, G=None) -> AdversaryContext:
-    """The adversarial context for X, its context relation R, and its
-    guarantee G. Errors are signalled on the variable e and halt the
+def build_context(X) -> AdversaryContext:
+    """The adversarial context for X, from its context relation closed_R(X)
+    and its guarantee. Errors are signalled on the variable e and halt the
     thread by construction (all continuation code is nested under the
     non-error branch)."""
     ctxacts = contx_of(X)
     byid = X.by_id()
-    if R is None:
-        R = closed_R(X)
-    if G is None:
-        G = hist(X).G
+    R = closed_R(X)
+    G = hist(X).G
     ctx_ids = [a.aid for a in ctxacts]
     vs = {a.gvar for a in ctxacts} | {a.gvar for a in code_of(X)}
     for v in (ERROR_VAR, CALL_MARK, RET_MARK):
@@ -230,17 +228,15 @@ def _hole_region(Z):
     return kc, kr, region
 
 
-def reproduce(X, B, cfg: EnumConfig | None = None) -> bool:
+def reproduce(X, B) -> bool:
     """Does the adversarial context for X, wrapped around B, admit an
     error-free execution whose code and interface replay X?"""
     if isinstance(B, str):
         B = lang.parse_block(B)
     ac = build_context(X)
     prog = lang.substitute(ac.program, tuple(B))
-    cfg = cfg or EnumConfig()
-    cfg = EnumConfig(values=cfg.values, mode=cfg.mode, limit=cfg.limit,
-                     thread_prefilter=_no_error_writes)
-    res = enumerate_program(prog, cfg)
+    res = enumerate_program(prog,
+                            EnumConfig(thread_prefilter=_no_error_writes))
     target_code = _sorted_by_sb(code_of(X), X.sb)
     # expected context-visible hb: consequences of R and of pair chaining
     chain = {(ll, sc) for (ll, sc) in X.at}

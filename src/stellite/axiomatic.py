@@ -468,13 +468,13 @@ def enumerate_program(P, cfg: EnumConfig | None = None) -> EnumResult:
         sb = frozenset(p for (_, s, _) in combo for p in s)
         at = derive_at(acts, sb)
         for X in complete(acts, sb, at, mode=cfg.mode):
+            if cfg.limit is not None and len(execs) >= cfg.limit:
+                truncated = True
+                break
             execs.append(X)
             outcomes.append(tuple(dict(s) for (_, _, s) in combo))
             if cfg.mode == "NA" and not safe(X):
                 any_unsafe = True
-            if cfg.limit is not None and len(execs) > cfg.limit:
-                truncated = True
-                break
         if truncated:
             break
     return EnumResult(

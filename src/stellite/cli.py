@@ -24,9 +24,8 @@ from .axiomatic import (
     safe,
 )
 from .blocklocal import CutContext
-from .cut import explain_cut
 from .lang import ParseError
-from .verifier import Budget, Verdict, check_cut_refinement, check_q_instance
+from .verifier import check_cut_refinement, check_q_instance
 
 
 # ---------------------------------------------------------------------------
@@ -214,44 +213,12 @@ def parse_context_file(text) -> CutContext:
 # subcommands
 
 
-def _budget_from_spec(spec, base: Budget) -> Budget:
-    """--budget 'x:r=2,w=3;total=8' style overrides."""
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if part.startswith("total="):
-            base.total = int(part.split("=", 1)[1])
-            continue
-        if part.startswith("execs="):
-            base.max_block_execs = int(part.split("=", 1)[1])
-            continue
-        loc, caps = part.split(":", 1)
-        for cap in caps.split(","):
-            k, v = cap.split("=")
-            v = int(v)
-            if k == "r":
-                base.reads[loc] = v
-            elif k == "w":
-                base.nonvis_writes[loc] = max(
-                    0, v - base.vis_writes.get(loc, 0)
-                )
-            elif k == "wv":
-                base.vis_writes[loc] = v
-            else:
-                raise ValueError(f"unknown budget key {k!r}")
-    return base
-
-
 def cmd_verify(args) -> int:
     text = Path(args.file).read_text()
     B2, B1 = lang.parse_transformation(text)
-    values = frozenset(range(args.values)) | lang.literals_of(
-        B1
-    ) | lang.literals_of(B2)
-    budget = verifier.context_bound(B1, B2, values)
-    if args.budget:
-        budget = _budget_from_spec(args.budget, budget)
+    budget = verifier.context_bound(B1, B2, frozenset(range(args.values)))
+    if args.max_execs is not None:
+        budget.max_block_execs = args.max_execs
     t0 = time.time()
     verdict = check_cut_refinement(B1, B2, budget)
     dt = time.time() - t0
@@ -273,8 +240,6 @@ def cmd_verify(args) -> int:
             "note": "the refutation may be spurious: the finite check "
                     "is adequate but not complete",
         }
-        if args.explain_cut:
-            report["witness"]["cut"] = explain_cut(w.execution) or "passes"
     print(f"{verdict.outcome}"
           + (f" ({verdict.stats.get('error')})" if verdict.outcome == "Unknown"
              else ""))
@@ -301,7 +266,7 @@ def cmd_simulate(args) -> int:
     text = Path(args.litmus).read_text()
     prog = lang.parse_program(text)
     mode = "NA" if args.na else "AT"
-    values = frozenset(range(args.values)) | lang.literals_of(prog)
+    values = frozenset(range(args.values))
     res = enumerate_program(prog, EnumConfig(values=values, mode=mode))
     outcomes = {}
     for X, sigmas in zip(res.executions, res.outcomes):
@@ -364,6 +329,16 @@ def cmd_adversary(args) -> int:
     return 0
 
 
+def _at_least(low):
+    """An argparse type: an integer no smaller than low."""
+    def integer(text):
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{n} is below {low}")
+        return n
+    return integer
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="stellite",
@@ -375,17 +350,18 @@ def main(argv=None) -> int:
 
     v = sub.add_parser("verify", help="check a transformation file")
     v.add_argument("file")
-    v.add_argument("--values", type=int, default=2)
-    v.add_argument("--budget", default=None)
+    v.add_argument("--values", type=_at_least(1), default=2)
+    v.add_argument("--max-execs", type=_at_least(0), default=None,
+                   help="cap the executions of one block under one context"
+                        " (over it: Unknown)")
     v.add_argument("--json", default=None)
     v.add_argument("--dot", default=None)
-    v.add_argument("--explain-cut", action="store_true")
     v.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("simulate", help="enumerate a litmus test")
     s.add_argument("litmus")
     s.add_argument("--na", action="store_true")
-    s.add_argument("--values", type=int, default=2)
+    s.add_argument("--values", type=_at_least(1), default=2)
     s.add_argument("--forbid", default=None,
                    help="fail (exit 1) if this l=v,... outcome is admitted")
     s.add_argument("--json", default=None)
@@ -395,7 +371,7 @@ def main(argv=None) -> int:
     i.add_argument("file")
     i.add_argument("--context", required=True)
     i.add_argument("--na", action="store_true")
-    i.add_argument("--values", type=int, default=2)
+    i.add_argument("--values", type=_at_least(1), default=2)
     i.add_argument("--json", default=None)
     i.set_defaults(fn=cmd_instance)
 

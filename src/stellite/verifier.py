@@ -40,30 +40,29 @@ from .history import ClassMasks, PairIndex, hist, hist_ext, refines_h
 
 @dataclass
 class Budget:
-    """Per-location caps on context actions, plus global limits.
+    """Per-location caps on context actions, and the execution cap.
 
-    pairs caps the context LL/SC pairs of a data location; the read and
-    write caps count a pair's LL and SC too.
+    reads and writes cap the context reads and writes of a location;
+    pairs caps the context LL/SC pairs of a data location, whose LL and
+    SC the read and write caps count too. The cut lemma makes the
+    contexts within context_bound's caps enough for the blocks and values
+    they were derived from; any other budget, apart from a changed
+    max_block_execs, voids the soundness of a Verified answer.
+
     max_block_execs caps the executions of one block under one context
     and one sigma: the cut survivors on the B1 side, every execution on
     the B2 side. Going over it makes the verdict Unknown.
     """
 
     reads: dict
-    vis_writes: dict
-    nonvis_writes: dict
+    writes: dict
     pairs: dict = field(default_factory=dict)
     values: frozenset = frozenset({0, 1})
-    total: int | None = None
     max_block_execs: int | None = 200_000
-
-    def writes(self, loc):
-        return self.vis_writes.get(loc, 0) + self.nonvis_writes.get(loc, 0)
 
     @property
     def locations(self):
-        return sorted(set(self.reads) | set(self.vis_writes)
-                      | set(self.nonvis_writes) | set(self.pairs))
+        return sorted(set(self.reads) | set(self.writes) | set(self.pairs))
 
 
 @dataclass
@@ -90,10 +89,9 @@ def _code_counts(B, values):
     executions of B (LL counts as a read, SC as a write)."""
     locs = lang.locals_of(B)
     live = lang.live_in(B)
-    vals = frozenset(values) | lang.literals_of(B)
     reads, writes = {}, {}
-    for sigma in sigma_space(locs, live, vals):
-        for (acts, _, _) in lang.thread_local_block(B, sigma, vals):
+    for sigma in sigma_space(locs, live, values):
+        for (acts, _, _) in lang.thread_local_block(B, sigma, values):
             r, w = {}, {}
             for a in acts:
                 if is_read(a):
@@ -107,12 +105,12 @@ def _code_counts(B, values):
     return reads, writes
 
 
-def context_bound(B1, B2, values=frozenset({0, 1}),
-                  pairs_everywhere=False) -> Budget:
-    """Derived per-location caps: context reads need distinct code-write
-    sources; visible context writes need code readers; non-visible writes
-    must be separated by visible ones, which caps them at one more than
-    the number of visible writes.
+def context_bound(B1, B2, values=frozenset({0, 1})) -> Budget:
+    """Derived per-location caps over the values and the blocks' literals:
+    context reads need distinct code-write sources; visible context writes
+    need code readers; non-visible writes must be separated by visible
+    ones, which caps them at one more than the number of visible and code
+    writes.
 
     The cut keeps a context LL/SC pair at a data location x only when its
     LL reads what a code read reads, and context reads share no source, so
@@ -128,26 +126,25 @@ def context_bound(B1, B2, values=frozenset({0, 1}),
     B1 reads it. A kept pair refutes through the original block's writes
     that follow the LL's source in mo and so the SC (see cut); where the
     original block has no write of x, only context writes can follow, and
-    the new block's execution orders those too. pairs_everywhere lifts the
-    narrowing, for the tests that compare the two.
+    the new block's execution orders those too.
     """
+    values = frozenset(values) | lang.literals_of(B1) | lang.literals_of(B2)
     r1, w1 = _code_counts(B1, values)
     r2, w2 = _code_counts(B2, values)
     locs = set(r1) | set(r2) | set(w1) | set(w2)
-    reads, visw, nonvisw, pairs = {}, {}, {}, {}
+    reads, writes, pairs = {}, {}, {}
     for x in locs:
         wc = max(w1.get(x, 0), w2.get(x, 0))
         rc = max(r1.get(x, 0), r2.get(x, 0))
         reads[x] = wc
-        visw[x] = rc
-        nonvisw[x] = wc + rc + 1
+        # rc visible writes and wc + rc + 1 non-visible ones
+        writes[x] = wc + 2 * rc + 1
         rp = r1.get(x, 0)
-        if x != lang.FENCE_VAR and rp and (pairs_everywhere or x in w2):
+        if x != lang.FENCE_VAR and rp and x in w2:
             pairs[x] = rp
             reads[x] += rp
-            visw[x] += rp
-    return Budget(reads=reads, vis_writes=visw, nonvis_writes=nonvisw,
-                  pairs=pairs, values=frozenset(values))
+            writes[x] += rp
+    return Budget(reads=reads, writes=writes, pairs=pairs, values=values)
 
 
 def _multisets(vals, n):
@@ -158,7 +155,7 @@ def _location_choices(loc, budget):
     """All canonical per-location context action groups within the caps."""
     vals = sorted(budget.values)
     rcap = budget.reads.get(loc, 0)
-    wcap = budget.writes(loc)
+    wcap = budget.writes.get(loc, 0)
     if loc == lang.FENCE_VAR:
         # the only context actions at the fence location are whole fences
         return [
@@ -208,11 +205,11 @@ def _sizes(per_loc, n):
                 yield (k,) + rest
 
 
-def enumerate_contexts(B1, B2, budget: Budget | None = None, order="asc"):
+def enumerate_contexts(B1, B2, budget: Budget | None = None):
     """Canonical representatives of every context action set and atomicity
-    pairing within the budget, smallest first; within one size ascending
-    or descending by action signature. A generator: the contexts of one
-    size are built only after every smaller one was taken."""
+    pairing within the budget, smallest first and within one size by
+    action signature. A generator: the contexts of one size are built
+    only after every smaller one was taken."""
     if budget is None:
         budget = context_bound(B1, B2)
     locs = sorted(
@@ -227,8 +224,6 @@ def enumerate_contexts(B1, B2, budget: Budget | None = None, order="asc"):
                 choice)
         per_loc.append(by_size)
     top = sum(max(d) for d in per_loc)
-    if budget.total is not None:
-        top = min(top, budget.total)
     key = lambda c: tuple(sorted((a.aid, a.kind, a.vals) for a in c.actions))
     for n in range(top + 1):
         ctxs = [
@@ -237,7 +232,7 @@ def enumerate_contexts(B1, B2, budget: Budget | None = None, order="asc"):
             for combo in itertools.product(
                 *(d[k] for d, k in zip(per_loc, ks)))
         ]
-        ctxs.sort(key=key, reverse=(order == "desc"))
+        ctxs.sort(key=key)
         yield from ctxs
 
 
@@ -307,8 +302,7 @@ def _classes(pres, ctx, index, limit, pruner=None):
     return classes, size
 
 
-def check_cut_refinement(B1, B2, budget: Budget | None = None,
-                         order="asc") -> Verdict:
+def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
     """Does every cut execution of B1 under every reduced context have an
     extended history dominated by some execution of B2 under the same
     context? Blocks with non-atomic accesses raise ValueError.
@@ -348,7 +342,7 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None,
         for B in (B1, B2)
     )
     try:
-        for ctx in enumerate_contexts(B1, B2, budget, order=order):
+        for ctx in enumerate_contexts(B1, B2, budget):
             stats["contexts"] += 1
             pruner = CutPruner(ctx.actions, ctx.S)
             index = PairIndex(a.aid for a in ctx.actions)
@@ -381,8 +375,7 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None,
 
 
 def check_q_instance(B1, B2, ctx: CutContext, mode="AT",
-                     values=frozenset({0, 1}),
-                     locals_order=None) -> bool:
+                     values=frozenset({0, 1})) -> bool:
     """Quantified refinement at one explicit (A, R, S) instance: every
     execution of B1 must have a matching execution of B2 with a refining
     history; in NA mode racy matches may stop at the race via prefixes."""
@@ -390,12 +383,10 @@ def check_q_instance(B1, B2, ctx: CutContext, mode="AT",
         B1 = lang.parse_block(B1)
     if isinstance(B2, str):
         B2 = lang.parse_block(B2)
-    if locals_order is None:
-        locals_order = tuple(sorted(set(lang.locals_of(B1))
-                                    | set(lang.locals_of(B2))))
+    locals_order = tuple(sorted(set(lang.locals_of(B1))
+                                | set(lang.locals_of(B2))))
     live = lang.live_in(B1) | lang.live_in(B2)
-    sigmas = sigma_space(locals_order, live, values)
-    for sigma in sigmas:
+    for sigma in sigma_space(locals_order, live, values):
         x1s = block_local(B1, ctx, values=values, mode=mode,
                           locals_order=locals_order, sigmas=[sigma],
                           check_vs=False)

@@ -276,11 +276,11 @@ def test_criterion_6d_finiteness_across_enumeration_orders():
     )
     for btxt in blocks:
         B = lang.parse_block(btxt)
-        budget = context_bound(B, B)
+        ctxs = list(enumerate_contexts(B, B, context_bound(B, B)))
         counts = []
-        for order in ("asc", "desc"):
+        for order in (ctxs, ctxs[::-1]):
             n = 0
-            for ctx in enumerate_contexts(B, B, budget, order=order):
+            for ctx in order:
                 n += len(block_local(B, ctx, check_vs=False, cut_only=True))
             counts.append(n)
         assert counts[0] == counts[1], (btxt, counts)

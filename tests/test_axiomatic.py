@@ -305,9 +305,8 @@ def test_the_execution_limit_truncates_to_a_prefix():
     for k in range(n):
         res = enumerate_program(P, EnumConfig(limit=k))
         assert res.truncated, k
-        assert len(res.executions) <= k + 1
-        assert res.executions == full.executions[:len(res.executions)]
-        assert res.outcomes == full.outcomes[:len(res.outcomes)]
+        assert res.executions == full.executions[:k]
+        assert res.outcomes == full.outcomes[:k]
     for k in (n, n + 1):
         res = enumerate_program(P, EnumConfig(limit=k))
         assert not res.truncated

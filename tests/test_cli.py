@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stellite import lang
 from stellite.axiomatic import valid
+from stellite.cut import cut
 from stellite.cli import (
     execution_from_json,
     execution_to_json,
@@ -46,7 +47,6 @@ def test_verify_json_report_is_deterministic_and_witness_is_valid(
                 str(CORPUS / "load_to_local_intro.tr"),
                 "--json",
                 str(f),
-                "--explain-cut",
             ]
         )
         assert rc == 1
@@ -57,7 +57,7 @@ def test_verify_json_report_is_deterministic_and_witness_is_valid(
     w = reports[0]["witness"]
     X = execution_from_json(w["execution"])
     assert valid(X)
-    assert w["cut"] == "passes"
+    assert cut(X)
     capsys.readouterr()
 
 
@@ -194,9 +194,18 @@ def test_version_flag(capsys):
     assert rc == 0 and "0.1.0" in out
 
 
+def test_verify_max_execs_caps_a_block_to_unknown(capsys):
+    rc = main(["verify", str(CORPUS / "load_dup.tr"), "--max-execs", "5"])
+    out = capsys.readouterr().out
+    assert rc == 2 and "Unknown" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["--seed", "1", "simulate", str(CORPUS / "sb.lit")],
     ["simulate", str(CORPUS / "sb.lit"), "--observable", "x"],
+    # lowering the derived context caps made a refuted row Verified
+    ["verify", str(CORPUS / "writeback_elim.tr"), "--budget", "total=0"],
+    ["verify", str(CORPUS / "load_to_local_intro.tr"), "--explain-cut"],
 ])
 def test_removed_flags_are_input_errors(argv, capsys):
     assert main(argv) == 3
@@ -279,11 +288,16 @@ def _mutated_execution(draw):
     return json.dumps(d)
 
 
+# the least value of each integer flag; an empty value domain leaves
+# loads no value to read
+_FLOORS = {"--values": 1, "--max-execs": 0}
+
+
 @st.composite
 def _bad_inputs(draw):
-    """A subcommand, and its input files with one of them replaced by
-    random text, cut short or, for an execution file, with a node
-    changed."""
+    """A subcommand, its input files with one of them replaced by random
+    text, cut short or, for an execution file, with a node changed, and
+    its integer flags, at times below their floor."""
     cmd = draw(st.sampled_from(sorted(_VALID)))
     files = list(_VALID[cmd])
     i = draw(st.integers(0, len(files) - 1))
@@ -296,12 +310,18 @@ def _bad_inputs(draw):
         files[i] = files[i][:draw(st.integers(0, len(files[i])))]
     else:
         files[i] = draw(_mutated_execution())
-    return cmd, files
+    flags = {}
+    if cmd != "adversary":
+        flags["--values"] = draw(st.integers(-1, 2))
+    if cmd == "verify":
+        # a cap keeps random blocks with many accesses quick
+        flags["--max-execs"] = draw(st.integers(-1, 1000))
+    return cmd, files, flags
 
 
 def _argv(cmd, paths):
     if cmd == "verify":
-        return ["verify", paths[0], "--budget", "total=2"]
+        return ["verify", paths[0]]
     if cmd == "simulate":
         return ["simulate", paths[0]]
     if cmd == "instance":
@@ -312,9 +332,16 @@ def _argv(cmd, paths):
 @settings(max_examples=60, deadline=None)
 @given(_bad_inputs())
 # JSON that is not an object once raised TypeError
-@example(("adversary", ["0", "st(x,11)"]))
+@example(("adversary", ["0", "st(x,11)"], {}))
+# an empty value domain: verify said Verified on writeback_elim.tr,
+# instance said "holds" and simulate allowed only v1=1 v2=1 on sb.lit
+@example(("verify", [(CORPUS / "writeback_elim.tr").read_text()],
+          {"--values": 0}))
+@example(("instance", _VALID["instance"], {"--values": 0}))
+@example(("simulate", _VALID["simulate"], {"--values": 0}))
+@example(("verify", _VALID["verify"], {"--max-execs": -1}))
 def test_bad_input_exits_with_a_code_and_no_traceback(case):
-    cmd, texts = case
+    cmd, texts, flags = case
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, text in enumerate(texts):
@@ -323,9 +350,12 @@ def test_bad_input_exits_with_a_code_and_no_traceback(case):
             paths.append(str(path))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(_argv(cmd, paths))
+            rc = main(_argv(cmd, paths)
+                      + [a for f, n in flags.items() for a in (f, str(n))])
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    if any(n < _FLOORS[f] for f, n in flags.items()):
+        assert rc == 3
 
 
 def test_verify_json_reports_rf_classes_and_deny_masks(tmp_path, capsys):

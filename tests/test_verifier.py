@@ -1,6 +1,7 @@
 """Context bounds, context enumeration and the refinement checks."""
 
 import dataclasses
+import itertools
 from pathlib import Path
 
 import pytest
@@ -37,8 +38,7 @@ def test_bound_for_a_double_store_block():
     b = context_bound(lang.parse_block("st(x,l); st(x,l)"),
                       lang.parse_block("st(x,l)"))
     assert b.reads["x"] == 2
-    assert b.vis_writes["x"] == 0
-    assert b.nonvis_writes["x"] == 3
+    assert b.writes["x"] == 3
 
 
 def test_bound_for_the_empty_block_has_no_locations():
@@ -50,8 +50,7 @@ def test_bound_for_a_single_load_block():
     b = context_bound(lang.parse_block("l := ld(x)"),
                       lang.parse_block("skip"))
     assert b.reads["x"] == 0
-    assert b.vis_writes["x"] == 1
-    assert b.nonvis_writes["x"] == 2
+    assert b.writes["x"] == 3
 
 
 def _over_the_caps(ctx, budget):
@@ -67,7 +66,7 @@ def _over_the_caps(ctx, budget):
             if a.gvar == loc and a.kind in ("store", "SC")
         )
         npairs = sum(1 for (ll, _) in ctx.S if ll.startswith(f"{loc}."))
-        if (nr > budget.reads.get(loc, 0) or nw > budget.writes(loc)
+        if (nr > budget.reads.get(loc, 0) or nw > budget.writes.get(loc, 0)
                 or (loc != lang.FENCE_VAR
                     and npairs > budget.pairs.get(loc, 0))):
             return True
@@ -85,8 +84,7 @@ def test_no_cut_shapes_exist_one_step_over_the_bound(b1, b2):
     base = context_bound(B1, B2)
     big = Budget(
         reads={k: v + 1 for k, v in base.reads.items()},
-        vis_writes=dict(base.vis_writes),
-        nonvis_writes={k: v + 1 for k, v in base.nonvis_writes.items()},
+        writes={k: v + 1 for k, v in base.writes.items()},
         pairs={k: v + 1 for k, v in base.pairs.items()},
         values=base.values,
     )
@@ -116,19 +114,19 @@ def test_data_location_pairs_are_enumerated_within_the_caps():
             assert (byid[ll].kind, byid[sc].kind) == ("LL", "SC")
             assert byid[ll].gvar == byid[sc].gvar == "x"
     # no pairs where the original block does not write or the new block
-    # does not read; wherever the new block reads, on request
+    # does not read; wherever the new block reads, in the wide bound
     for (b1, b2) in [("l := ld(x)", "skip"), ("st(x,l)", "st(x,l)"),
                      ("l := ld(x); l := ld(x)", "l := ld(x)")]:
         P1, P2 = lang.parse_block(b1), lang.parse_block(b2)
         assert context_bound(P1, P2).pairs == {}
         assert all(not c.S for c in enumerate_contexts(P1, P2))
-    wide = context_bound(lang.parse_block("l := ld(x); m := ld(x); st(y,l)"),
-                         lang.parse_block("skip"), pairs_everywhere=True)
+    wide = _pairs_everywhere(
+        lang.parse_block("l := ld(x); m := ld(x); st(y,l)"),
+        lang.parse_block("skip"))
     assert wide.pairs == {"x": 2}
-    # a pair cap above the read or write cap (say from --budget) is cut
-    # down to it, and the empty context stays
-    tight = Budget(reads={"x": 0}, vis_writes={"x": 1}, nonvis_writes={},
-                   pairs={"x": 1})
+    # a pair cap above the read or write cap is cut down to it, and the
+    # empty context stays
+    tight = Budget(reads={"x": 0}, writes={"x": 1}, pairs={"x": 1})
     ctxs = list(enumerate_contexts(B1, B2, tight))
     assert ctxs[0].actions == ()
     assert {a.kind for c in ctxs for a in c.actions} == {"store"}
@@ -146,7 +144,7 @@ def test_zero_budget_yields_exactly_the_empty_context():
 
 def test_single_read_budget_yields_one_load_per_value():
     B = lang.parse_block("st(x,l)")
-    budget = Budget(reads={"x": 1}, vis_writes={}, nonvis_writes={})
+    budget = Budget(reads={"x": 1}, writes={})
     ctxs = enumerate_contexts(B, B, budget)
     sigs = sorted(
         tuple((a.kind, a.gvar, a.vals) for a in c.actions) for c in ctxs
@@ -198,11 +196,15 @@ DETERMINISM_ROWS = [
 
 
 @pytest.mark.parametrize("b1,b2,want", DETERMINISM_ROWS)
-def test_verdicts_are_independent_of_enumeration_order(b1, b2, want):
-    asc = check_cut_refinement(b1, b2, order="asc")
-    desc = check_cut_refinement(b1, b2, order="desc")
-    assert asc.outcome == want
-    assert desc.outcome == want
+def test_verdicts_are_independent_of_enumeration_order(b1, b2, want,
+                                                       monkeypatch):
+    forward = check_cut_refinement(b1, b2)
+    enumerate_all = verifier.enumerate_contexts
+    monkeypatch.setattr(verifier, "enumerate_contexts",
+                        lambda *args: reversed(list(enumerate_all(*args))))
+    backward = check_cut_refinement(b1, b2)
+    assert forward.outcome == want
+    assert backward.outcome == want
 
 
 @pytest.mark.parametrize(
@@ -216,8 +218,7 @@ def test_enlarging_the_budget_never_flips_refuted_to_verified(b1, b2):
     assert check_cut_refinement(B1, B2, base).outcome == "Refuted"
     bigger = Budget(
         reads={k: v + 1 for k, v in base.reads.items()},
-        vis_writes=dict(base.vis_writes),
-        nonvis_writes={k: v + 1 for k, v in base.nonvis_writes.items()},
+        writes={k: v + 1 for k, v in base.writes.items()},
         values=base.values,
     )
     assert check_cut_refinement(B1, B2, bigger).outcome == "Refuted"
@@ -259,6 +260,17 @@ def test_the_execution_budget_caps_cut_survivors_on_the_b1_side():
     assert check_cut_refinement(B1, B2, within).outcome == "Verified"
     below = dataclasses.replace(budget, max_block_execs=survivors - 1)
     assert check_cut_refinement(B1, B2, below).outcome == "Unknown"
+
+
+@pytest.mark.parametrize("fname,want", SUITE)
+def test_the_execution_cap_gives_the_table_verdict_or_unknown(fname, want):
+    # the one budget field that may differ from context_bound's
+    B2, B1 = lang.parse_transformation((CORPUS / fname).read_text())
+    budget = context_bound(B1, B2)
+    for cap in (0, 1, 10, 100):
+        capped = dataclasses.replace(budget, max_block_execs=cap)
+        assert check_cut_refinement(B1, B2, capped).outcome in (
+            want, "Unknown"), cap
 
 
 def test_refutation_witnesses_pass_the_filter_and_lack_a_match():
@@ -472,18 +484,39 @@ def test_the_finite_check_refutes_both_transformations(
 
 # ---------------------------------------------------------------------------
 # context_bound puts LL/SC pairs only where the original block writes and
-# the new block reads; pairs_everywhere, wherever the new block reads, is
+# the new block reads; _pairs_everywhere, wherever the new block reads, is
 # the reference that narrowing is compared with
+
+
+def _pairs_everywhere(B1, B2):
+    """context_bound(B1, B2) with LL/SC pairs at every data location B1
+    reads, each pair adding one read and one write to the caps."""
+    budget = context_bound(B1, B2)
+    r1, _ = verifier._code_counts(B1, budget.values)
+    for x, n in r1.items():
+        if x != lang.FENCE_VAR and x not in budget.pairs:
+            budget.pairs[x] = n
+            budget.reads[x] += n
+            budget.writes[x] += n
+    return budget
 
 
 def _pair_narrowing_agrees(B1, B2, total=None):
     """The two bounds give one verdict, over the contexts of at most total
     actions if total is given."""
-    outcomes = []
-    for everywhere in (False, True):
-        budget = context_bound(B1, B2, pairs_everywhere=everywhere)
-        budget.total = total
-        outcomes.append(check_cut_refinement(B1, B2, budget).outcome)
+    enumerate_all = verifier.enumerate_contexts
+
+    def enumerate_small(*args):
+        # contexts come smallest first
+        return itertools.takewhile(lambda c: len(c.actions) <= total,
+                                   enumerate_all(*args))
+
+    with pytest.MonkeyPatch.context() as mp:
+        if total is not None:
+            mp.setattr(verifier, "enumerate_contexts", enumerate_small)
+        outcomes = [check_cut_refinement(B1, B2, budget).outcome
+                    for budget in (context_bound(B1, B2),
+                                   _pairs_everywhere(B1, B2))]
     assert outcomes[0] == outcomes[1]
 
 
@@ -512,8 +545,7 @@ _BLOCKS = st.lists(st.sampled_from([
 def test_pair_narrowing_keeps_verdicts_on_random_blocks(b1, b2):
     B1, B2 = lang.parse_block(b1), lang.parse_block(b2)
     # a second read of x makes even the small contexts slow (load_dup)
-    assume(context_bound(B1, B1, pairs_everywhere=True).pairs.get("x", 0)
-           <= 1)
+    assume(_pairs_everywhere(B1, B1).pairs.get("x", 0) <= 1)
     # five actions hold both counterexample shapes: a pair, and a store
     # that its LL and a code read both read
     _pair_narrowing_agrees(B1, B2, total=5)
