@@ -99,6 +99,13 @@ def closure(edges):
     return frozenset((u, v) for u, vs in succ.items() for v in vs)
 
 
+def _bits(mask):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 def _hb_rf(rf, byid, mode):
     """The rf edges that seed hb: all of rf, but in NA mode none into or
     out of an NA action."""
@@ -323,8 +330,8 @@ def _mo_orders(ws, hb, rf, at, byid, hidden):
         if placed == full:
             out.append(tuple(ws[i] for i in order))
             return
-        for i in range(n):
-            if (placed & 1 << i or _mo_step(masks, placed, last, i)
+        for i in _bits(full & ~placed):
+            if (_mo_step(masks, placed, last, i)
                     or last >= 0 and hid[last] and hid[i]):
                 continue
             order.append(i)
@@ -333,6 +340,24 @@ def _mo_orders(ws, hb, rf, at, byid, hidden):
 
     grow(0, -1)
     return out
+
+
+def _add_hb_edges(rows, edges, pos):
+    """The reachability bit rows of an acyclic relation, bit j of row i
+    when the action at position i reaches the one at j, with edges added,
+    or None when an edge (w, r) closes a cycle: r already reaches w."""
+    rows = list(rows)
+    for (w, r) in edges:
+        i, j = pos[w], pos[r]
+        bw = 1 << i
+        if rows[j] & bw:
+            return None
+        add = rows[j] | 1 << j
+        rows[i] |= add
+        for k, row in enumerate(rows):
+            if row & bw:
+                rows[k] = row | add
+    return rows
 
 
 def rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT", pruner=None):
@@ -347,6 +372,11 @@ def rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT", pruner=None):
     alone decides, is the same for every mo order of a class. A pruner
     (cut.CutPruner) narrows the rf candidates, rejects rf choices and
     drops mo orders that its filter would discard.
+
+    hb is decided on reachability bit rows over the positions of the
+    actions: closure(sb ∪ r_ctx) once, at the first admitted rf choice,
+    then each choice's hb-seeding rf edges added to a copy of its rows.
+    The pair set hb is built only for the choices without an hb cycle.
     """
     byid = {a.aid: a for a in actions}
     reads = [a for a in actions if is_read(a)]
@@ -359,7 +389,9 @@ def rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT", pruner=None):
             opts = pruner.sources(r.aid, opts)
         cands.append(opts)
     movars = _mo_locations(writes)
-    base = set(sb) | set(r_ctx)
+    aids = [a.aid for a in actions]
+    pos = {aid: i for i, aid in enumerate(aids)}
+    base = base_rows = None
     for choice in itertools.product(*cands):
         rf = frozenset(
             (w, r.aid) for w, r in zip(choice, reads) if w is not None
@@ -369,9 +401,22 @@ def rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT", pruner=None):
             hidden = pruner.admit(rf, reads)
             if hidden is None:
                 continue
-        hb = closure(base | _hb_rf(rf, byid, mode))
-        if (_hb_cycle(hb) is not None
-                or _rf_violation(reads, writes, byid, rf, hb, mode)):
+        if base is None:
+            base = closure(set(sb) | set(r_ctx))
+            if _hb_cycle(base) is not None:
+                return
+            base_rows = [0] * len(actions)
+            for (u, v) in base:
+                base_rows[pos[u]] |= 1 << pos[v]
+        rows = _add_hb_edges(base_rows, _hb_rf(rf, byid, mode), pos)
+        if rows is None:
+            continue
+        hb = base.union([
+            (aids[i], aids[j])
+            for i, (row, old) in enumerate(zip(rows, base_rows))
+            if row != old for j in _bits(row & ~old)
+        ])
+        if _rf_violation(reads, writes, byid, rf, hb, mode):
             continue
         mo_choices = [_mo_orders(ws, hb, rf, at, byid, hidden)
                       for ws in movars.values()]

@@ -180,6 +180,15 @@ def hist_ext(X: Execution) -> ExtendedHistory:
     return ExtendedHistory(h.A, h.G, D, acyc)
 
 
+def class_hist_ext(X: Execution, masks: ClassMasks,
+                   index: PairIndex) -> ExtendedHistory:
+    """hist_ext(X) for an execution X of the rf class whose ClassMasks,
+    built under index, are masks."""
+    h = hist(X)
+    return ExtendedHistory(h.A, h.G, index.decode(masks.deny(X.mo)),
+                           index.decode(masks.acyc))
+
+
 def refines_h(H1: History, H2: History) -> bool:
     """History refinement: equal action sets, the left side guarantees at
     least as much."""

@@ -35,7 +35,14 @@ from .blocklocal import (
     sigma_space,
 )
 from .cut import CutPruner
-from .history import ClassMasks, PairIndex, hist, hist_ext, refines_h
+from .history import (
+    ClassMasks,
+    PairIndex,
+    class_hist_ext,
+    hist,
+    hist_ext,
+    refines_h,
+)
 
 
 @dataclass
@@ -359,8 +366,9 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
                 if X is None:
                     continue
                 e1 = hist_ext(X)
-                # every candidate, in the order block_classes yields them
-                h2s = [hist_ext(Y) for c in classes
+                # every candidate, in the order block_classes yields them,
+                # read off the masks of its class
+                h2s = [class_hist_ext(Y, c.masks, index) for c in classes
                        for Y in class_executions(
                            *c.rf_class, locals_order=locals_order)]
                 return Verdict(

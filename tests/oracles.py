@@ -16,7 +16,6 @@ from stellite import lang
 from stellite.axiomatic import (
     Action,
     EnumConfig,
-    closure,
     enumerate_program,
     is_atomic_write,
     is_na,
@@ -30,6 +29,25 @@ from stellite.verifier import context_bound, enumerate_contexts
 
 # ---------------------------------------------------------------------------
 # brute-force whole-program oracle
+
+
+def _closure(edges):
+    """Transitive closure of a set of pairs: each node paired with every
+    node a depth-first walk from it reaches. The package's closure is not
+    used, so the oracles share no relation code with what they check."""
+    succ = {}
+    for u, v in edges:
+        succ.setdefault(u, []).append(v)
+    out = set()
+    for u, vs in succ.items():
+        seen, stack = set(), list(vs)
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(succ.get(v, ()))
+        out.update((u, v) for v in seen)
+    return out
 
 
 def _oracle_at(acts, sb):
@@ -79,7 +97,7 @@ def _oracle_valid(acts, sb, at, rf, mo, mode):
         for (w, r) in rf
         if not (mode == "NA" and (is_na(byid[w]) or is_na(byid[r])))
     }
-    hb = closure(set(sb) | rf_hb)
+    hb = _closure(set(sb) | rf_hb)
     if any(u == v for (u, v) in hb):
         return False
     if any((w2, w1) in hb for (w1, w2) in mo):
@@ -197,7 +215,7 @@ def deny_domain(X):
 def oracle_deny_hit(X, u, v):
     """True iff enforcing u happens-before v completes a violation of the
     order-contradiction, overwritten-read or read-from-nothing axiom."""
-    hb2 = closure(set(X.hb) | {(u, v)})
+    hb2 = _closure(set(X.hb) | {(u, v)})
     if any((w2, w1) in hb2 for (w1, w2) in X.mo):
         return True
     for (w1, r) in X.rf:

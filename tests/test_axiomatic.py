@@ -1,16 +1,26 @@
 """Execution validity, whole-program enumeration and observation."""
 
 import itertools
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stellite import lang
 from stellite.axiomatic import (
     Action,
     EnumConfig,
     Execution,
+    _hb_cycle,
+    _hb_rf,
+    _may_read_from,
+    _mo_locations,
+    _mo_masks,
+    _mo_step,
+    _rf_violation,
     check_axioms,
     closure,
+    derive_at,
     derive_hb,
     enumerate_program,
     is_atomic_write,
@@ -18,9 +28,14 @@ from stellite.axiomatic import (
     is_write,
     obs_refines_ex,
     obs_refines_pr,
+    rf_classes,
     safe,
     valid,
 )
+from stellite.blocklocal import _under, pre_executions, sigma_space
+from stellite.cut import CutPruner
+from stellite.verifier import check_cut_refinement, context_bound, \
+    enumerate_contexts
 
 from oracles import (
     _oracle_at,
@@ -28,6 +43,9 @@ from oracles import (
     brute_force_signatures,
     enumerated_signatures,
 )
+from test_acceptance import SUITE
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _exec(actions, sb=(), rf=(), mo=(), at=(), mode="AT", r_ctx=()):
@@ -372,3 +390,175 @@ def test_extra_store_is_observably_distinguishable():
     )
     assert sees2(r1) and not sees2(r2)
     assert not obs_refines_pr(P1, P2, {"e"})
+
+
+# ---------------------------------------------------------------------------
+# rf_classes, which decides hb on reachability bit rows, against the slow
+# path it replaced: the pair-set closure of sb, r_ctx and rf for every rf
+# choice, then the HBDEF cycle test, then the other checks
+
+
+def _slow_mo_orders(ws, hb, rf, at, byid, hidden):
+    """The permutations of ws, in itertools order, that break no mo
+    axiom at any step and leave no two hidden writes adjacent."""
+    masks = _mo_masks(ws, hb, rf, at, byid)
+    out = []
+    for perm in itertools.permutations(range(len(ws))):
+        placed, last = 0, -1
+        for i in perm:
+            if (_mo_step(masks, placed, last, i)
+                    or last >= 0 and ws[last] in hidden and ws[i] in hidden):
+                break
+            placed, last = placed | 1 << i, i
+        else:
+            out.append(tuple(ws[i] for i in perm))
+    return out
+
+
+def _slow_rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT",
+                     pruner=None):
+    byid = {a.aid: a for a in actions}
+    reads = [a for a in actions if is_read(a)]
+    writes = [a for a in actions if is_write(a)]
+    cands = []
+    for r in reads:
+        opts = [None] if _may_read_from(None, r) else []
+        opts += [w.aid for w in writes if _may_read_from(w, r)]
+        cands.append(opts if pruner is None else pruner.sources(r.aid, opts))
+    for choice in itertools.product(*cands):
+        rf = frozenset((w, r.aid) for w, r in zip(choice, reads)
+                       if w is not None)
+        hidden = frozenset() if pruner is None else pruner.admit(rf, reads)
+        if hidden is None:
+            continue
+        hb = closure(set(sb) | set(r_ctx) | _hb_rf(rf, byid, mode))
+        if (_hb_cycle(hb) is not None
+                or _rf_violation(reads, writes, byid, rf, hb, mode)):
+            continue
+        mo_choices = [_slow_mo_orders(ws, hb, rf, at, byid, hidden)
+                      for ws in _mo_locations(writes).values()]
+        if all(mo_choices):
+            yield rf, hb, mo_choices
+
+
+def _assert_rf_classes_match(pre, mode="AT", pruner=None):
+    """rf_classes and the slow path give the same classes in the same
+    order; returns how many."""
+    fast = list(rf_classes(*pre, mode, pruner))
+    assert fast == list(_slow_rf_classes(*pre, mode, pruner)), pre
+    return len(fast)
+
+
+def _program_pres(P, values=frozenset({0, 1})):
+    """The pre-executions enumerate_program completes for P."""
+    values = frozenset(values) | lang.literals_of(P)
+    per = [lang.thread_local_block(th, {l: 0 for l in lang.locals_of(th)},
+                                   values, prefix=f"t{i}.")
+           for i, th in enumerate(lang.threads_of(P))]
+    for combo in itertools.product(*per):
+        acts = tuple(a for (aa, _, _) in combo for a in aa)
+        sb = frozenset(p for (_, s, _) in combo for p in s)
+        yield acts, sb, derive_at(acts, sb), frozenset()
+
+
+def test_rf_classes_match_the_slow_path_on_the_corpus_programs():
+    programs = [(t, "AT") for t in ORACLE_PROGRAMS_AT]
+    programs += [(t, "NA") for t in ORACLE_PROGRAMS_NA]
+    programs += [((CORPUS / f).read_text(), "NA" if "na_" in f else "AT")
+                 for f in sorted(p.name for p in CORPUS.glob("*.lit"))]
+    assert sum(_assert_rf_classes_match(pre, mode)
+               for text, mode in programs
+               for pre in _program_pres(lang.parse_program(text))) >= 40
+
+
+def test_rf_classes_match_the_slow_path_on_the_corpus_rows():
+    # each block of each SUITE row at V=2, with and without the cut's
+    # pruner, under every context its check enumerates
+    values = frozenset({0, 1})
+    seen, classes = set(), 0
+    for fname, _ in SUITE:
+        B2, B1 = lang.parse_transformation((CORPUS / fname).read_text())
+        budget = context_bound(B1, B2, values)
+        reached = check_cut_refinement(B1, B2, budget).stats["contexts"]
+        for ctx in itertools.islice(enumerate_contexts(B1, B2, budget),
+                                    reached):
+            pruner = CutPruner(ctx.actions, ctx.S)
+            for B in (B1, B2):
+                if (B, ctx) in seen:
+                    continue
+                seen.add((B, ctx))
+                locals_order = lang.locals_of(B)
+                for sigma in sigma_space(locals_order, lang.live_in(B),
+                                         values):
+                    for p in pre_executions(B, sigma, values, locals_order):
+                        pre = _under(p, ctx)
+                        classes += _assert_rf_classes_match(pre)
+                        classes += _assert_rf_classes_match(pre,
+                                                            pruner=pruner)
+    assert classes > 4000
+
+
+_KINDS = ("load", "store", "LL", "SC", "load_NA", "store_NA")
+
+
+@st.composite
+def _random_pres(draw):
+    """A pre-execution of two to six actions at x and y, a third of them
+    context actions: sb forward along a random order, so acyclic; r_ctx
+    any pairs, so often cyclic; at some LL/SC pairs of one location. Then
+    a mode, with
+    non-atomics only in NA mode, and, for some, the CutPruner of the
+    context actions and their at pairs."""
+    mode = draw(st.sampled_from(["AT", "NA"]))
+    kinds = _KINDS if mode == "NA" else _KINDS[:4]
+    acts = tuple(
+        Action(f"a{i}", draw(st.sampled_from(kinds)),
+               draw(st.sampled_from("xy")), (draw(st.integers(0, 1)),),
+               draw(st.sampled_from(["code", "code", "context"])))
+        for i in range(draw(st.integers(2, 6))))
+    ids = [a.aid for a in acts]
+    order = draw(st.permutations(ids))
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+    sb = draw(st.frozensets(
+        st.sampled_from(list(itertools.combinations(order, 2))),
+        max_size=6))
+    r_ctx = draw(st.frozensets(pair, max_size=2))
+    at = draw(st.frozensets(st.sampled_from(
+        [(u.aid, v.aid) for u in acts for v in acts if u.kind == "LL"
+         and v.kind == "SC" and u.gvar == v.gvar] or [None]), max_size=2))
+    at = frozenset(at) - {None}
+    pruner = None
+    if draw(st.booleans()):
+        ctx = [a for a in acts if a.origin == "context"]
+        S = {(u, v) for (u, v) in at
+             if {u, v} <= {a.aid for a in ctx}}
+        pruner = CutPruner(ctx, S)
+    return (acts, sb, at, r_ctx), mode, pruner
+
+
+_CTX_STORE = Action("c", "store", "x", (1,), "context")
+
+
+def _case(acts, sb=(), r_ctx=(), mode="AT", pruner=None):
+    return (tuple(acts), frozenset(sb), frozenset(), frozenset(r_ctx)), \
+        mode, pruner
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_pres())
+# a cyclic R base; load buffering, where both reads read the other
+# thread's write only through an hb cycle; RFHBNA, a non-atomic read of a
+# write it is not sb-after; and a context store a pruner must hide
+@example(_case([A("a", "store", "x", 1), A("b", "load", "x", 1)],
+               r_ctx=[("a", "b"), ("b", "a")]))
+@example(_case([A("r1", "load", "x", 1), A("w1", "store", "y", 1),
+                A("r2", "load", "y", 1), A("w2", "store", "x", 1)],
+               sb=[("r1", "w1"), ("r2", "w2")]))
+@example(_case([A("w", "store_NA", "x", 1), A("r", "load_NA", "x", 1)],
+               mode="NA"))
+@example(_case([A("w", "store", "x", 1), _CTX_STORE,
+                A("r", "load", "x", 1)],
+               sb=[("w", "r")], pruner=CutPruner([_CTX_STORE], ())))
+def test_rf_classes_match_the_slow_path_on_random_pre_executions(case):
+    pre, mode, pruner = case
+    _assert_rf_classes_match(pre, mode, pruner)
