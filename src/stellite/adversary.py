@@ -17,7 +17,7 @@ from . import lang
 from .axiomatic import (
     Action,
     EnumConfig,
-    closure,
+    derive_hb,
     enumerate_program,
     is_write,
 )
@@ -240,7 +240,7 @@ def reproduce(X, B) -> bool:
     target_code = _sorted_by_sb(code_of(X), X.sb)
     # expected context-visible hb: consequences of R and of pair chaining
     chain = {(ll, sc) for (ll, sc) in X.at}
-    expected = closure(set(closed_R(X)) | chain)
+    expected = derive_hb(X.actions, closed_R(X) | chain, ())
     ctx_ids = {a.aid for a in contx_of(X)}
     expected = frozenset(
         (u, v) for (u, v) in expected if in_r_shape(u, v, ctx_ids))

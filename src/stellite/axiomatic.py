@@ -81,24 +81,6 @@ class Execution:
 # relation helpers
 
 
-def closure(edges):
-    """Transitive closure of a set of id pairs."""
-    succ = {}
-    for u, v in edges:
-        succ.setdefault(u, set()).add(v)
-    changed = True
-    while changed:
-        changed = False
-        for u, vs in succ.items():
-            add = set()
-            for v in vs:
-                add |= succ.get(v, set())
-            if not add <= vs:
-                vs |= add
-                changed = True
-    return frozenset((u, v) for u, vs in succ.items() for v in vs)
-
-
 def _bits(mask):
     """The positions of the set bits of mask, ascending."""
     while mask:
@@ -110,15 +92,51 @@ def _hb_rf(rf, byid, mode):
     """The rf edges that seed hb: all of rf, but in NA mode none into or
     out of an NA action."""
     if mode != "NA":
-        return set(rf)
-    return {(w, r) for (w, r) in rf
-            if not (is_na(byid[w]) or is_na(byid[r]))}
+        return rf
+    return [(w, r) for (w, r) in rf
+            if not (is_na(byid[w]) or is_na(byid[r]))]
+
+
+def _add_hb_edges(rows, edges, pos):
+    """The reachability bit rows of an acyclic relation, bit j of row i
+    when the action at position i reaches the one at j, with edges added,
+    or None when an edge (w, r) closes a cycle: w is r, or r already
+    reaches w. From rows of zeros this is the closure of edges."""
+    rows = list(rows)
+    for (w, r) in edges:
+        i, j = pos[w], pos[r]
+        bw = 1 << i
+        if i == j or rows[j] & bw:
+            return None
+        add = rows[j] | 1 << j
+        rows[i] |= add
+        for k, row in enumerate(rows):
+            if row & bw:
+                rows[k] = row | add
+    return rows
+
+
+def _hb_pairs(rows, aids):
+    """The pairs of the relation with bit rows rows over the positions of
+    the ids aids."""
+    return frozenset((u, aids[j]) for u, row in zip(aids, rows)
+                     for j in _bits(row))
+
+
+def _derived_rows(actions, byid, sb, rf, R, mode):
+    """The bit rows of (sb ∪ rf ∪ R)+ over the positions of actions, with
+    rf filtered by _hb_rf, or None when that relation is cyclic."""
+    pos = {a.aid: i for i, a in enumerate(actions)}
+    return _add_hb_edges([0] * len(pos),
+                         itertools.chain(sb, _hb_rf(rf, byid, mode), R), pos)
 
 
 def derive_hb(actions, sb, rf, R=frozenset(), mode="AT"):
-    """hb = (sb ∪ rf ∪ R)+, with rf filtered by _hb_rf."""
+    """hb = (sb ∪ rf ∪ R)+, with rf filtered by _hb_rf, as pairs, or None
+    when that relation is cyclic."""
     byid = {a.aid: a for a in actions}
-    return closure(set(sb) | _hb_rf(rf, byid, mode) | set(R))
+    rows = _derived_rows(actions, byid, sb, rf, R, mode)
+    return None if rows is None else _hb_pairs(rows, list(byid))
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +152,14 @@ def _may_read_from(w, r):
     return w.gvar == r.gvar and w.vals == r.vals
 
 
-def _hb_cycle(hb):
-    """An action that happens before itself (HBDEF), or None."""
-    return next((u for (u, v) in hb if u == v), None)
-
-
-def _rf_violation(reads, writes, byid, rf, hb, mode):
+def _rf_violation(reads, writes, byid, rf, rows, pos, mode):
     """The first break of RFVAL, RFHBNA or COHERNA as (name, witness), or
-    None. RFVAL: a read without a source may read the initial value and
-    no write of its location happens before it. In NA mode, RFHBNA: an rf
-    edge into or out of an NA action is in hb; COHERNA: no NA write of
-    its location happens between an NA read and its source."""
+    None, with hb the bit rows rows over the positions pos. RFVAL: a read
+    without a source may read the initial value and no write of its
+    location happens before it. In NA mode, RFHBNA: an rf edge into or
+    out of an NA action is in hb; COHERNA: no NA write of its location
+    happens between an NA read and its source."""
+    hb = lambda u, v: rows[pos[u]] >> pos[v] & 1
     srcs = {r for (_, r) in rf}
     for r in reads:
         if r.aid in srcs:
@@ -152,20 +167,20 @@ def _rf_violation(reads, writes, byid, rf, hb, mode):
         if not _may_read_from(None, r):
             return ("RFVAL", (r.aid,))
         for w in writes:
-            if w.gvar == r.gvar and (w.aid, r.aid) in hb:
+            if w.gvar == r.gvar and hb(w.aid, r.aid):
                 return ("RFVAL", (r.aid, w.aid))
     if mode != "NA":
         return None
     for (w, r) in rf:
-        if (is_na(byid[w]) or is_na(byid[r])) and (w, r) not in hb:
+        if (is_na(byid[w]) or is_na(byid[r])) and not hb(w, r):
             return ("RFHBNA", (w, r))
     for (w1, r) in rf:
         ra = byid[r]
         if not is_na(ra):
             continue
         for w2 in writes:
-            if (is_na(w2) and w2.gvar == ra.gvar and (w1, w2.aid) in hb
-                    and (w2.aid, r) in hb):
+            if (is_na(w2) and w2.gvar == ra.gvar and hb(w1, w2.aid)
+                    and hb(w2.aid, r)):
                 return ("COHERNA", (w1, w2.aid, r))
     return None
 
@@ -179,22 +194,26 @@ def _mo_locations(writes):
     return locs
 
 
-def _mo_masks(ws, hb, rf, at, byid):
+def _mo_masks(ws, rows, pos, rf, at, byid):
     """Three bit masks over the writes ws of one location for each write
     c: the writes that must come before c (HBVSMO), the writes c may not
     follow because c happens before one of their readers (COHERENCE), and
     the SCs that must come right after c because their LL reads c (ATOM).
-    An LL that reads no write constrains no SC."""
+    hb is the bit rows rows over the positions pos. An LL that reads no
+    write constrains no SC."""
     idx = {w: i for i, w in enumerate(ws)}
-    preds = [sum(1 << idx[w] for w in ws if (w, c) in hb) for c in ws]
+    wrows = [rows[pos[w]] for w in ws]
+    preds = [sum(1 << i for i, row in enumerate(wrows) if row >> pos[c] & 1)
+             for c in ws]
     late = [0] * len(ws)
     succ = [0] * len(ws)
     src = {}
     for (w, r) in rf:
         src[r] = w
         if w in idx:
-            for i, c in enumerate(ws):
-                if (c, r) in hb:
+            br = 1 << pos[r]
+            for i, row in enumerate(wrows):
+                if row & br:
                     late[i] |= 1 << idx[w]
     for (ll, sc) in at:
         w = src.get(ll)
@@ -240,19 +259,19 @@ def check_axioms(X: Execution):
         if (wa is None or ra is None or not is_write(wa) or not is_read(ra)
                 or not _may_read_from(wa, ra) or srcs.setdefault(r, w) != w):
             return ("RFWF", (w, r))
-    hb = derive_hb(X.actions, X.sb, X.rf, X.r_ctx, X.mode)
-    if hb != X.hb:
+    rows = _derived_rows(X.actions, byid, X.sb, X.rf, X.r_ctx, X.mode)
+    if rows is None:
+        return ("HBDEF", ("sb ∪ rf ∪ R is cyclic",))
+    if _hb_pairs(rows, list(byid)) != X.hb:
         return ("HBDEF", ("hb differs from derived closure",))
-    u = _hb_cycle(hb)
-    if u is not None:
-        return ("HBDEF", (u,))
+    pos = {aid: i for i, aid in enumerate(byid)}
     for ws in orders:
-        masks = _mo_masks(ws, hb, X.rf, X.at, byid)
+        masks = _mo_masks(ws, rows, pos, X.rf, X.at, byid)
         for i in range(len(ws)):
             name = _mo_step(masks, (1 << i) - 1, i - 1, i)
             if name is not None:
                 return (name, tuple(ws[:i + 1]))
-    return _rf_violation(reads, writes, byid, X.rf, hb, X.mode)
+    return _rf_violation(reads, writes, byid, X.rf, rows, pos, X.mode)
 
 
 def valid(X: Execution) -> bool:
@@ -313,15 +332,15 @@ def derive_at(actions, sb):
 # completion of a pre-execution to valid executions
 
 
-def _mo_orders(ws, hb, rf, at, byid, hidden):
+def _mo_orders(ws, rows, pos, rf, at, byid, hidden):
     """The total orders of the writes ws of one location that keep the mo
     axioms (_mo_step) and leave no two hidden writes adjacent, in
-    itertools.permutations(ws) order. A prefix that breaks one is not
-    extended."""
+    itertools.permutations(ws) order, with hb the bit rows rows over the
+    positions pos. A prefix that breaks one is not extended."""
     n = len(ws)
     if n == 1:
         return [tuple(ws)]
-    masks = _mo_masks(ws, hb, rf, at, byid)
+    masks = _mo_masks(ws, rows, pos, rf, at, byid)
     hid = [w in hidden for w in ws]
     full = (1 << n) - 1
     out, order = [], []
@@ -342,28 +361,10 @@ def _mo_orders(ws, hb, rf, at, byid, hidden):
     return out
 
 
-def _add_hb_edges(rows, edges, pos):
-    """The reachability bit rows of an acyclic relation, bit j of row i
-    when the action at position i reaches the one at j, with edges added,
-    or None when an edge (w, r) closes a cycle: r already reaches w."""
-    rows = list(rows)
-    for (w, r) in edges:
-        i, j = pos[w], pos[r]
-        bw = 1 << i
-        if rows[j] & bw:
-            return None
-        add = rows[j] | 1 << j
-        rows[i] |= add
-        for k, row in enumerate(rows):
-            if row & bw:
-                rows[k] = row | add
-    return rows
-
-
 def rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT", pruner=None):
     """The valid completions of a pre-execution, one class per rf choice.
 
-    Yields (rf, hb, mo_choices) for every rf choice that has a valid
+    Yields (rf, rows, mo_choices) for every rf choice that has a valid
     completion: rf candidates are the writes a read may read from
     (_may_read_from); an rf choice is kept when hb is acyclic and
     _rf_violation finds nothing; mo_choices holds, per location, the
@@ -373,10 +374,10 @@ def rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT", pruner=None):
     (cut.CutPruner) narrows the rf candidates, rejects rf choices and
     drops mo orders that its filter would discard.
 
-    hb is decided on reachability bit rows over the positions of the
-    actions: closure(sb ∪ r_ctx) once, at the first admitted rf choice,
-    then each choice's hb-seeding rf edges added to a copy of its rows.
-    The pair set hb is built only for the choices without an hb cycle.
+    hb is kept as rows, its reachability bit rows over the positions of
+    the actions (_add_hb_edges): the closure of sb ∪ r_ctx once, at the
+    first admitted rf choice, then each choice's hb-seeding rf edges
+    added to a copy of its rows.
     """
     byid = {a.aid: a for a in actions}
     reads = [a for a in actions if is_read(a)]
@@ -389,9 +390,8 @@ def rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT", pruner=None):
             opts = pruner.sources(r.aid, opts)
         cands.append(opts)
     movars = _mo_locations(writes)
-    aids = [a.aid for a in actions]
-    pos = {aid: i for i, aid in enumerate(aids)}
-    base = base_rows = None
+    pos = {a.aid: i for i, a in enumerate(actions)}
+    base = None
     for choice in itertools.product(*cands):
         rf = frozenset(
             (w, r.aid) for w, r in zip(choice, reads) if w is not None
@@ -402,26 +402,18 @@ def rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT", pruner=None):
             if hidden is None:
                 continue
         if base is None:
-            base = closure(set(sb) | set(r_ctx))
-            if _hb_cycle(base) is not None:
+            base = _add_hb_edges([0] * len(actions),
+                                 itertools.chain(sb, r_ctx), pos)
+            if base is None:
                 return
-            base_rows = [0] * len(actions)
-            for (u, v) in base:
-                base_rows[pos[u]] |= 1 << pos[v]
-        rows = _add_hb_edges(base_rows, _hb_rf(rf, byid, mode), pos)
-        if rows is None:
+        rows = _add_hb_edges(base, _hb_rf(rf, byid, mode), pos)
+        if rows is None or _rf_violation(reads, writes, byid, rf, rows, pos,
+                                         mode):
             continue
-        hb = base.union([
-            (aids[i], aids[j])
-            for i, (row, old) in enumerate(zip(rows, base_rows))
-            if row != old for j in _bits(row & ~old)
-        ])
-        if _rf_violation(reads, writes, byid, rf, hb, mode):
-            continue
-        mo_choices = [_mo_orders(ws, hb, rf, at, byid, hidden)
+        mo_choices = [_mo_orders(ws, rows, pos, rf, at, byid, hidden)
                       for ws in movars.values()]
         if all(mo_choices):
-            yield rf, hb, mo_choices
+            yield rf, rows, mo_choices
 
 
 def mo_pairs(mo_choice):
@@ -431,11 +423,13 @@ def mo_pairs(mo_choice):
     ))
 
 
-def class_executions(pre, rf, hb, mo_choices, mode="AT", locals_order=()):
+def class_executions(pre, rf, rows, mo_choices, mode="AT", locals_order=()):
     """The executions of one rf class of the pre-execution pre, the
     (actions, sb, at, r_ctx) that rf_classes took, one for each element
-    of the product of mo_choices, in order."""
+    of the product of mo_choices, in order. Their hb is decoded from the
+    class's rows once."""
     actions, sb, at, r_ctx = pre
+    hb = _hb_pairs(rows, [a.aid for a in actions])
     for mo_choice in itertools.product(*mo_choices):
         yield Execution(
             actions=actions,
@@ -459,9 +453,8 @@ def complete(actions, sb, at, r_ctx=frozenset(), mode="AT",
     what it takes.
     """
     pre = (tuple(actions), frozenset(sb), frozenset(at), frozenset(r_ctx))
-    for rf, hb, mo_choices in rf_classes(*pre, mode):
-        yield from class_executions(pre, rf, hb, mo_choices, mode,
-                                    tuple(locals_order))
+    for c in rf_classes(*pre, mode):
+        yield from class_executions(pre, *c, mode, tuple(locals_order))
 
 
 class BudgetExceeded(Exception):
@@ -572,17 +565,26 @@ def obs_refines_ex(X: Execution, Y: Execution, ovar) -> bool:
 
 def obs_refines_pr(P1, P2, ovar, cfg: EnumConfig | None = None) -> bool:
     """Every observable behaviour of P1 is one of P2. In NA mode an unsafe
-    P2 is refined by anything; a safe P2 requires P1 safe as well."""
+    P2 is refined by anything; a safe P2 requires P1 safe as well. An
+    enumeration that cfg.limit truncates raises BudgetExceeded: a partial
+    list of executions decides neither way."""
     cfg = cfg or EnumConfig()
-    r2 = enumerate_program(P2, cfg)
+
+    def run(P):
+        res = enumerate_program(P, cfg)
+        if res.truncated:
+            raise BudgetExceeded("program execution budget exceeded")
+        return res
+
+    r2 = run(P2)
     if cfg.mode == "NA":
         if r2.unsafe:
             return True
-        r1 = enumerate_program(P1, cfg)
+        r1 = run(P1)
         if r1.unsafe:
             return False
     else:
-        r1 = enumerate_program(P1, cfg)
+        r1 = run(P1)
     for X1 in r1.executions:
         if not any(obs_refines_ex(X1, X2, ovar) for X2 in r2.executions):
             return False

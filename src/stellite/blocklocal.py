@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from . import lang
 from .axiomatic import (
     Action,
-    BudgetExceeded,
     Execution,
     class_executions,
     derive_at,
+    derive_hb,
     rf_classes,
 )
 
@@ -129,25 +129,16 @@ def block_local(
     mode="AT",
     locals_order=None,
     sigmas=None,
-    limit=None,
     check_vs=True,
-    cut_only=False,
 ):
     """All executions of block B under the reduced context ctx, the rf
     classes of block_classes from each of sigmas flattened in order.
 
     Code actions come from the thread-local semantics and sit sb-between
     call and ret; context actions carry no sb; R seeds hb and S extends at.
-    With cut_only, only the executions that cut.cut keeps are built, in
-    the same order. More than limit executions raise BudgetExceeded.
     """
     B = tuple(B)
     _check_context(ctx, lang.vars_of(B) if check_vs else None)
-    pruner = None
-    if cut_only:
-        from .cut import CutPruner  # cut imports this module
-
-        pruner = CutPruner(ctx.actions, ctx.S)
     if locals_order is None:
         locals_order = lang.locals_of(B)
     if sigmas is None:
@@ -155,13 +146,8 @@ def block_local(
     out = []
     for sigma in sigmas:
         pres = pre_executions(B, sigma, values, locals_order)
-        for c in block_classes(pres, ctx, mode, pruner):
-            for X in class_executions(*c, mode, locals_order):
-                out.append(X)
-                if limit is not None and len(out) > limit:
-                    raise BudgetExceeded(
-                        "block-local execution budget exceeded"
-                    )
+        for c in block_classes(pres, ctx, mode):
+            out.extend(class_executions(*c, mode, locals_order))
     return out
 
 
@@ -175,16 +161,17 @@ def _under(p: PreExecution, ctx: CutContext):
 
 def block_classes(pres, ctx: CutContext, mode="AT", pruner=None):
     """The valid executions of the pre-executions pres under ctx, as the
-    rf classes of axiomatic.rf_classes, in order: (pre, rf, hb,
+    rf classes of axiomatic.rf_classes, in order: (pre, rf, rows,
     mo_choices), where pre is the (actions, sb, at, r_ctx) of a
-    pre-execution under ctx, and axiomatic.class_executions flattens
-    one. This is the one place a pre-execution is put under a context
-    and completed. A pruner (cut.CutPruner of ctx) keeps only the
-    executions that cut.cut keeps."""
+    pre-execution under ctx, rows is hb as bit rows over the positions
+    of its actions, and axiomatic.class_executions flattens one. This is
+    the one place a pre-execution is put under a context and completed.
+    A pruner (cut.CutPruner of ctx) keeps only the executions that
+    cut.cut keeps."""
     for p in pres:
         pre = _under(p, ctx)
-        for (rf, hb, mo_choices) in rf_classes(*pre, mode, pruner):
-            yield pre, rf, hb, mo_choices
+        for c in rf_classes(*pre, mode, pruner):
+            yield (pre, *c)
 
 
 def code_of(X: Execution):
@@ -200,12 +187,8 @@ def downclosure(X: Execution):
     predecessors, relations projected componentwise."""
     ids = [a.aid for a in X.actions]
     n = len(ids)
-    edges = set(X.hb) | set(X.rf)
     preds = {i: set() for i in ids}
-    # transitive closure of predecessors
-    from .axiomatic import closure as _cl
-
-    for (u, v) in _cl(edges):
+    for (u, v) in derive_hb(X.actions, X.hb, X.rf):
         preds[v].add(u)
     out = []
     for bits in itertools.product((False, True), repeat=n):

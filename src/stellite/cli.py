@@ -278,6 +278,9 @@ def cmd_simulate(args) -> int:
         outcomes[key] += 1
     print(f"{len(res.executions)} valid executions,"
           f" {len(outcomes)} outcomes")
+    if res.truncated:
+        print("truncated: the execution limit was reached, so more"
+              " outcomes may be allowed")
     if mode == "NA":
         print("safety: " + ("UNSAFE (racy)" if res.unsafe else "safe"))
     for key in sorted(outcomes):
@@ -286,6 +289,7 @@ def cmd_simulate(args) -> int:
     report = {
         "executions": len(res.executions),
         "unsafe": res.unsafe,
+        "truncated": res.truncated,
         "outcomes": [dict(k) for k in sorted(outcomes)],
     }
     _emit(args, report)
@@ -299,8 +303,9 @@ def cmd_simulate(args) -> int:
             if all(d.get(k) == v for k, v in want.items()):
                 print(f"forbidden outcome admitted: {args.forbid}")
                 return 1
-        print(f"forbidden outcome absent: {args.forbid}")
-    return 0
+        if not res.truncated:
+            print(f"forbidden outcome absent: {args.forbid}")
+    return 2 if res.truncated else 0
 
 
 def cmd_instance(args) -> int:

@@ -32,20 +32,16 @@ def _boundary(X: Execution):
     return tuple(a for a in X.actions if a.aid in (CALL, RET))
 
 
-def _guarantee(hb, ctx):
-    """hb projected to context-to-context, context-to-ret and
-    call-to-context pairs; ctx holds the context's ids."""
-    return frozenset(
-        (u, v)
-        for (u, v) in hb
-        if (u in ctx and (v in ctx or v == RET)) or (u == CALL and v in ctx)
-    )
-
-
 def hist(X: Execution) -> History:
-    """X's context and boundary actions and its guarantee."""
+    """X's context and boundary actions and its guarantee: hb projected
+    to context-to-context, context-to-ret and call-to-context pairs."""
     ctx = contx_of(X)
-    G = _guarantee(X.hb, {a.aid for a in ctx})
+    ids = {a.aid for a in ctx}
+    G = frozenset(
+        (u, v)
+        for (u, v) in X.hb
+        if (u in ids and (v in ids or v == RET)) or (u == CALL and v in ids)
+    )
     return History(frozenset(ctx) | frozenset(_boundary(X)), G)
 
 
@@ -88,22 +84,20 @@ class ClassMasks:
     key, the guarantee and the acyclicity edges depend on hb alone and
     are built once; deny(mo) gives the deny edges of one mo order.
 
-    The actions are indexed densely and up[i], the actions i reaches by
-    reflexive hb (hb*), is a bit row. A threat mask per write folds the
+    hb comes as rows, bit j of rows[i] when the i-th action happens
+    before the j-th, and up[i], the actions i reaches by reflexive hb
+    (hb*), is rows[i] with bit i set. A threat mask per write folds the
     three axioms into one test: T[a] holds each b such that a hb* u and
     v hb* b give a violation once (u,v) is enforced, so (u,v) is denied
     exactly when the threats of the writes up to u meet up[v]. Only the
     rf-less reads' threats are fixed by the class; mo adds the others.
     """
 
-    def __init__(self, actions, rf, hb, index: PairIndex):
+    def __init__(self, actions, rf, rows, index: PairIndex):
         pos = {a.aid: i for i, a in enumerate(actions)}
-        up = [1 << i for i in range(len(actions))]
-        for (a, b) in hb:
-            up[pos[a]] |= 1 << pos[b]
+        up = [row | 1 << i for i, row in enumerate(rows)]
         ctx = [a.aid for a in actions if a.origin == "context"]
         self.key = PairIndex.key(actions)
-        self.guarantee = index.encode(_guarantee(hb, set(ctx)))
         # a write would happen before an rf-less read of its location
         readers = {r for (_, r) in rf}
         unread = {}
@@ -125,26 +119,29 @@ class ClassMasks:
                            for i, a in enumerate(actions) if is_write(a)}
         # a prefix of an execution (blocklocal.downclosure) may lack call
         # or ret, and then has no edges to or from it
-        rows = [(v, up[pos[v]]) for v in ctx + [CALL] if v in pos]
+        heads = [(v, up[pos[v]]) for v in ctx + [CALL] if v in pos]
         self._rows = []
-        acyc = 0
+        acyc = guarantee = 0
         for u in ctx + [RET]:
             if u not in pos:
                 continue
             bu = 1 << pos[u]
             targets = []
-            for (v, row) in rows:
+            for (v, row) in heads:
                 if u == v or (u == RET and v == CALL):
                     continue
                 bit = index.bit[u, v]
                 targets.append((row, bit))
                 if row & bu:
-                    # adding (u,v) would close an hb cycle; these edges
-                    # are fully determined by the guarantee
+                    # v happens before u: (v,u) is a guarantee edge, and
+                    # adding (u,v) would close an hb cycle, so the
+                    # guarantee fully determines the acyclicity edges
                     acyc |= bit
+                    guarantee |= index.bit[v, u]
             # the writes that reach u by hb*, whose threats (u,v) meets
             self._rows.append(([i for i in writes if up[i] & bu], targets))
         self.acyc = acyc
+        self.guarantee = guarantee
 
     def deny(self, mo):
         """The deny mask of the execution of this class with the mo
@@ -169,8 +166,12 @@ def deny(X: Execution):
     """Deny edges: (u,v) such that enforcing u happens-before v would
     complete an axiom violation (see ClassMasks), and the acyclicity
     edges, those (u,v) whose reverse is already in hb."""
+    pos = {a.aid: i for i, a in enumerate(X.actions)}
+    rows = [0] * len(pos)
+    for (u, v) in X.hb:
+        rows[pos[u]] |= 1 << pos[v]
     index = PairIndex(a.aid for a in contx_of(X))
-    masks = ClassMasks(X.actions, X.rf, X.hb, index)
+    masks = ClassMasks(X.actions, X.rf, rows, index)
     return index.decode(masks.deny(X.mo)), index.decode(masks.acyc)
 
 

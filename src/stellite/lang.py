@@ -152,6 +152,12 @@ class _Parser:
     def done(self):
         return self.i >= len(self.toks)
 
+    def end(self):
+        """Fail unless every token was consumed."""
+        if not self.done():
+            k, v, pos = self.peek()
+            raise ParseError(f"trailing input at {pos}: {v!r}")
+
     # blocks -----------------------------------------------------------
 
     def stmts(self, stop=()):
@@ -356,9 +362,7 @@ def _count_holes(stmts):
 def parse_block(text) -> Block:
     p = _Parser(text)
     b = p.stmts()
-    if not p.done():
-        k, v, pos = p.peek()
-        raise ParseError(f"trailing input at {pos}: {v!r}")
+    p.end()
     if _count_holes(b):
         raise ParseError("code-blocks may not contain holes")
     check_wellformed(b)
@@ -371,9 +375,7 @@ def parse_program(text) -> Program:
     while p.at("|||"):
         p.next()
         threads.append(p.stmts(stop=("|||",)))
-    if not p.done():
-        k, v, pos = p.peek()
-        raise ParseError(f"trailing input at {pos}: {v!r}")
+    p.end()
     prog = Program(tuple(threads))
     check_wellformed(prog)
     return prog
@@ -387,19 +389,11 @@ def parse_transformation(text):
     lhs = p.stmts(stop=("~>",))
     p.expect("~>")
     rhs = p.stmts()
-    if not p.done():
-        k, v, pos = p.peek()
-        raise ParseError(f"trailing input at {pos}: {v!r}")
+    p.end()
     for b in (lhs, rhs):
         if _count_holes(b):
             raise ParseError("code-blocks may not contain holes")
-        check_wellformed(b)
-    uses = _gvar_uses(lhs, _gvar_uses(rhs, {}))
-    for g, m in uses.items():
-        if len(m) > 1:
-            raise ParseError(
-                f"global {g!r} used both atomically and non-atomically"
-            )
+    check_wellformed(Program((lhs, rhs)))
     return lhs, rhs
 
 

@@ -250,9 +250,9 @@ class _Class:
     needs them. An mo order only adds threats, so every deny mask of the
     class holds floor, the deny mask with no mo at all."""
 
-    def __init__(self, pre, rf, hb, mo_choices, index):
-        self.rf_class = (pre, rf, hb, mo_choices)
-        self.masks = masks = ClassMasks(pre[0], rf, hb, index)
+    def __init__(self, pre, rf, rows, mo_choices, index):
+        self.rf_class = (pre, rf, rows, mo_choices)
+        self.masks = masks = ClassMasks(pre[0], rf, rows, index)
         self.floor = masks.deny(()) | masks.acyc
         self.size = math.prod(map(len, mo_choices))
         self.denies = []

@@ -16,6 +16,7 @@ from stellite import lang
 from stellite.axiomatic import (
     Action,
     EnumConfig,
+    class_executions,
     enumerate_program,
     is_atomic_write,
     is_na,
@@ -23,7 +24,17 @@ from stellite.axiomatic import (
     is_write,
     obs_refines_ex,
 )
-from stellite.blocklocal import CALL, RET, CutContext, block_local, contx_of
+from stellite.blocklocal import (
+    CALL,
+    RET,
+    CutContext,
+    block_classes,
+    block_local,
+    contx_of,
+    pre_executions,
+    sigma_space,
+)
+from stellite.cut import CutPruner
 from stellite.verifier import context_bound, enumerate_contexts
 
 
@@ -48,6 +59,22 @@ def _closure(edges):
                 stack.extend(succ.get(v, ()))
         out.update((u, v) for v in seen)
     return out
+
+
+def rows_of(aids, pairs):
+    """The relation pairs as bit rows over the positions of the ids aids,
+    the form the package keeps hb in: bit j of row i when (aids[i],
+    aids[j]) is a pair."""
+    rows = [0] * len(aids)
+    for (u, v) in pairs:
+        rows[aids.index(u)] |= 1 << aids.index(v)
+    return rows
+
+
+def pairs_of(aids, rows):
+    """The relation with bit rows rows over the positions of aids."""
+    return {(u, v) for u, row in zip(aids, rows)
+            for j, v in enumerate(aids) if row >> j & 1}
 
 
 def _oracle_at(acts, sb):
@@ -230,6 +257,24 @@ def oracle_deny_hit(X, u, v):
             if is_write(w) and w.gvar == r.gvar and (w.aid, r.aid) in hb2:
                 return True
     return False
+
+
+def cut_survivors(B, ctx, values=frozenset({0, 1}), locals_order=None,
+                  sigmas=None):
+    """The executions of block B under ctx that cut.cut keeps, built the
+    way verify builds them: block_classes with the CutPruner of ctx, each
+    class flattened by class_executions, from each of sigmas in order."""
+    if locals_order is None:
+        locals_order = lang.locals_of(B)
+    if sigmas is None:
+        sigmas = sigma_space(locals_order, lang.live_in(B), values)
+    pruner = CutPruner(ctx.actions, ctx.S)
+    out = []
+    for sigma in sigmas:
+        pres = pre_executions(B, sigma, values, locals_order)
+        for c in block_classes(pres, ctx, pruner=pruner):
+            out.extend(class_executions(*c, locals_order=locals_order))
+    return out
 
 
 def sample_block_local(minimum=500, cut_only=False):

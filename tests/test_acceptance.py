@@ -6,7 +6,7 @@ from pathlib import Path
 
 from stellite import lang
 from stellite.axiomatic import EnumConfig, enumerate_program
-from stellite.blocklocal import block_local, code_of
+from stellite.blocklocal import code_of
 from stellite.verifier import (
     check_cut_refinement,
     check_q_instance,
@@ -24,6 +24,7 @@ from oracles import (
     single_load_instance,
     single_load_instance_execs,
     oracle_deny_hit,
+    cut_survivors,
     sample_block_local,
 )
 from stellite.adversary import reproduce
@@ -281,7 +282,7 @@ def test_criterion_6d_finiteness_across_enumeration_orders():
         for order in (ctxs, ctxs[::-1]):
             n = 0
             for ctx in order:
-                n += len(block_local(B, ctx, check_vs=False, cut_only=True))
+                n += len(cut_survivors(B, ctx))
             counts.append(n)
         assert counts[0] == counts[1], (btxt, counts)
     _report(6, True, f"cut-filtered execution counts stable across two"

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from stellite import lang
 from stellite.axiomatic import (
     Action,
+    BudgetExceeded,
     EnumConfig,
     Execution,
-    _hb_cycle,
     _hb_rf,
     _may_read_from,
     _mo_locations,
@@ -19,7 +19,6 @@ from stellite.axiomatic import (
     _mo_step,
     _rf_violation,
     check_axioms,
-    closure,
     derive_at,
     derive_hb,
     enumerate_program,
@@ -38,10 +37,13 @@ from stellite.verifier import check_cut_refinement, context_bound, \
     enumerate_contexts
 
 from oracles import (
+    _closure,
     _oracle_at,
     _oracle_valid,
     brute_force_signatures,
     enumerated_signatures,
+    pairs_of,
+    rows_of,
 )
 from test_acceptance import SUITE
 
@@ -87,10 +89,31 @@ def test_derive_hb_drops_nonatomic_reads_from_in_na_mode():
     assert ("w", "r") in derive_hb((w, r), frozenset(), {("w", "r")}, mode="AT")
 
 
-def test_closure_is_idempotent_and_contains_input():
+def test_derive_hb_is_idempotent_and_contains_input():
+    acts = tuple(A(aid, "store", "x", 1) for aid in "abcd")
     edges = {("a", "b"), ("b", "c"), ("c", "d")}
-    cl = closure(edges)
-    assert edges <= cl and closure(cl) == cl and ("a", "d") in cl
+    hb = derive_hb(acts, edges, frozenset())
+    assert edges <= hb and ("a", "d") in hb
+    assert derive_hb(acts, hb, frozenset()) == hb
+
+
+_IDS = [f"a{i}" for i in range(5)]
+_EDGES = st.frozensets(st.tuples(st.sampled_from(_IDS), st.sampled_from(_IDS)),
+                       max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EDGES, _EDGES, _EDGES)
+# a self-loop, alone and beside an acyclic chain, and a two-cycle
+@example(frozenset({("a0", "a0")}), frozenset(), frozenset())
+@example(frozenset({("a0", "a1")}), frozenset(), frozenset({("a2", "a2")}))
+@example(frozenset({("a0", "a1")}), frozenset({("a1", "a0")}), frozenset())
+def test_derive_hb_is_the_oracle_closure_or_none_on_a_cycle(sb, rf, R):
+    # derive_hb closes on bit rows; oracles._closure walks pair sets
+    acts = tuple(A(aid, "store", "x", 1) for aid in _IDS)
+    cl = _closure(sb | rf | R)
+    cyclic = any(u == v for (u, v) in cl)
+    assert derive_hb(acts, sb, rf, R) == (None if cyclic else cl)
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +415,28 @@ def test_extra_store_is_observably_distinguishable():
     assert not obs_refines_pr(P1, P2, {"e"})
 
 
+def test_obs_refines_pr_raises_when_either_enumeration_is_truncated():
+    # one execution fits a limit of one, two do not
+    one = lang.parse_program("st(x,1)")
+    two = lang.parse_program("st(x,1) ||| a := ld(x)")
+    cfg = EnumConfig(limit=1)
+    assert obs_refines_pr(one, one, {"x"}, cfg)
+    for P1, P2 in ((one, two), (two, one)):
+        with pytest.raises(BudgetExceeded):
+            obs_refines_pr(P1, P2, {"x"}, cfg)
+
+
 # ---------------------------------------------------------------------------
 # rf_classes, which decides hb on reachability bit rows, against the slow
 # path it replaced: the pair-set closure of sb, r_ctx and rf for every rf
-# choice, then the HBDEF cycle test, then the other checks
+# choice, by oracles._closure, then the HBDEF cycle test, then the other
+# checks on that closure as bit rows
 
 
-def _slow_mo_orders(ws, hb, rf, at, byid, hidden):
+def _slow_mo_orders(ws, rows, pos, rf, at, byid, hidden):
     """The permutations of ws, in itertools order, that break no mo
     axiom at any step and leave no two hidden writes adjacent."""
-    masks = _mo_masks(ws, hb, rf, at, byid)
+    masks = _mo_masks(ws, rows, pos, rf, at, byid)
     out = []
     for perm in itertools.permutations(range(len(ws))):
         placed, last = 0, -1
@@ -418,6 +453,8 @@ def _slow_mo_orders(ws, hb, rf, at, byid, hidden):
 def _slow_rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT",
                      pruner=None):
     byid = {a.aid: a for a in actions}
+    aids = list(byid)
+    pos = {aid: i for i, aid in enumerate(aids)}
     reads = [a for a in actions if is_read(a)]
     writes = [a for a in actions if is_write(a)]
     cands = []
@@ -431,11 +468,13 @@ def _slow_rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT",
         hidden = frozenset() if pruner is None else pruner.admit(rf, reads)
         if hidden is None:
             continue
-        hb = closure(set(sb) | set(r_ctx) | _hb_rf(rf, byid, mode))
-        if (_hb_cycle(hb) is not None
-                or _rf_violation(reads, writes, byid, rf, hb, mode)):
+        hb = _closure(set(sb) | set(r_ctx) | set(_hb_rf(rf, byid, mode)))
+        if any(u == v for (u, v) in hb):
             continue
-        mo_choices = [_slow_mo_orders(ws, hb, rf, at, byid, hidden)
+        rows = rows_of(aids, hb)
+        if _rf_violation(reads, writes, byid, rf, rows, pos, mode):
+            continue
+        mo_choices = [_slow_mo_orders(ws, rows, pos, rf, at, byid, hidden)
                       for ws in _mo_locations(writes).values()]
         if all(mo_choices):
             yield rf, hb, mo_choices
@@ -443,8 +482,10 @@ def _slow_rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT",
 
 def _assert_rf_classes_match(pre, mode="AT", pruner=None):
     """rf_classes and the slow path give the same classes in the same
-    order; returns how many."""
-    fast = list(rf_classes(*pre, mode, pruner))
+    order, with rf_classes' rows decoded to pairs; returns how many."""
+    aids = [a.aid for a in pre[0]]
+    fast = [(rf, pairs_of(aids, rows), mo_choices)
+            for rf, rows, mo_choices in rf_classes(*pre, mode, pruner)]
     assert fast == list(_slow_rf_classes(*pre, mode, pruner)), pre
     return len(fast)
 

@@ -26,6 +26,14 @@ def test_sigma_space_pins_dead_locals_to_zero():
     assert sigma_space((), set(), {0, 1}) == [{}]
 
 
+def test_a_self_loop_context_edge_gives_no_executions():
+    # R: c -> c has the shape of a context edge, but makes hb cyclic
+    c = Action("c", "store", "x", (1,), "context")
+    B = lang.parse_block("l := ld(x)")
+    assert block_local(B, CutContext((c,)))
+    assert block_local(B, CutContext((c,), frozenset({("c", "c")}))) == []
+
+
 def test_empty_context_wraps_the_blocks_own_executions():
     execs = block_local(lang.parse_block("st(x,l)"), CutContext(()))
     assert execs

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour."""
 
 import contextlib
+import functools
 import io
 import json
 import tempfile
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stellite import lang
-from stellite.axiomatic import valid
+from stellite import cli, lang
+from stellite.axiomatic import EnumConfig, valid
 from stellite.cut import cut
 from stellite.cli import (
     execution_from_json,
@@ -96,6 +97,19 @@ def test_simulate_allows_and_forbids_outcomes(capsys):
     rc = main(["simulate", str(CORPUS / "mp.lit"), "--forbid", "b=1,r=0"])
     out = capsys.readouterr().out
     assert rc == 0 and "absent" in out
+
+
+def test_simulate_reports_a_truncated_enumeration_as_unknown(
+        monkeypatch, tmp_path, capsys):
+    # sb.lit allows v1=1 v2=1, but not within its first execution
+    monkeypatch.setattr(cli, "EnumConfig",
+                        functools.partial(EnumConfig, limit=1))
+    f = tmp_path / "s.json"
+    rc = main(["simulate", str(CORPUS / "sb.lit"), "--forbid", "v1=1,v2=1",
+               "--json", str(f)])
+    out = capsys.readouterr().out
+    assert rc == 2 and "truncated" in out and "absent" not in out
+    assert json.loads(f.read_text())["truncated"] is True
 
 
 def test_simulate_nonatomic_mode_reports_safety(capsys):

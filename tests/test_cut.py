@@ -15,7 +15,7 @@ from stellite.blocklocal import (
 from stellite.cut import cut, explain_cut, vis
 from stellite.verifier import enumerate_contexts
 
-from oracles import sample_block_local
+from oracles import cut_survivors, sample_block_local
 from test_acceptance import SUITE
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -113,12 +113,12 @@ def test_cut_invariants_on_samples():
 
 
 # ---------------------------------------------------------------------------
-# cut_only=True (the filter applied during completion) against the slow
-# path, filter(cut, block_local)
+# the cut's filter applied during completion (cut.CutPruner, as verify
+# runs it) against the slow path, filter(cut, block_local)
 
 
 def _assert_fast_path_matches(B, ctx, values):
-    fast = block_local(B, ctx, values=values, check_vs=False, cut_only=True)
+    fast = cut_survivors(B, ctx, values)
     every = block_local(B, ctx, values=values, check_vs=False)
     slow = [X for X in every if cut(X)]
     assert len(set(fast)) == len(fast)

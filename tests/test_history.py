@@ -37,6 +37,8 @@ from oracles import (
     deny_domain,
     forced_read_instance_execs,
     oracle_deny_hit,
+    pairs_of,
+    rows_of,
     sample_block_local,
 )
 from test_acceptance import SUITE
@@ -184,7 +186,7 @@ def test_the_mask_test_agrees_with_refines_ext_within_one_context(data):
     index = PairIndex(a.aid for a in ctx)
     coded = []
     for X in xs:
-        m = ClassMasks(X.actions, X.rf, X.hb, index)
+        m = ClassMasks(X.actions, X.rf, _rows(X), index)
         coded.append((m.key, m.guarantee, m.deny(X.mo) | m.acyc))
     hs = [hist_ext(X) for X in xs]
     for E1, (k1, g1, d1) in zip(hs, coded):
@@ -197,15 +199,22 @@ def test_the_mask_test_agrees_with_refines_ext_within_one_context(data):
 # the masks of an rf class against the executions complete flattens it to
 
 
+def _rows(X):
+    """X's hb as the bit rows ClassMasks takes."""
+    return rows_of([a.aid for a in X.actions], X.hb)
+
+
 def _assert_classes_match(classes, flat, index):
-    """classes, (pre, rf, hb, mo_choices) tuples, flattened over their
-    mo orders, give the executions flat in order; and for each class and
-    mo order the class's masks are the PairIndex encoding of hist_ext of
-    that execution. Yields each execution once it is checked."""
+    """classes, (pre, rf, rows, mo_choices) tuples, flattened over their
+    mo orders, give the executions flat in order, with the hb that rows
+    holds; and for each class and mo order the class's masks are the
+    PairIndex encoding of hist_ext of that execution. Yields each
+    execution once it is checked."""
     flat = iter(flat)
-    for (pre, rf, hb, mo_choices) in classes:
+    for (pre, rf, rows, mo_choices) in classes:
         acts = pre[0]
-        masks = ClassMasks(acts, rf, hb, index)
+        hb = pairs_of([a.aid for a in acts], rows)
+        masks = ClassMasks(acts, rf, rows, index)
         for mo_choice in itertools.product(*mo_choices):
             X = next(flat)
             mo = mo_pairs(mo_choice)
@@ -263,7 +272,7 @@ def test_class_masks_match_the_flattened_executions_and_the_oracle(data):
     for Y in _assert_classes_match(classes, flat, index):
         # the deny and acyclicity edges by their definitions, not through
         # the threat masks both sides share
-        m = ClassMasks(Y.actions, Y.rf, Y.hb, index)
+        m = ClassMasks(Y.actions, Y.rf, _rows(Y), index)
         dom = deny_domain(Y)
         assert index.decode(m.deny(Y.mo)) == {
             (u, v) for (u, v) in dom if oracle_deny_hit(Y, u, v)}, Y

@@ -52,6 +52,14 @@ def test_global_cannot_mix_atomic_and_nonatomic_access():
         lang.parse_transformation("st(x,l) ~> stna(x,l)")
 
 
+def test_trailing_input_is_rejected_by_every_entry_point():
+    for parse, text in ((lang.parse_block, "st(x,1) )"),
+                        (lang.parse_program, "st(x,1) ||| ld(x) )"),
+                        (lang.parse_transformation, "st(x,1) ~> ld(x) )")):
+        with pytest.raises(ParseError, match="trailing input"):
+            parse(text)
+
+
 def test_at_most_one_hole_and_none_in_blocks():
     with pytest.raises(ParseError):
         lang.parse_program("{-} ||| {-}")

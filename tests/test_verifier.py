@@ -21,6 +21,7 @@ from stellite.verifier import (
 
 from oracles import (
     brute_force_signatures,
+    cut_survivors,
     forced_read_instance,
     obs_program_refines,
     single_load_instance,
@@ -92,8 +93,7 @@ def test_no_cut_shapes_exist_one_step_over_the_bound(b1, b2):
         if _over_the_caps(ctx, base):
             # the fused filter, tested against filter(cut, ...) in
             # test_cut.py; unfiltered, seven writes at x take minutes
-            assert not block_local(B1, ctx, check_vs=False,
-                                   cut_only=True), ctx
+            assert not cut_survivors(B1, ctx), ctx
 
 
 def test_data_location_pairs_are_enumerated_within_the_caps():
@@ -250,7 +250,8 @@ def test_the_execution_budget_caps_cut_survivors_on_the_b1_side():
     ctxs = list(enumerate_contexts(B1, B2, budget))
 
     def peak(B, cut_only):
-        return max(len(block_local(B, c, check_vs=False, cut_only=cut_only))
+        return max(len(cut_survivors(B, c) if cut_only
+                       else block_local(B, c, check_vs=False))
                    for c in ctxs)
 
     survivors = peak(B1, True)
@@ -328,14 +329,15 @@ def _linear_scan(B1, B2, budget, computed):
         stats["contexts"] += 1
         for sigma in sigma_space(locals_order, live, budget.values):
             kw = dict(values=budget.values, locals_order=locals_order,
-                      sigmas=[sigma], limit=budget.max_block_execs,
-                      check_vs=False)
-            x1s = block_local(B1, ctx, cut_only=True, **kw)
+                      sigmas=[sigma])
+            x1s = cut_survivors(B1, ctx, **kw)
             stats["x1_cut"] += len(x1s)
             if not x1s:
                 continue
-            x2s = block_local(B2, ctx, **kw)
+            x2s = block_local(B2, ctx, check_vs=False, **kw)
             stats["x2"] += len(x2s)
+            # the rows compared stay within the execution cap
+            assert max(len(x1s), len(x2s)) <= budget.max_block_execs
             h2s = []
 
             def candidates():
