@@ -8,6 +8,7 @@ data-race safety predicate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -195,10 +196,11 @@ def _mo_locations(writes):
 
 
 def _mo_masks(ws, rows, pos, rf, at, byid):
-    """Three bit masks over the writes ws of one location for each write
-    c: the writes that must come before c (HBVSMO), the writes c may not
-    follow because c happens before one of their readers (COHERENCE), and
-    the SCs that must come right after c because their LL reads c (ATOM).
+    """Three tuples of bit masks over the writes ws of one location, one
+    mask per write c in each: the writes that must come before c
+    (HBVSMO), the writes c may not follow because c happens before one
+    of their readers (COHERENCE), and the SCs that must come right after
+    c because their LL reads c (ATOM).
     hb is the bit rows rows over the positions pos. An LL that reads no
     write constrains no SC."""
     idx = {w: i for i, w in enumerate(ws)}
@@ -219,7 +221,7 @@ def _mo_masks(ws, rows, pos, rf, at, byid):
         w = src.get(ll)
         if w in idx and sc in idx and byid[sc].kind == "SC":
             succ[idx[w]] |= 1 << idx[sc]
-    return preds, late, succ
+    return tuple(preds), tuple(late), tuple(succ)
 
 
 def _mo_step(masks, placed, last, i):
@@ -246,11 +248,8 @@ def check_axioms(X: Execution):
     byid = X.by_id()
     reads = [a for a in X.actions if is_read(a)]
     writes = [a for a in X.actions if is_write(a)]
-    orders, total = [], set()
-    for loc in _mo_locations(writes).values():
-        ws = sorted(loc, key=lambda w: sum((u, w) in X.mo for u in loc))
-        orders.append(ws)
-        total.update(itertools.combinations(ws, 2))
+    orders = mo_orders_of(X)
+    total = mo_pairs(orders)
     if total != X.mo:
         return ("MO", min(total ^ X.mo, key=repr))
     srcs = {}
@@ -332,22 +331,27 @@ def derive_at(actions, sb):
 # completion of a pre-execution to valid executions
 
 
-def _mo_orders(ws, rows, pos, rf, at, byid, hidden):
-    """The total orders of the writes ws of one location that keep the mo
-    axioms (_mo_step) and leave no two hidden writes adjacent, in
-    itertools.permutations(ws) order, with hb the bit rows rows over the
-    positions pos. A prefix that breaks one is not extended."""
-    n = len(ws)
-    if n == 1:
-        return [tuple(ws)]
-    masks = _mo_masks(ws, rows, pos, rf, at, byid)
-    hid = [w in hidden for w in ws]
-    full = (1 << n) - 1
+# The mo orders of a location depend on its writes only through their
+# _mo_masks and hidden flags, and the rf classes of a verdict show few
+# distinct patterns of those: each pattern's orders are searched once, as
+# positions, and mapped to the write ids of each ws once. Both caches are
+# bounded and start empty.
+
+
+@functools.lru_cache(maxsize=4096)
+def _mo_positions(preds, late, succ, hid):
+    """The total orders of positions 0 .. n-1, n = len(preds), that keep
+    the mo axioms (_mo_step with the masks preds, late, succ) and leave
+    no two positions with hid set adjacent, in
+    itertools.permutations(range(n)) order. A prefix that breaks one is
+    not extended."""
+    masks = (preds, late, succ)
+    full = (1 << len(preds)) - 1
     out, order = [], []
 
     def grow(placed, last):
         if placed == full:
-            out.append(tuple(ws[i] for i in order))
+            out.append(tuple(order))
             return
         for i in _bits(full & ~placed):
             if (_mo_step(masks, placed, last, i)
@@ -358,7 +362,26 @@ def _mo_orders(ws, rows, pos, rf, at, byid, hidden):
             order.pop()
 
     grow(0, -1)
-    return out
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=4096)
+def _mo_ids(ws, preds, late, succ, hid):
+    """_mo_positions with each position i replaced by the write ws[i]."""
+    return tuple(tuple(ws[i] for i in order)
+                 for order in _mo_positions(preds, late, succ, hid))
+
+
+def _mo_orders(ws, rows, pos, rf, at, byid, hidden):
+    """The total orders of the writes ws of one location that keep the mo
+    axioms (_mo_step) and leave no two hidden writes adjacent, in
+    itertools.permutations(ws) order, with hb the bit rows rows over the
+    positions pos, as a tuple."""
+    ws = tuple(ws)
+    if len(ws) == 1:
+        return (ws,)
+    return _mo_ids(ws, *_mo_masks(ws, rows, pos, rf, at, byid),
+                   tuple(w in hidden for w in ws))
 
 
 def rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT", pruner=None):
@@ -377,9 +400,10 @@ def rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT", pruner=None):
     hb is kept as rows, its reachability bit rows over the positions of
     the actions (_add_hb_edges): the closure of sb ∪ r_ctx once, at the
     first admitted rf choice, then each choice's hb-seeding rf edges
-    added to a copy of its rows.
+    added to a copy of its rows. The actions by id and by position and
+    the writes by location, which only admitted choices use, are built
+    there too.
     """
-    byid = {a.aid: a for a in actions}
     reads = [a for a in actions if is_read(a)]
     writes = [a for a in actions if is_write(a)]
     cands = []
@@ -389,8 +413,6 @@ def rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT", pruner=None):
         if pruner is not None:
             opts = pruner.sources(r.aid, opts)
         cands.append(opts)
-    movars = _mo_locations(writes)
-    pos = {a.aid: i for i, a in enumerate(actions)}
     base = None
     for choice in itertools.product(*cands):
         rf = frozenset(
@@ -402,6 +424,9 @@ def rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT", pruner=None):
             if hidden is None:
                 continue
         if base is None:
+            byid = {a.aid: a for a in actions}
+            pos = {a.aid: i for i, a in enumerate(actions)}
+            movars = _mo_locations(writes)
             base = _add_hb_edges([0] * len(actions),
                                  itertools.chain(sb, r_ctx), pos)
             if base is None:
@@ -421,6 +446,15 @@ def mo_pairs(mo_choice):
     return frozenset(itertools.chain.from_iterable(
         itertools.combinations(order, 2) for order in mo_choice
     ))
+
+
+def mo_orders_of(X: Execution):
+    """X's mo as one order per location, the inverse of mo_pairs when mo
+    orders each location's atomic writes totally: each location's atomic
+    writes sorted by their number of mo predecessors."""
+    return [tuple(sorted(ws, key=lambda w: sum((u, w) in X.mo for u in ws)))
+            for ws in _mo_locations(
+                a for a in X.actions if is_write(a)).values()]
 
 
 def class_executions(pre, rf, rows, mo_choices, mode="AT", locals_order=()):
@@ -528,17 +562,18 @@ def enumerate_program(P, cfg: EnumConfig | None = None) -> EnumResult:
 
 
 def _project(X: Execution, ovar):
-    acts = [a for a in X.actions if a.gvar in ovar]
+    """X's observable actions and the hb between them, all that
+    obs_refines_ex compares of X."""
+    acts = frozenset(a for a in X.actions if a.gvar in ovar)
     ids = {a.aid for a in acts}
-    hb = {(u, v) for (u, v) in X.hb if u in ids and v in ids}
+    hb = frozenset((u, v) for (u, v) in X.hb if u in ids and v in ids)
     return acts, hb
 
 
-def obs_refines_ex(X: Execution, Y: Execution, ovar) -> bool:
-    """Observable actions match (up to a signature-preserving bijection)
-    and Y's observable hb is no stronger than X's."""
-    ax, hx = _project(X, ovar)
-    ay, hy = _project(Y, ovar)
+def _obs_refines(px, py):
+    """obs_refines_ex on the projections px and py of two executions."""
+    ax, hx = px
+    ay, hy = py
     if len(ax) != len(ay):
         return False
     sig = lambda a: (a.kind, a.gvar, a.vals)
@@ -563,11 +598,19 @@ def obs_refines_ex(X: Execution, Y: Execution, ovar) -> bool:
     return False
 
 
+def obs_refines_ex(X: Execution, Y: Execution, ovar) -> bool:
+    """Observable actions match (up to a signature-preserving bijection)
+    and Y's observable hb is no stronger than X's."""
+    return _obs_refines(_project(X, ovar), _project(Y, ovar))
+
+
 def obs_refines_pr(P1, P2, ovar, cfg: EnumConfig | None = None) -> bool:
     """Every observable behaviour of P1 is one of P2. In NA mode an unsafe
     P2 is refined by anything; a safe P2 requires P1 safe as well. An
     enumeration that cfg.limit truncates raises BudgetExceeded: a partial
-    list of executions decides neither way."""
+    list of executions decides neither way. Each side's executions are
+    compared once per distinct projection (_project), which is all that
+    obs_refines_ex reads."""
     cfg = cfg or EnumConfig()
 
     def run(P):
@@ -585,7 +628,6 @@ def obs_refines_pr(P1, P2, ovar, cfg: EnumConfig | None = None) -> bool:
             return False
     else:
         r1 = run(P1)
-    for X1 in r1.executions:
-        if not any(obs_refines_ex(X1, X2, ovar) for X2 in r2.executions):
-            return False
-    return True
+    p2 = {_project(X, ovar) for X in r2.executions}
+    return all(any(_obs_refines(p1, q) for q in p2)
+               for p1 in {_project(X, ovar) for X in r1.executions})

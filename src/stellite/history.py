@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axiomatic import Execution, is_read, is_write
+from .axiomatic import Execution, is_read, is_write, mo_orders_of
 from .blocklocal import CALL, RET, contx_of
 
 
@@ -82,7 +82,8 @@ class ClassMasks:
     and hb, an rf class of rf_classes, as PairIndex masks.
 
     key, the guarantee and the acyclicity edges depend on hb alone and
-    are built once; deny(mo) gives the deny edges of one mo order.
+    are built once; deny(orders) gives the deny edges of one choice of
+    mo orders.
 
     hb comes as rows, bit j of rows[i] when the i-th action happens
     before the j-th, and up[i], the actions i reaches by reflexive hb
@@ -143,13 +144,18 @@ class ClassMasks:
         self.acyc = acyc
         self.guarantee = guarantee
 
-    def deny(self, mo):
-        """The deny mask of the execution of this class with the mo
-        relation mo, pairs (w1, w2) of w1 mo-before w2."""
+    def deny(self, orders):
+        """The deny mask of the execution of this class whose mo orders
+        each location's writes as orders does, one order per location:
+        each write meets the threats of the writes before it, a running
+        OR along its order."""
         pos, mo_threat = self._pos, self._mo_threat
         threat = list(self._unread)
-        for (w1, w2) in mo:
-            threat[pos[w2]] |= mo_threat[w1]
+        for order in orders:
+            run = 0
+            for w in order:
+                threat[pos[w]] |= run
+                run |= mo_threat[w]
         D = 0
         for (preds, targets) in self._rows:
             reach = 0
@@ -172,7 +178,8 @@ def deny(X: Execution):
         rows[pos[u]] |= 1 << pos[v]
     index = PairIndex(a.aid for a in contx_of(X))
     masks = ClassMasks(X.actions, X.rf, rows, index)
-    return index.decode(masks.deny(X.mo)), index.decode(masks.acyc)
+    return (index.decode(masks.deny(mo_orders_of(X))),
+            index.decode(masks.acyc))
 
 
 def hist_ext(X: Execution) -> ExtendedHistory:
@@ -186,7 +193,8 @@ def class_hist_ext(X: Execution, masks: ClassMasks,
     """hist_ext(X) for an execution X of the rf class whose ClassMasks,
     built under index, are masks."""
     h = hist(X)
-    return ExtendedHistory(h.A, h.G, index.decode(masks.deny(X.mo)),
+    return ExtendedHistory(h.A, h.G,
+                           index.decode(masks.deny(mo_orders_of(X))),
                            index.decode(masks.acyc))
 
 

@@ -23,7 +23,6 @@ from .axiomatic import (
     class_executions,
     is_read,
     is_write,
-    mo_pairs,
     safe,
 )
 from .blocklocal import (
@@ -272,7 +271,7 @@ class _Class:
         if any(not d & ~deny for d in self.denies):
             return True
         for mo_choice in self._orders:
-            d = masks.deny(mo_pairs(mo_choice)) | masks.acyc
+            d = masks.deny(mo_choice) | masks.acyc
             self.denies.append(d)
             if not d & ~deny:
                 return True
@@ -282,16 +281,21 @@ class _Class:
 def _undominated(x1s, classes, locals_order):
     """The first execution of the new block's classes x1s that no class
     of the original block dominates, or None. The executions of one
-    class share its ClassMasks and differ only in their deny masks."""
+    class share its ClassMasks and differ only in their deny masks, so
+    only that execution is built."""
     groups = {}
     for c in classes:
         groups.setdefault(c.masks.key, []).append(c)
     for c1 in x1s:
         masks = c1.masks
         rivals = groups.get(masks.key, ())
-        for X in class_executions(*c1.rf_class, locals_order=locals_order):
-            deny = masks.deny(X.mo) | masks.acyc
+        pre, rf, rows, mo_choices = c1.rf_class
+        for mo_choice in itertools.product(*mo_choices):
+            deny = masks.deny(mo_choice) | masks.acyc
             if not any(c.dominates(masks.guarantee, deny) for c in rivals):
+                [X] = class_executions(pre, rf, rows,
+                                       [(order,) for order in mo_choice],
+                                       locals_order=locals_order)
                 return X
     return None
 

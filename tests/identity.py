@@ -6,9 +6,9 @@ Each checkout's package (its src/) runs in a child process with
 PYTHONHASHSEED=0 over the same inputs:
 
 - check_cut_refinement on the SUITE rows of tests/test_acceptance.py at
-  V=2 and the GENERATE_ROWS of tests/test_verifier.py at V=3: the
-  outcome, the witness (context, sigma, execution, history, candidates)
-  and every Verdict.stats field;
+  V=2, the GENERATE_ROWS of tests/test_verifier.py at V=3 and the
+  READ_WRITE_ROWS below at V=2: the outcome, the witness (context,
+  sigma, execution, history, candidates) and every Verdict.stats field;
 - enumerate_program on litmus_batch(7, 2000) and litmus_batch(11, 2000)
   of bench/inputs.py: the executions, outcomes, unsafe and truncated.
 
@@ -33,6 +33,10 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 LITMUS_SEEDS = (7, 11)
 LITMUS_PROGRAMS = 2000
+# transformations whose original block reads and writes x, so that the
+# mo orders of its executions, not the cut, make up most of the check
+READ_WRITE_ROWS = ["st(x,1) ~> st(x,1); ld(x)",
+                   "l := ld(x); st(x,l) ~> l := ld(x); st(x,l)"]
 
 
 def _literal(path, name):
@@ -45,10 +49,12 @@ def _literal(path, name):
 
 
 def verify_rows():
-    """(file name, value count) for each verify row compared."""
+    """(corpus file name or transformation text, value count) for each
+    verify row compared."""
     suite = _literal(HERE / "test_acceptance.py", "SUITE")
     generate = _literal(HERE / "test_verifier.py", "GENERATE_ROWS")
-    return [(f, 2) for f, _ in suite] + [(f, 3) for f in generate]
+    return ([(f, 2) for f, _ in suite] + [(f, 3) for f in generate]
+            + [(t, 2) for t in READ_WRITE_ROWS])
 
 
 def _canon(x):
@@ -86,7 +92,8 @@ def dump(checkout):
 
     corpus = Path(checkout) / "corpus"
     for fname, n in verify_rows():
-        B2, B1 = lang.parse_transformation((corpus / fname).read_text())
+        text = fname if "~>" in fname else (corpus / fname).read_text()
+        B2, B1 = lang.parse_transformation(text)
         v = check_cut_refinement(
             B1, B2, context_bound(B1, B2, frozenset(range(n))))
         w = v.witness

@@ -14,8 +14,10 @@ from stellite.axiomatic import (
     Execution,
     _hb_rf,
     _may_read_from,
+    _mo_ids,
     _mo_locations,
     _mo_masks,
+    _mo_positions,
     _mo_step,
     _rf_violation,
     check_axioms,
@@ -426,6 +428,51 @@ def test_obs_refines_pr_raises_when_either_enumeration_is_truncated():
             obs_refines_pr(P1, P2, {"x"}, cfg)
 
 
+def _pairwise_obs_refines_pr(P1, P2, ovar, cfg):
+    """obs_refines_pr without the dedup by observable projection: every
+    execution of P1 against every execution of P2."""
+    r2 = enumerate_program(P2, cfg)
+    if cfg.mode == "NA" and r2.unsafe:
+        return True
+    r1 = enumerate_program(P1, cfg)
+    if cfg.mode == "NA" and r1.unsafe:
+        return False
+    return all(any(obs_refines_ex(X1, X2, ovar) for X2 in r2.executions)
+               for X1 in r1.executions)
+
+
+_OBS_STMTS = {
+    "AT": ("st(x,1)", "st(x,2)", "a := ld(x)", "st(y,1)",
+           "b := ld(y); st(x,b)", "fc", "c := LL(x); d := SC(x,2)"),
+    "NA": ("st(x,1)", "stna(y,1)", "a := ld(x)", "b := ldna(y)",
+           "b := ldna(y); st(x,b)", "fc"),
+}
+
+
+@st.composite
+def _obs_program_pairs(draw):
+    """Two programs that share a context thread and differ in their
+    other thread, each of one or two statements, a mode, and the
+    observed locations."""
+    mode = draw(st.sampled_from(["AT", "NA"]))
+    thread = st.lists(st.sampled_from(_OBS_STMTS[mode]), min_size=1,
+                      max_size=2).map("; ".join)
+    ctx = draw(thread)
+    P1, P2 = (lang.parse_program(f"{draw(thread)} ||| {ctx}")
+              for _ in range(2))
+    ovar = draw(st.sets(st.sampled_from("xy"), min_size=1))
+    return P1, P2, ovar, mode
+
+
+@settings(max_examples=60, deadline=None)
+@given(_obs_program_pairs())
+def test_obs_refines_pr_matches_the_pairwise_comparison(case):
+    P1, P2, ovar, mode = case
+    cfg = EnumConfig(mode=mode)
+    assert obs_refines_pr(P1, P2, ovar, cfg) == \
+        _pairwise_obs_refines_pr(P1, P2, ovar, cfg)
+
+
 # ---------------------------------------------------------------------------
 # rf_classes, which decides hb on reachability bit rows, against the slow
 # path it replaced: the pair-set closure of sb, r_ctx and rf for every rf
@@ -435,7 +482,8 @@ def test_obs_refines_pr_raises_when_either_enumeration_is_truncated():
 
 def _slow_mo_orders(ws, rows, pos, rf, at, byid, hidden):
     """The permutations of ws, in itertools order, that break no mo
-    axiom at any step and leave no two hidden writes adjacent."""
+    axiom at any step and leave no two hidden writes adjacent, as a
+    tuple."""
     masks = _mo_masks(ws, rows, pos, rf, at, byid)
     out = []
     for perm in itertools.permutations(range(len(ws))):
@@ -447,7 +495,7 @@ def _slow_mo_orders(ws, rows, pos, rf, at, byid, hidden):
             placed, last = placed | 1 << i, i
         else:
             out.append(tuple(ws[i] for i in perm))
-    return out
+    return tuple(out)
 
 
 def _slow_rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT",
@@ -537,6 +585,51 @@ def test_rf_classes_match_the_slow_path_on_the_corpus_rows():
                         classes += _assert_rf_classes_match(pre,
                                                             pruner=pruner)
     assert classes > 4000
+
+
+def _shared_mask_pres():
+    """Pre-executions, each with a pruner or None, whose locations share
+    preds and late but differ in the hidden writes or in succ: three
+    stores at x, two of them context writes that a pruner hides; and two
+    stores and an LL/SC pair at x, the LL reading the first store, once
+    with the pair in at and once without. Then the pre-executions of
+    store_collapse.tr's blocks under its first contexts, with and without
+    their pruner."""
+    c1 = Action("c1", "store", "x", (1,), "context")
+    c2 = Action("c2", "store", "x", (2,), "context")
+    stores = (A("w", "store", "x", 1), c1, c2)
+    out = [(_case(stores)[0], None),
+           (_case(stores)[0], CutPruner([c1, c2], ()))]
+    llsc = (A("w1", "store", "x", 1), A("w2", "store", "x", 2),
+            A("l", "LL", "x", 1), A("s", "SC", "x", 3))
+    for at in ([("l", "s")], []):
+        out.append(((llsc, frozenset(), frozenset(at), frozenset()), None))
+    values = frozenset({0, 1})
+    B2, B1 = lang.parse_transformation(
+        (CORPUS / "store_collapse.tr").read_text())
+    for ctx in itertools.islice(
+            enumerate_contexts(B1, B2, context_bound(B1, B2, values)), 40):
+        pruner = CutPruner(ctx.actions, ctx.S)
+        for B in (B1, B2):
+            for sigma in sigma_space(lang.locals_of(B), lang.live_in(B),
+                                     values):
+                for p in pre_executions(B, sigma, values,
+                                        lang.locals_of(B)):
+                    out += [(_under(p, ctx), None), (_under(p, ctx), pruner)]
+    return out
+
+
+def test_rf_classes_with_and_without_a_pruner_match_in_one_process():
+    # the mo orders are cached by their masks and hidden flags across
+    # calls: run the same pre-executions with and without a pruner, in
+    # both orders from an empty cache, and compare each with the slow path
+    cases = _shared_mask_pres()
+    for run in (cases, cases[::-1]):
+        _mo_positions.cache_clear()
+        _mo_ids.cache_clear()
+        for pre, pruner in run:
+            _assert_rf_classes_match(pre, pruner=pruner)
+    assert _mo_positions.cache_info().hits
 
 
 _KINDS = ("load", "store", "LL", "SC", "load_NA", "store_NA")

@@ -7,7 +7,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from stellite import lang
-from stellite.axiomatic import complete, mo_pairs, rf_classes
+from stellite.axiomatic import complete, mo_orders_of, mo_pairs, rf_classes
 from stellite.blocklocal import (
     CALL,
     RET,
@@ -187,7 +187,7 @@ def test_the_mask_test_agrees_with_refines_ext_within_one_context(data):
     coded = []
     for X in xs:
         m = ClassMasks(X.actions, X.rf, _rows(X), index)
-        coded.append((m.key, m.guarantee, m.deny(X.mo) | m.acyc))
+        coded.append((m.key, m.guarantee, m.deny(mo_orders_of(X)) | m.acyc))
     hs = [hist_ext(X) for X in xs]
     for E1, (k1, g1, d1) in zip(hs, coded):
         for E2, (k2, g2, d2) in zip(hs, coded):
@@ -223,9 +223,9 @@ def _assert_classes_match(classes, flat, index):
             assert masks.key == PairIndex.key(E.A)
             assert masks.guarantee == index.encode(E.G)
             assert masks.acyc == index.encode(E.acyc)
-            assert masks.deny(mo) == index.encode(E.D)
+            assert masks.deny(mo_choice) == index.encode(E.D)
             # the scan's floor: mo only adds deny edges
-            assert not masks.deny(()) & ~masks.deny(mo)
+            assert not masks.deny(()) & ~masks.deny(mo_choice)
             yield X
     assert next(flat, None) is None
 
@@ -274,7 +274,77 @@ def test_class_masks_match_the_flattened_executions_and_the_oracle(data):
         # the threat masks both sides share
         m = ClassMasks(Y.actions, Y.rf, _rows(Y), index)
         dom = deny_domain(Y)
-        assert index.decode(m.deny(Y.mo)) == {
+        assert index.decode(m.deny(mo_orders_of(Y))) == {
             (u, v) for (u, v) in dom if oracle_deny_hit(Y, u, v)}, Y
         assert index.decode(m.acyc) == {
             (u, v) for (u, v) in dom if (v, u) in Y.hb}, Y
+
+
+# ---------------------------------------------------------------------------
+# ClassMasks.deny folds the threats along each location's mo order; the
+# slow path it replaced folds them over the pairs of mo
+
+
+def _pair_fold_deny(masks, mo):
+    """The deny mask of masks's class with the mo relation mo, pairs
+    (w1, w2) of w1 mo-before w2: each pair adds w1's threats to w2, and
+    (u, v) is denied when the threats of the writes that reach u meet
+    the actions v reaches."""
+    threat = list(masks._unread)
+    for (w1, w2) in mo:
+        threat[masks._pos[w2]] |= masks._mo_threat[w1]
+    D = 0
+    for (preds, targets) in masks._rows:
+        reach = 0
+        for i in preds:
+            reach |= threat[i]
+        for (row, bit) in targets:
+            if reach & row:
+                D |= bit
+    return D
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_order_fold_deny_is_the_pair_fold_on_sampled_executions(data):
+    X = data.draw(st.sampled_from(_sample()))
+    orders = mo_orders_of(X)
+    assert mo_pairs(orders) == X.mo
+    index = PairIndex(a.aid for a in contx_of(X))
+    masks = ClassMasks(X.actions, X.rf, _rows(X), index)
+    assert masks.deny(orders) == _pair_fold_deny(masks, X.mo), X
+
+
+@functools.cache
+def _corpus_classes():
+    """The rf classes of both blocks of each SUITE row at V=2 under every
+    tenth of the first 300 contexts its check enumerates, with the
+    PairIndex of the context, where some location has two writes."""
+    values = frozenset({0, 1})
+    out = []
+    for fname, _ in SUITE:
+        B2, B1 = lang.parse_transformation((CORPUS / fname).read_text())
+        budget = context_bound(B1, B2, values)
+        for ctx in itertools.islice(enumerate_contexts(B1, B2, budget),
+                                    0, 300, 10):
+            index = PairIndex(a.aid for a in ctx.actions)
+            for B in (B1, B2):
+                locals_order = lang.locals_of(B)
+                pres = [p for sigma in sigma_space(
+                            locals_order, lang.live_in(B), values)
+                        for p in pre_executions(B, sigma, values,
+                                                locals_order)]
+                out.extend((c, index) for c in block_classes(pres, ctx)
+                           if any(len(o[0]) > 1 for o in c[3]))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_order_fold_deny_is_the_pair_fold_on_corpus_classes(data):
+    (pre, rf, rows, mo_choices), index = data.draw(
+        st.sampled_from(_corpus_classes()))
+    masks = ClassMasks(pre[0], rf, rows, index)
+    for mo_choice in itertools.islice(itertools.product(*mo_choices), 50):
+        assert masks.deny(mo_choice) == \
+            _pair_fold_deny(masks, mo_pairs(mo_choice)), (pre, rf, mo_choice)
