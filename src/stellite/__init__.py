@@ -8,7 +8,6 @@ from .axiomatic import (  # noqa: F401
     EnumConfig,
     Execution,
     check_axioms,
-    derive_at,
     derive_hb,
     enumerate_program,
     obs_refines_ex,

@@ -10,7 +10,6 @@ mismatch writes the observable error variable and halts the thread.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import lang
@@ -20,6 +19,7 @@ from .axiomatic import (
     derive_hb,
     enumerate_program,
     is_write,
+    signature_bijections,
 )
 from .blocklocal import CALL, RET, code_of, contx_of, in_r_shape
 from .history import hist
@@ -267,26 +267,9 @@ def _matches(Z, X, ac, target_code, expected):
     f = dict(zip((a.aid for a in target_code), (a.aid for a in zcode)))
     iface = [a for a in Z.actions
              if a.gvar in ac.interface_vars and a.aid not in region]
-    xctx = list(contx_of(X))
-    if sorted(map(sig, iface), key=repr) != sorted(map(sig, xctx), key=repr):
-        return False
-    groups = {}
-    for a in iface:
-        groups.setdefault(sig(a), []).append(a.aid)
-    keys = sorted(groups, key=repr)
-    xgroups = {}
-    for a in xctx:
-        xgroups.setdefault(sig(a), []).append(a.aid)
-    markers = {CALL: kc, RET: kr}
     code_ids = [a.aid for a in zcode]
-    for combo in itertools.product(
-        *(itertools.permutations(groups[k]) for k in keys)
-    ):
-        g = dict(f)
-        for k, perm in zip(keys, combo):
-            g.update(zip(xgroups[k], perm))
-        g[CALL] = markers.get(CALL)
-        g[RET] = markers.get(RET)
+    for h in signature_bijections(contx_of(X), iface):
+        g = {**f, **h, CALL: kc, RET: kr}
         if _relations_match(Z, X, g, code_ids) and _hbc_matches(
             Z, X, g, expected
         ):

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 READ_KINDS = frozenset({"load", "load_NA", "LL"})
 WRITE_KINDS = frozenset({"store", "store_NA", "SC"})
@@ -76,6 +77,18 @@ class Execution:
 
     def by_id(self) -> dict:
         return {a.aid: a for a in self.actions}
+
+
+class PreExecution(NamedTuple):
+    """What a block or a thread contributes to an execution before rf and
+    mo are chosen: its actions, sb and the LL/SC atomicity at, which the
+    thread-local semantics builds (lang.thread_local_block), and r_ctx,
+    the hb seed edges of a context it is put under (blocklocal)."""
+
+    actions: tuple
+    sb: frozenset
+    at: frozenset
+    r_ctx: frozenset = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -295,39 +308,6 @@ def safe(X: Execution) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# at derivation
-
-
-def derive_at(actions, sb):
-    """Pair each successful SC with its sb-closest preceding LL on the same
-    location with no intervening SC/SC_f on that location."""
-    pairs = set()
-    for sc in actions:
-        if sc.kind != "SC":
-            continue
-        best = None
-        for ll in actions:
-            if ll.kind != "LL" or ll.gvar != sc.gvar:
-                continue
-            if (ll.aid, sc.aid) not in sb:
-                continue
-            blocked = any(
-                m.kind in ("SC", "SC_f")
-                and m.gvar == sc.gvar
-                and (ll.aid, m.aid) in sb
-                and (m.aid, sc.aid) in sb
-                for m in actions
-            )
-            if blocked:
-                continue
-            if best is None or (best.aid, ll.aid) in sb:
-                best = ll
-        if best is not None:
-            pairs.add((best.aid, sc.aid))
-    return frozenset(pairs)
-
-
-# ---------------------------------------------------------------------------
 # completion of a pre-execution to valid executions
 
 
@@ -384,8 +364,9 @@ def _mo_orders(ws, rows, pos, rf, at, byid, hidden):
                    tuple(w in hidden for w in ws))
 
 
-def rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT", pruner=None):
-    """The valid completions of a pre-execution, one class per rf choice.
+def rf_classes(pre: PreExecution, mode="AT", pruner=None):
+    """The valid completions of the pre-execution pre, one class per rf
+    choice.
 
     Yields (rf, rows, mo_choices) for every rf choice that has a valid
     completion: rf candidates are the writes a read may read from
@@ -404,6 +385,7 @@ def rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT", pruner=None):
     the writes by location, which only admitted choices use, are built
     there too.
     """
+    actions, sb, at, r_ctx = pre
     reads = [a for a in actions if is_read(a)]
     writes = [a for a in actions if is_write(a)]
     cands = []
@@ -457,38 +439,35 @@ def mo_orders_of(X: Execution):
                 a for a in X.actions if is_write(a)).values()]
 
 
-def class_executions(pre, rf, rows, mo_choices, mode="AT", locals_order=()):
-    """The executions of one rf class of the pre-execution pre, the
-    (actions, sb, at, r_ctx) that rf_classes took, one for each element
-    of the product of mo_choices, in order. Their hb is decoded from the
-    class's rows once."""
-    actions, sb, at, r_ctx = pre
-    hb = _hb_pairs(rows, [a.aid for a in actions])
+def class_executions(pre: PreExecution, rf, rows, mo_choices, mode="AT",
+                     locals_order=()):
+    """The executions of one rf class of the pre-execution pre, one for
+    each element of the product of mo_choices, in order. Their hb is
+    decoded from the class's rows once."""
+    hb = _hb_pairs(rows, [a.aid for a in pre.actions])
     for mo_choice in itertools.product(*mo_choices):
         yield Execution(
-            actions=actions,
-            sb=sb,
-            at=at,
+            actions=pre.actions,
+            sb=pre.sb,
+            at=pre.at,
             rf=rf,
             mo=mo_pairs(mo_choice),
             hb=hb,
             mode=mode,
-            r_ctx=r_ctx,
+            r_ctx=pre.r_ctx,
             locals_order=locals_order,
         )
 
 
-def complete(actions, sb, at, r_ctx=frozenset(), mode="AT",
-             locals_order=()):
+def complete(pre: PreExecution, mode="AT"):
     """Enumerate every valid (rf, mo) completion of a pre-execution.
 
     Yields Execution objects: the classes of rf_classes, in order, each
     flattened by class_executions. A caller that needs a cap counts
     what it takes.
     """
-    pre = (tuple(actions), frozenset(sb), frozenset(at), frozenset(r_ctx))
-    for c in rf_classes(*pre, mode):
-        yield from class_executions(pre, *c, mode, tuple(locals_order))
+    for c in rf_classes(pre, mode):
+        yield from class_executions(pre, *c, mode)
 
 
 class BudgetExceeded(Exception):
@@ -530,21 +509,22 @@ def enumerate_program(P, cfg: EnumConfig | None = None) -> EnumResult:
             th, sigma0, values, prefix=f"t{i}."
         )
         if cfg.thread_prefilter is not None:
-            res = [r for r in res if cfg.thread_prefilter(r[0])]
+            res = [r for r in res if cfg.thread_prefilter(r[0].actions)]
         per_thread.append(res)
     execs, outcomes = [], []
     any_unsafe = False
     truncated = False
     for combo in itertools.product(*per_thread):
-        acts = tuple(a for (aa, _, _) in combo for a in aa)
-        sb = frozenset(p for (_, s, _) in combo for p in s)
-        at = derive_at(acts, sb)
-        for X in complete(acts, sb, at, mode=cfg.mode):
+        pre = PreExecution(
+            tuple(a for (p, _) in combo for a in p.actions),
+            frozenset().union(*(p.sb for (p, _) in combo)),
+            frozenset().union(*(p.at for (p, _) in combo)))
+        for X in complete(pre, cfg.mode):
             if cfg.limit is not None and len(execs) >= cfg.limit:
                 truncated = True
                 break
             execs.append(X)
-            outcomes.append(tuple(dict(s) for (_, _, s) in combo))
+            outcomes.append(tuple(dict(s) for (_, s) in combo))
             if cfg.mode == "NA" and not safe(X):
                 any_unsafe = True
         if truncated:
@@ -570,32 +550,35 @@ def _project(X: Execution, ovar):
     return acts, hb
 
 
-def _obs_refines(px, py):
-    """obs_refines_ex on the projections px and py of two executions."""
-    ax, hx = px
-    ay, hy = py
-    if len(ax) != len(ay):
-        return False
+def signature_bijections(xs, ys):
+    """Every bijection from the actions xs to the actions ys that keeps
+    each action's signature (kind, gvar, vals), as a dict of action ids;
+    none when the signatures differ as multisets. The signature groups
+    are sorted by repr and the bijections are the product of per-group
+    permutations of ys's ids, in itertools order."""
     sig = lambda a: (a.kind, a.gvar, a.vals)
     gx, gy = {}, {}
-    for a in ax:
+    for a in xs:
         gx.setdefault(sig(a), []).append(a.aid)
-    for a in ay:
+    for a in ys:
         gy.setdefault(sig(a), []).append(a.aid)
-    if set(gx) != set(gy) or any(
-        len(gx[s]) != len(gy[s]) for s in gx
-    ):
-        return False
+    if set(gx) != set(gy) or any(len(gx[s]) != len(gy[s]) for s in gx):
+        return
     keys = sorted(gx, key=repr)
-    perms = [itertools.permutations(gy[s]) for s in keys]
-    for combo in itertools.product(*perms):
+    for combo in itertools.product(
+            *(itertools.permutations(gy[s]) for s in keys)):
         f = {}
         for s, perm in zip(keys, combo):
             f.update(zip(gx[s], perm))
-        # hb(Y) ⊆ f(hb(X)): every observable Y edge is the image of an X edge
-        if hy <= {(f[u], f[v]) for (u, v) in hx}:
-            return True
-    return False
+        yield f
+
+
+def _obs_refines(px, py):
+    """obs_refines_ex on the projections px and py of two executions."""
+    (ax, hx), (ay, hy) = px, py
+    # hb(Y) ⊆ f(hb(X)): every observable Y edge is the image of an X edge
+    return any(hy <= {(f[u], f[v]) for (u, v) in hx}
+               for f in signature_bijections(ax, ay))
 
 
 def obs_refines_ex(X: Execution, Y: Execution, ovar) -> bool:

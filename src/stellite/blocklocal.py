@@ -16,8 +16,8 @@ from . import lang
 from .axiomatic import (
     Action,
     Execution,
+    PreExecution,
     class_executions,
-    derive_at,
     derive_hb,
     rf_classes,
 )
@@ -87,37 +87,22 @@ def _check_context(ctx: CutContext, vs):
         seen_sc.add(sc)
 
 
-@dataclass(frozen=True)
-class PreExecution:
-    """The part of a block-local execution that no context changes: the
-    boundary and code actions, their sb and their at."""
-
-    actions: tuple  # call, the code actions, ret
-    sb: frozenset
-    at: frozenset
-
-
 def pre_executions(B, sigma, values, locals_order):
     """The pre-executions of block B from the local map sigma, in
-    thread-local order. values is the context's value domain; the block's
+    thread-local order, each with the block's actions between call(sigma)
+    and ret(sigma'). values is the context's value domain; the block's
     literals are added to it."""
     values = frozenset(values) | lang.literals_of(B)
-    callv = tuple(sigma[l] for l in locals_order)
+    call = Action(CALL, "call", None, tuple(sigma[l] for l in locals_order),
+                  "boundary")
     out = []
-    for (code, sbc, sigma2) in lang.thread_local_block(
-        B, sigma, values, origin="code"
-    ):
-        retv = tuple(sigma2[l] for l in locals_order)
-        call = Action(CALL, "call", None, callv, "boundary")
-        ret = Action(RET, "ret", None, retv, "boundary")
-        sb = set(sbc)
-        for c in code:
-            sb.add((CALL, c.aid))
-            sb.add((c.aid, RET))
-        sb.add((CALL, RET))
-        sb = frozenset(sb)
-        out.append(PreExecution((call,) + code + (ret,), sb,
-                                derive_at(code, sb)))
+    for (pre, sigma2) in lang.thread_local_block(B, sigma, values):
+        ret = Action(RET, "ret", None,
+                     tuple(sigma2[l] for l in locals_order), "boundary")
+        actions = (call,) + pre.actions + (ret,)
+        # a block is sequential: sb orders call, its actions and ret
+        sb = frozenset(itertools.combinations([a.aid for a in actions], 2))
+        out.append(PreExecution(actions, sb, pre.at))
     return out
 
 
@@ -136,6 +121,7 @@ def block_local(
 
     Code actions come from the thread-local semantics and sit sb-between
     call and ret; context actions carry no sb; R seeds hb and S extends at.
+    A context action with the id of a block action is a ValueError.
     """
     B = tuple(B)
     _check_context(ctx, lang.vars_of(B) if check_vs else None)
@@ -146,31 +132,35 @@ def block_local(
     out = []
     for sigma in sigmas:
         pres = pre_executions(B, sigma, values, locals_order)
+        shared = ctx.ids() & {a.aid for p in pres for a in p.actions}
+        if shared:
+            raise ValueError(f"context action id {min(shared)!r} is the id"
+                             " of a block action")
         for c in block_classes(pres, ctx, mode):
             out.extend(class_executions(*c, mode, locals_order))
     return out
 
 
-def _under(p: PreExecution, ctx: CutContext):
-    """The actions, sb, at and hb seed edges of the pre-execution p put
-    under ctx: a context LL is ordered before its paired SC in any real
-    context."""
-    return (p.actions + tuple(ctx.actions), p.sb, p.at | ctx.S,
-            frozenset(ctx.R) | frozenset(ctx.S))
+def _under(p: PreExecution, ctx: CutContext) -> PreExecution:
+    """The pre-execution p put under ctx: the context actions join its
+    actions, S joins at, and R and S seed hb; a context LL is ordered
+    before its paired SC in any real context."""
+    return PreExecution(p.actions + tuple(ctx.actions), p.sb, p.at | ctx.S,
+                        frozenset(ctx.R) | frozenset(ctx.S))
 
 
 def block_classes(pres, ctx: CutContext, mode="AT", pruner=None):
     """The valid executions of the pre-executions pres under ctx, as the
     rf classes of axiomatic.rf_classes, in order: (pre, rf, rows,
-    mo_choices), where pre is the (actions, sb, at, r_ctx) of a
-    pre-execution under ctx, rows is hb as bit rows over the positions
-    of its actions, and axiomatic.class_executions flattens one. This is
-    the one place a pre-execution is put under a context and completed.
-    A pruner (cut.CutPruner of ctx) keeps only the executions that
-    cut.cut keeps."""
+    mo_choices), where pre is a pre-execution under ctx (_under), rows
+    is hb as bit rows over the positions of its actions, and
+    axiomatic.class_executions flattens one. This is the one place a
+    pre-execution is put under a context and completed. A pruner
+    (cut.CutPruner of ctx) keeps only the executions that cut.cut
+    keeps."""
     for p in pres:
         pre = _under(p, ctx)
-        for c in rf_classes(*pre, mode, pruner):
+        for c in rf_classes(pre, mode, pruner):
             yield (pre, *c)
 
 

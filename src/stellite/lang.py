@@ -2,17 +2,18 @@
 
 Programs are parallel compositions of sequential blocks over shared
 globals and thread-private locals. The thread-local semantics maps a
-block and a local-variable map to the set of pre-executions (action set
-plus sequence-before) it can produce; global reads are unconstrained and
-yield every value in the value domain.
+block and a local-variable map to the pre-executions it can produce:
+actions, sequenced-before and the LL/SC atomicity (axiomatic.PreExecution);
+global reads are unconstrained and yield every value in the value domain.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
-from .axiomatic import Action
+from .axiomatic import Action, PreExecution
 
 FENCE_VAR = "fen"
 
@@ -79,7 +80,9 @@ class HoleStmt:
 
 @dataclass(frozen=True)
 class CodeRegion:
-    """Marks statements originating from a substituted code-block."""
+    """Marks the statements of a code-block substituted into a context's
+    hole: LL/SC reservations do not span its boundary (check_wellformed).
+    The thread-local semantics runs its body in place."""
 
     body: tuple
 
@@ -208,7 +211,7 @@ class _Parser:
         if v == "if":
             self.next()
             self.expect("(")
-            _, cond, _ = self.next()
+            cond = self._name("local")
             self.expect(")")
             self.expect("{")
             then = self.stmts(stop=("}",))
@@ -241,7 +244,7 @@ class _Parser:
                 self.expect("(")
                 g = self._global()
                 self.expect(",")
-                _, src, ps = self.next()
+                src = self._name("local")
                 self.expect(")")
                 return SCStmt(v, g, src)
             a = self._atom()
@@ -252,10 +255,14 @@ class _Parser:
             return Assign(v, a)
         raise ParseError(f"unexpected token {v!r} at {p}")
 
-    def _global(self):
+    def _name(self, what):
         k, v, p = self.next()
         if k != "id":
-            raise ParseError(f"expected global name at {p}, found {v!r}")
+            raise ParseError(f"expected {what} at {p}, found {v!r}")
+        return v
+
+    def _global(self):
+        v = self._name("global name")
         if v == FENCE_VAR:
             raise ParseError(f"{FENCE_VAR!r} is reserved for fences")
         return v
@@ -475,98 +482,76 @@ def _eval(expr, sigma):
     return 1 if a != b else 0
 
 
-def _tl(stmts, sigma, nid, values, origin, prefix):
-    """Returns a list of (actions, sb, sigma', next_id)."""
-    results = [((), frozenset(), sigma, nid)]
-    for s in stmts:
-        nxt = []
-        for (acts, sb, sg, n) in results:
-            for (a2, sb2, sg2, n2) in _tl_stmt(
-                s, sg, n, values, origin, prefix
-            ):
-                seq = frozenset(
-                    (x.aid, y.aid) for x in acts for y in a2
-                )
-                nxt.append((acts + a2, sb | sb2 | seq, sg2, n2))
-        results = nxt
-    return results
+def _tl(stmts, acts, at, res, sigma, values, prefix):
+    """Every run of the statements stmts after the trace acts, as
+    (actions, at, sigma'), with the reads' values in the order of values.
+    res maps each location to its latest LL that no SC or failed SC has
+    consumed, the LL a successful SC there pairs with in at."""
+    for k, s in enumerate(stmts):
+        rest = stmts[k + 1:]
+        aid = f"{prefix}{len(acts)}"
+        if isinstance(s, Assign):
+            sigma = {**sigma, s.lhs: _eval(s.expr, sigma)}
+        elif isinstance(s, StoreStmt):
+            kind = "store_NA" if s.na else "store"
+            acts += (Action(aid, kind, s.gvar, (_eval(s.src, sigma),),
+                            "code"),)
+        elif isinstance(s, FenceStmt):
+            ll = Action(aid, "LL", FENCE_VAR, (0,), "code")
+            sc = Action(f"{prefix}{len(acts) + 1}", "SC", FENCE_VAR, (0,),
+                        "code")
+            acts += (ll, sc)
+            at += ((ll.aid, sc.aid),)
+        elif isinstance(s, (LoadStmt, LLStmt)):
+            if isinstance(s, LLStmt):
+                kind, res = "LL", {**res, s.gvar: aid}
+            else:
+                kind = "load_NA" if s.na else "load"
+            for v in values:
+                sg = sigma if s.lhs is None else {**sigma, s.lhs: v}
+                yield from _tl(rest, acts + (Action(aid, kind, s.gvar, (v,),
+                                                     "code"),),
+                               at, res, sg, values, prefix)
+            return
+        elif isinstance(s, SCStmt):
+            ll = res.get(s.gvar)
+            res = {**res, s.gvar: None}
+            ok = Action(aid, "SC", s.gvar, (sigma.get(s.src, 0),), "code")
+            yield from _tl(rest, acts + (ok,),
+                           at if ll is None else at + ((ll, aid),), res,
+                           {**sigma, s.lhs: 1}, values, prefix)
+            yield from _tl(rest, acts + (Action(aid, "SC_f", s.gvar, (),
+                                                "code"),),
+                           at, res, {**sigma, s.lhs: 0}, values, prefix)
+            return
+        elif isinstance(s, IfStmt):
+            branch = s.els if sigma.get(s.cond, 0) == 0 else s.then
+            yield from _tl(branch + rest, acts, at, res, sigma, values,
+                           prefix)
+            return
+        elif isinstance(s, CodeRegion):
+            yield from _tl(s.body + rest, acts, at, res, sigma, values,
+                           prefix)
+            return
+        elif isinstance(s, HoleStmt):
+            raise ParseError("cannot execute a program with an unfilled hole")
+        else:
+            raise TypeError(f"unknown statement {s!r}")
+    yield acts, at, sigma
 
 
-def _tl_stmt(s, sigma, nid, values, origin, prefix):
-    mk = lambda n, kind, g, vals: Action(
-        f"{prefix}{n}", kind, g, vals, origin
-    )
-    if isinstance(s, Assign):
-        sg = dict(sigma)
-        sg[s.lhs] = _eval(s.expr, sigma)
-        return [((), frozenset(), sg, nid)]
-    if isinstance(s, LoadStmt):
-        kind = "load_NA" if s.na else "load"
-        out = []
-        for a in sorted(values):
-            act = mk(nid, kind, s.gvar, (a,))
-            sg = sigma
-            if s.lhs is not None:
-                sg = dict(sigma)
-                sg[s.lhs] = a
-            out.append(((act,), frozenset(), sg, nid + 1))
-        return out
-    if isinstance(s, StoreStmt):
-        v = _eval(s.src, sigma)
-        act = mk(nid, "store_NA" if s.na else "store", s.gvar, (v,))
-        return [((act,), frozenset(), sigma, nid + 1)]
-    if isinstance(s, LLStmt):
-        out = []
-        for a in sorted(values):
-            act = mk(nid, "LL", s.gvar, (a,))
-            sg = dict(sigma)
-            sg[s.lhs] = a
-            out.append(((act,), frozenset(), sg, nid + 1))
-        return out
-    if isinstance(s, SCStmt):
-        v = sigma.get(s.src, 0)
-        ok = mk(nid, "SC", s.gvar, (v,))
-        sg1 = dict(sigma)
-        sg1[s.lhs] = 1
-        fail = mk(nid, "SC_f", s.gvar, ())
-        sg0 = dict(sigma)
-        sg0[s.lhs] = 0
-        return [
-            ((ok,), frozenset(), sg1, nid + 1),
-            ((fail,), frozenset(), sg0, nid + 1),
-        ]
-    if isinstance(s, FenceStmt):
-        ll = mk(nid, "LL", FENCE_VAR, (0,))
-        sc = mk(nid + 1, "SC", FENCE_VAR, (0,))
-        return [(
-            (ll, sc),
-            frozenset({(ll.aid, sc.aid)}),
-            sigma,
-            nid + 2,
-        )]
-    if isinstance(s, IfStmt):
-        branch = s.els if sigma.get(s.cond, 0) == 0 else s.then
-        return _tl(branch, sigma, nid, values, origin, prefix)
-    if isinstance(s, CodeRegion):
-        return _tl(s.body, sigma, nid, values, "code", prefix)
-    if isinstance(s, HoleStmt):
-        raise ParseError("cannot execute a program with an unfilled hole")
-    raise TypeError(f"unknown statement {s!r}")
-
-
-def thread_local_block(
-    stmts, sigma, values, origin="code", prefix="b"
-):
-    """Pre-executions of one sequential block from a given local map.
-
-    Returns a list of (actions, sb, final sigma).
-    """
-    return [
-        (acts, sb, sg)
-        for (acts, sb, sg, _) in _tl(
-            tuple(stmts), dict(sigma), 0, frozenset(values), origin, prefix
-        )
-    ]
+def thread_local_block(stmts, sigma, values, prefix="b"):
+    """The pre-executions of one sequential block from the local map
+    sigma, each with its final local map: a list of (PreExecution,
+    sigma'). Action ids are prefix and a count; sb orders the actions
+    in program order; at pairs each successful SC with the latest LL of
+    its location that no SC or failed SC has consumed."""
+    out = []
+    for acts, at, sg in _tl(tuple(stmts), (), (), {}, dict(sigma),
+                            sorted(values), prefix):
+        sb = frozenset(itertools.combinations([a.aid for a in acts], 2))
+        out.append((PreExecution(acts, sb, frozenset(at)), sg))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +559,8 @@ def thread_local_block(
 
 
 def substitute(ctx: Program, block) -> Program:
-    """Replace the hole of a context with a code-block; the block's actions
-    keep the 'code' origin via an explicit region marker."""
+    """Replace the hole of a context with a code-block, wrapped in a
+    CodeRegion."""
 
     def sub(stmts):
         out = []

@@ -97,9 +97,9 @@ def _code_counts(B, values):
     live = lang.live_in(B)
     reads, writes = {}, {}
     for sigma in sigma_space(locs, live, values):
-        for (acts, _, _) in lang.thread_local_block(B, sigma, values):
+        for (pre, _) in lang.thread_local_block(B, sigma, values):
             r, w = {}, {}
-            for a in acts:
+            for a in pre.actions:
                 if is_read(a):
                     r[a.gvar] = r.get(a.gvar, 0) + 1
                 elif is_write(a):
@@ -251,7 +251,7 @@ class _Class:
 
     def __init__(self, pre, rf, rows, mo_choices, index):
         self.rf_class = (pre, rf, rows, mo_choices)
-        self.masks = masks = ClassMasks(pre[0], rf, rows, index)
+        self.masks = masks = ClassMasks(pre.actions, rf, rows, index)
         self.floor = masks.deny(()) | masks.acyc
         self.size = math.prod(map(len, mo_choices))
         self.denies = []

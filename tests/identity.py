@@ -10,7 +10,10 @@ PYTHONHASHSEED=0 over the same inputs:
   READ_WRITE_ROWS below at V=2: the outcome, the witness (context,
   sigma, execution, history, candidates) and every Verdict.stats field;
 - enumerate_program on litmus_batch(7, 2000) and litmus_batch(11, 2000)
-  of bench/inputs.py: the executions, outcomes, unsafe and truncated.
+  of bench/inputs.py: the executions, outcomes, unsafe and truncated;
+- check_q_instance on every corpus .ctx file against every corpus .tr
+  file, in AT and in NA mode at V=2: the result, and the block_local
+  executions of both blocks under that context.
 
 The row lists and the litmus generator are read from this script's own
 checkout, the corpus from each checkout. Sets are compared as sorted
@@ -82,7 +85,10 @@ def dump(checkout):
     import stellite
     from stellite import lang
     from stellite.axiomatic import EnumConfig, enumerate_program
-    from stellite.verifier import check_cut_refinement, context_bound
+    from stellite.blocklocal import block_local
+    from stellite.cli import parse_context_file
+    from stellite.verifier import (check_cut_refinement, check_q_instance,
+                                   context_bound)
 
     src = (Path(checkout) / "src").resolve()
     if not Path(stellite.__file__).resolve().is_relative_to(src):
@@ -114,6 +120,20 @@ def dump(checkout):
                               "truncated": res.truncated,
                               "digest": _digest((res.executions,
                                                  res.outcomes))}))
+    for cpath in sorted(corpus.glob("*.ctx")):
+        ctx = parse_context_file(cpath.read_text())
+        for tpath in sorted(corpus.glob("*.tr")):
+            B2, B1 = lang.parse_transformation(tpath.read_text())
+            for mode in ("AT", "NA"):
+                row = {"row": f"instance {cpath.name} {tpath.name} {mode}"}
+                try:
+                    row["holds"] = check_q_instance(B1, B2, ctx, mode=mode)
+                    row["executions"] = _digest(
+                        [block_local(B, ctx, mode=mode, check_vs=False)
+                         for B in (B1, B2)])
+                except ValueError as exc:
+                    row["error"] = str(exc)
+                print(json.dumps(row))
 
 
 def rows_of(checkout):

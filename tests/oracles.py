@@ -187,8 +187,8 @@ def brute_force_signatures(P, values=frozenset({0, 1}), mode="AT"):
         per.append(lang.thread_local_block(th, sigma0, vals, prefix=f"t{i}."))
     out = set()
     for combo in itertools.product(*per):
-        acts = tuple(a for (aa, _, _) in combo for a in aa)
-        sb = frozenset(p for (_, s, _) in combo for p in s)
+        acts = tuple(a for (p, _) in combo for a in p.actions)
+        sb = frozenset(e for (p, _) in combo for e in p.sb)
         at = _oracle_at(acts, sb)
         reads = [a for a in acts if is_read(a)]
         writes = [a for a in acts if is_write(a)]

@@ -12,6 +12,7 @@ from stellite.axiomatic import (
     BudgetExceeded,
     EnumConfig,
     Execution,
+    PreExecution,
     _hb_rf,
     _may_read_from,
     _mo_ids,
@@ -21,7 +22,6 @@ from stellite.axiomatic import (
     _mo_step,
     _rf_violation,
     check_axioms,
-    derive_at,
     derive_hb,
     enumerate_program,
     is_atomic_write,
@@ -283,8 +283,8 @@ def _assignments(P, mode):
                                    vals, prefix=f"t{i}.")
            for i, th in enumerate(lang.threads_of(P))]
     for combo in itertools.product(*per):
-        acts = tuple(a for (aa, _, _) in combo for a in aa)
-        sb = frozenset(p for (_, s, _) in combo for p in s)
+        acts = tuple(a for (p, _) in combo for a in p.actions)
+        sb = frozenset(e for (p, _) in combo for e in p.sb)
         at = frozenset(_oracle_at(acts, sb))
         reads = [a for a in acts if is_read(a)]
         writes = [a.aid for a in acts if is_write(a)]
@@ -443,7 +443,7 @@ def _pairwise_obs_refines_pr(P1, P2, ovar, cfg):
 
 _OBS_STMTS = {
     "AT": ("st(x,1)", "st(x,2)", "a := ld(x)", "st(y,1)",
-           "b := ld(y); st(x,b)", "fc", "c := LL(x); d := SC(x,2)"),
+           "b := ld(y); st(x,b)", "fc", "c := LL(x); e := 2; d := SC(x,e)"),
     "NA": ("st(x,1)", "stna(y,1)", "a := ld(x)", "b := ldna(y)",
            "b := ldna(y); st(x,b)", "fc"),
 }
@@ -531,23 +531,25 @@ def _slow_rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT",
 def _assert_rf_classes_match(pre, mode="AT", pruner=None):
     """rf_classes and the slow path give the same classes in the same
     order, with rf_classes' rows decoded to pairs; returns how many."""
-    aids = [a.aid for a in pre[0]]
+    aids = [a.aid for a in pre.actions]
     fast = [(rf, pairs_of(aids, rows), mo_choices)
-            for rf, rows, mo_choices in rf_classes(*pre, mode, pruner)]
+            for rf, rows, mo_choices in rf_classes(pre, mode, pruner)]
     assert fast == list(_slow_rf_classes(*pre, mode, pruner)), pre
     return len(fast)
 
 
 def _program_pres(P, values=frozenset({0, 1})):
-    """The pre-executions enumerate_program completes for P."""
+    """The pre-executions enumerate_program completes for P, the union of
+    one pre-execution of each thread."""
     values = frozenset(values) | lang.literals_of(P)
     per = [lang.thread_local_block(th, {l: 0 for l in lang.locals_of(th)},
                                    values, prefix=f"t{i}.")
            for i, th in enumerate(lang.threads_of(P))]
     for combo in itertools.product(*per):
-        acts = tuple(a for (aa, _, _) in combo for a in aa)
-        sb = frozenset(p for (_, s, _) in combo for p in s)
-        yield acts, sb, derive_at(acts, sb), frozenset()
+        yield PreExecution(
+            tuple(a for (p, _) in combo for a in p.actions),
+            frozenset(e for (p, _) in combo for e in p.sb),
+            frozenset(e for (p, _) in combo for e in p.at))
 
 
 def test_rf_classes_match_the_slow_path_on_the_corpus_programs():
@@ -603,7 +605,7 @@ def _shared_mask_pres():
     llsc = (A("w1", "store", "x", 1), A("w2", "store", "x", 2),
             A("l", "LL", "x", 1), A("s", "SC", "x", 3))
     for at in ([("l", "s")], []):
-        out.append(((llsc, frozenset(), frozenset(at), frozenset()), None))
+        out.append((PreExecution(llsc, frozenset(), frozenset(at)), None))
     values = frozenset({0, 1})
     B2, B1 = lang.parse_transformation(
         (CORPUS / "store_collapse.tr").read_text())
@@ -667,15 +669,15 @@ def _random_pres(draw):
         S = {(u, v) for (u, v) in at
              if {u, v} <= {a.aid for a in ctx}}
         pruner = CutPruner(ctx, S)
-    return (acts, sb, at, r_ctx), mode, pruner
+    return PreExecution(acts, sb, at, r_ctx), mode, pruner
 
 
 _CTX_STORE = Action("c", "store", "x", (1,), "context")
 
 
 def _case(acts, sb=(), r_ctx=(), mode="AT", pruner=None):
-    return (tuple(acts), frozenset(sb), frozenset(), frozenset(r_ctx)), \
-        mode, pruner
+    return PreExecution(tuple(acts), frozenset(sb), frozenset(),
+                        frozenset(r_ctx)), mode, pruner
 
 
 @settings(max_examples=300, deadline=None)

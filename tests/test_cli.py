@@ -202,6 +202,34 @@ def test_input_errors_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("label, rc, out", [("q", 0, "holds\n"),
+                                              ("b0", 3, "")])
+def test_instance_rejects_a_context_label_that_is_a_block_action_id(
+        tmp_path, capsys, label, rc, out):
+    # load_dup's actions are b0, b1, ...: a context store labelled b0
+    # would otherwise be merged with the block's first load
+    ctx = tmp_path / "st.ctx"
+    ctx.write_text(f"ctx: {label} = st(x, 1)\n")
+    assert main(["instance", str(CORPUS / "load_dup.tr"),
+                 "--context", str(ctx)]) == rc
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert ("'b0' is the id of a block action" in captured.err) == (rc == 3)
+
+
+@pytest.mark.parametrize("text", ["a := LL(x); b := SC(x, 2); c := ld(x)",
+                                  "if (1) { st(x,1) }",
+                                  "if (;) { st(x,1) }"])
+def test_a_literal_sc_source_or_if_condition_exits_three(tmp_path, capsys,
+                                                         text):
+    lit = tmp_path / "p.lit"
+    lit.write_text(text)
+    assert main(["simulate", str(lit)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: expected local at" in captured.err
+
+
 def test_version_flag(capsys):
     rc = main(["--version"])
     out = capsys.readouterr().out

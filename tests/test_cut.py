@@ -142,7 +142,7 @@ def test_cut_only_matches_the_filtered_slow_path_on_the_corpus():
 
 _STMTS = st.sampled_from([
     "l := ld(x)", "m := ld(y)", "ld(x)", "st(x, l)", "st(x, 1)", "st(y, m)",
-    "st(y, 0)", "fc", "l := LL(x); m := SC(x, l)", "m := LL(y); m := SC(y, 1)",
+    "st(y, 0)", "fc", "l := LL(x); m := SC(x, l)", "m := LL(y); n := 1; m := SC(y, n)",
 ])
 
 

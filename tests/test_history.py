@@ -1,5 +1,6 @@
 """Histories, extended histories and their refinement orders."""
 
+import dataclasses
 import functools
 import itertools
 from pathlib import Path
@@ -7,7 +8,13 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from stellite import lang
-from stellite.axiomatic import complete, mo_orders_of, mo_pairs, rf_classes
+from stellite.axiomatic import (
+    PreExecution,
+    complete,
+    mo_orders_of,
+    mo_pairs,
+    rf_classes,
+)
 from stellite.blocklocal import (
     CALL,
     RET,
@@ -212,7 +219,7 @@ def _assert_classes_match(classes, flat, index):
     execution once it is checked."""
     flat = iter(flat)
     for (pre, rf, rows, mo_choices) in classes:
-        acts = pre[0]
+        acts = pre.actions
         hb = pairs_of([a.aid for a in acts], rows)
         masks = ClassMasks(acts, rf, rows, index)
         for mo_choice in itertools.product(*mo_choices):
@@ -264,11 +271,11 @@ def test_class_masks_match_the_flattened_executions_and_the_oracle(data):
     # a sampled execution's actions, sb, at and context hb seed edges are
     # a pre-execution under a context; complete it again, class by class
     X = data.draw(st.sampled_from(_sample()))
-    pre = (X.actions, X.sb, X.at, X.r_ctx)
+    pre = PreExecution(X.actions, X.sb, X.at, X.r_ctx)
     index = PairIndex(a.aid for a in contx_of(X))
-    flat = list(complete(*pre, mode=X.mode, locals_order=X.locals_order))
-    assert X in flat
-    classes = ((pre, *c) for c in rf_classes(*pre, X.mode))
+    flat = list(complete(pre, X.mode))
+    assert dataclasses.replace(X, locals_order=()) in flat
+    classes = ((pre, *c) for c in rf_classes(pre, X.mode))
     for Y in _assert_classes_match(classes, flat, index):
         # the deny and acyclicity edges by their definitions, not through
         # the threat masks both sides share
@@ -344,7 +351,7 @@ def _corpus_classes():
 def test_the_order_fold_deny_is_the_pair_fold_on_corpus_classes(data):
     (pre, rf, rows, mo_choices), index = data.draw(
         st.sampled_from(_corpus_classes()))
-    masks = ClassMasks(pre[0], rf, rows, index)
+    masks = ClassMasks(pre.actions, rf, rows, index)
     for mo_choice in itertools.islice(itertools.product(*mo_choices), 50):
         assert masks.deny(mo_choice) == \
             _pair_fold_deny(masks, mo_pairs(mo_choice)), (pre, rf, mo_choice)

@@ -1,17 +1,31 @@
 """Surface syntax, thread-local semantics and static queries."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stellite import lang
-from stellite.lang import ParseError
+from stellite.lang import (
+    Assign,
+    FenceStmt,
+    HoleStmt,
+    IfStmt,
+    LLStmt,
+    ParseError,
+    Program,
+    SCStmt,
+    StoreStmt,
+)
+
+from oracles import _oracle_at
 
 
 def pre_executions(text, sigma=None, values=frozenset({0, 1})):
+    """The (actions, sb, sigma') of each pre-execution of the block text."""
     B = lang.parse_block(text)
     sg = {l: 0 for l in lang.locals_of(B)}
     sg.update(sigma or {})
-    return lang.thread_local_block(B, sg, values)
+    return [(pre.actions, pre.sb, sg2)
+            for pre, sg2 in lang.thread_local_block(B, sg, values)]
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +52,17 @@ def test_skip_is_the_empty_block():
 def test_sc_without_preceding_ll_is_rejected():
     with pytest.raises(ParseError):
         lang.parse_block("m := SC(x, l)")
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("a := LL(x); b := SC(x, 2)", 23),
+    ("a := LL(x); b := SC(x, ;)", 23),
+    ("if (1) { st(x,1) }", 4),
+    ("if (;) { st(x,1) }", 4),
+])
+def test_sc_source_and_if_condition_must_be_locals(text, pos):
+    with pytest.raises(ParseError, match=f"expected local at {pos}"):
+        lang.parse_block(text)
 
 
 def test_fence_variable_is_reserved_in_source():
@@ -120,6 +145,12 @@ def test_if_takes_then_branch_on_any_nonzero_value():
         "if (l) { st(x,1) } else { st(y,1) }", {"l": 0}
     )
     assert acts[0].gvar == "y"
+
+
+def test_fence_pairs_its_ll_and_sc_in_at():
+    [(pre, _)] = lang.thread_local_block(lang.parse_block("fc; fc"), {},
+                                         {0, 1})
+    assert pre.at == {("b0", "b1"), ("b2", "b3")}
 
 
 def test_pre_execution_count_lower_bound_for_global_reads():
@@ -225,3 +256,49 @@ def test_unparse_parse_round_trip(stmts):
     text = "; ".join(stmts) or "skip"
     B = lang.parse_block(text)
     assert lang.parse_block(lang.unparse_block(B)) == B
+
+
+# ---------------------------------------------------------------------------
+# at, paired as the trace is built, against the independent pairing of
+# the oracle over the finished actions and sb
+
+_LOCAL = st.sampled_from("ab")
+_LOC = st.sampled_from("xy")
+_LLSC_STMT = st.one_of(
+    st.builds(LLStmt, _LOCAL, _LOC),
+    st.builds(SCStmt, _LOCAL, _LOC, _LOCAL),
+    st.builds(StoreStmt, _LOC, st.just(("var", "a"))),
+    st.builds(Assign, _LOCAL, st.sampled_from([("lit", 0), ("lit", 1)])),
+    st.just(FenceStmt()),
+)
+# blocks of LL/SC on two locations, repeated LLs among them, fences and
+# if/else on a local; the SCs need no preceding LL
+_LLSC_BLOCK = st.recursive(
+    st.lists(_LLSC_STMT, max_size=4).map(tuple),
+    lambda block: st.lists(
+        st.one_of(_LLSC_STMT, st.builds(IfStmt, _LOCAL, block, block)),
+        max_size=4).map(tuple),
+    max_leaves=8)
+
+
+def _assert_at_is_the_oracle(stmts):
+    for pre, _ in lang.thread_local_block(stmts, {}, {0, 1}):
+        assert pre.at == _oracle_at(pre.actions, pre.sb), pre
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LLSC_BLOCK)
+# the latest LL of x, not the first; and each location its own LL
+@example((LLStmt("a", "x"), LLStmt("b", "x"), SCStmt("a", "x", "b")))
+@example((LLStmt("a", "x"), LLStmt("b", "y"), SCStmt("a", "x", "b")))
+def test_thread_local_at_is_the_oracle_pairing(stmts):
+    _assert_at_is_the_oracle(stmts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LLSC_BLOCK, _LLSC_BLOCK, _LLSC_BLOCK,
+       st.sampled_from([(HoleStmt(),), (IfStmt("a", (HoleStmt(),), ()),)]))
+def test_thread_local_at_is_the_oracle_pairing_around_a_code_region(
+        before, block, after, hole):
+    p = lang.substitute(Program((before + hole + after,)), block)
+    _assert_at_is_the_oracle(p.threads[0])
