@@ -23,15 +23,7 @@ from .blocklocal import (  # noqa: F401
     downclosure,
 )
 from .cut import cut, explain_cut, vis  # noqa: F401
-from .history import (  # noqa: F401
-    ExtendedHistory,
-    History,
-    deny,
-    hist,
-    hist_ext,
-    refines_ext,
-    refines_h,
-)
+from .history import History, deny, hist, hist_ext, refines  # noqa: F401
 from .lang import (  # noqa: F401
     ParseError,
     Program,

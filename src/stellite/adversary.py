@@ -43,12 +43,9 @@ RET_MARK = "kret"
 @dataclass
 class AdversaryContext:
     program: Program  # with one hole
-    hole_thread: int
-    action_thread: dict  # context action id -> thread index
     watch_r: dict  # R edge -> watchdog variable
     watch_h: dict  # monitored edge -> monitor variable
     interface_vars: frozenset
-    locals_order: tuple
 
 
 def _san(aid):
@@ -91,17 +88,13 @@ def build_context(X) -> AdversaryContext:
     singles = [[i] for i in ctx_ids if i not in paired]
     chain_edges = {(ll, sc) for ll, sc in pair_of.items()}
 
-    # monitored edges: guarantee-shaped pairs neither guaranteed by X nor
-    # implied by R or by pair chaining
-    Rrev = {(v, u) for (u, v) in R}
-    dom = set()
-    for u in ctx_ids + [CALL]:
-        for v in ctx_ids + [RET]:
-            if u == v or (u == CALL and v == RET):
-                continue
-            if u == CALL or v == RET or (u in ctx_ids and v in ctx_ids):
-                dom.add((u, v))
-    H = dom - set(G) - Rrev - chain_edges
+    # monitored edges: guarantee-shaped pairs, the reverse of the context
+    # relation's shape, neither guaranteed by X nor implied by R or by
+    # pair chaining
+    nodes = ctx_ids + [CALL, RET]
+    dom = {(u, v) for u in nodes for v in nodes
+           if u != v and in_r_shape(v, u, ctx_ids)}
+    H = dom - G - {(v, u) for (u, v) in R} - chain_edges
 
     watch_r = {(u, v): f"h_{_san(u)}_{_san(v)}" for (u, v) in R}
     watch_h = {(u, v): f"g_{_san(u)}_{_san(v)}" for (u, v) in H}
@@ -181,28 +174,19 @@ def build_context(X) -> AdversaryContext:
         return body
 
     threads = []
-    action_thread = {}
-    hole_thread = len(chains) + len(singles)  # placed last
     for group in chains + singles:
-        idx = len(threads)
         body = []
         for m in reversed(group):
             body = wrap(m, body)
-        for m in group:
-            action_thread[m] = idx
         threads.append(tuple(body))
-    threads.append(tuple(wrap("hole", [])))
-    hole_thread = len(threads) - 1
+    threads.append(tuple(wrap("hole", [])))  # the hole's thread is last
     prog = Program(tuple(threads))
     lang.check_wellformed(prog)
     return AdversaryContext(
         program=prog,
-        hole_thread=hole_thread,
-        action_thread=action_thread,
         watch_r=watch_r,
         watch_h=watch_h,
         interface_vars=frozenset(a.gvar for a in ctxacts),
-        locals_order=X.locals_order,
     )
 
 

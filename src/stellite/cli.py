@@ -105,18 +105,16 @@ def execution_from_json(d: dict) -> Execution:
         raise ValueError(f"not an execution: {exc}") from exc
 
 
-def history_to_json(E) -> dict:
-    out = {
+def history_to_json(H) -> dict:
+    return {
         "actions": [
             {"id": a.aid, "kind": a.kind, "var": a.gvar,
              "values": list(a.vals)}
-            for a in sorted(E.A, key=lambda a: a.aid)
+            for a in sorted(H.A, key=lambda a: a.aid)
         ],
-        "guarantee": sorted(map(list, E.G)),
+        "guarantee": sorted(map(list, H.G)),
+        "deny": sorted(map(list, H.D)),
     }
-    if hasattr(E, "D"):
-        out["deny"] = sorted(map(list, E.D))
-    return out
 
 
 def _transitive_reduce(rel):
@@ -187,7 +185,10 @@ def parse_context_file(text) -> CutContext:
             if not m:
                 raise ParseError(f"context file line {ln}: bad action")
             label = m.group("label") or f"a{len(acts) + 1}"
-            if label in labels or label in ("call", "ret"):
+            if label in ("call", "ret"):
+                raise ParseError(f"context file line {ln}: label {label!r}"
+                                 " is reserved for the block boundary")
+            if label in labels:
                 raise ParseError(
                     f"context file line {ln}: duplicate label {label!r}"
                 )
@@ -262,7 +263,20 @@ def _emit(args, report, verdict=None):
         )
 
 
+def _outcome(spec):
+    """The local -> value map of an outcome 'l=v,...'; ValueError naming
+    the first item of another shape."""
+    want = {}
+    for item in spec.split(","):
+        k, _, v = item.partition("=")
+        if not k.strip() or not v.strip().isdecimal():
+            raise ValueError(f"--forbid item {item!r} is not local=value")
+        want[k.strip()] = int(v)
+    return want
+
+
 def cmd_simulate(args) -> int:
+    want = args.forbid and _outcome(args.forbid)
     text = Path(args.litmus).read_text()
     prog = lang.parse_program(text)
     mode = "NA" if args.na else "AT"
@@ -293,11 +307,7 @@ def cmd_simulate(args) -> int:
         "outcomes": [dict(k) for k in sorted(outcomes)],
     }
     _emit(args, report)
-    if args.forbid:
-        want = {}
-        for part in args.forbid.split(","):
-            k, v = part.split("=")
-            want[k.strip()] = int(v)
+    if want:
         for key in outcomes:
             d = dict(key)
             if all(d.get(k) == v for k, v in want.items()):
@@ -393,7 +403,7 @@ def main(argv=None) -> int:
         return 3 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (ParseError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

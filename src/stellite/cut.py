@@ -17,7 +17,7 @@ into Y, for a write after w that happens before u, then comes with the
 deny edge (u, w) of Y, which X has too, and X, whose SC also sits right
 after w, denies (u, SC) as well. If a code read of X reads w, this fails:
 w happens before ret in X, so X covers the deny edge (ret, w) of Y only
-as an acyclicity edge, while every write of the original block that
+by guaranteeing (w, ret), while every write of the original block that
 follows w in mo follows the SC too and denies (ret, SC), which X need not
 do. The write-back elimination l := ld(x); st(x,l) ~> l := ld(x) is
 unsound in just this way.

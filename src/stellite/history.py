@@ -1,9 +1,11 @@
-"""Histories and extended histories of block-local executions.
+"""Histories of block-local executions.
 
-A history records the context-visible happens-before footprint of a
-block (the guarantee); the extended history adds the deny: edges the
-context could not add as happens-before without completing a violation
-of HBVSMO, COHERENCE, or RFVAL.
+A history is a block's denotation under one context: its context and
+boundary actions A, the guarantee G, the happens-before edges the
+context can see, and the deny D, the edges the context could not add as
+happens-before without completing a violation of HBVSMO, COHERENCE, or
+RFVAL. Adding the reverse of a guaranteed edge would close an hb cycle
+instead; refines reads those edges off G, so D does not list them.
 """
 
 from __future__ import annotations
@@ -11,46 +13,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .axiomatic import Execution, is_read, is_write, mo_orders_of
-from .blocklocal import CALL, RET, contx_of
+from .blocklocal import CALL, RET, contx_of, in_r_shape
 
 
 @dataclass(frozen=True)
 class History:
     A: frozenset  # context actions plus boundary actions, by value
     G: frozenset  # guarantee edges over ids
-
-
-@dataclass(frozen=True)
-class ExtendedHistory:
-    A: frozenset
-    G: frozenset
-    D: frozenset
-    acyc: frozenset = frozenset()  # acyclicity denies, kept separately
-
-
-def _boundary(X: Execution):
-    return tuple(a for a in X.actions if a.aid in (CALL, RET))
+    D: frozenset = frozenset()  # deny edges over ids
 
 
 def hist(X: Execution) -> History:
-    """X's context and boundary actions and its guarantee: hb projected
-    to context-to-context, context-to-ret and call-to-context pairs."""
+    """X's context and boundary actions and its guarantee: the hb pairs
+    whose reverse has the shape of a context relation edge, that is
+    context-to-context, context-to-ret and call-to-context pairs. The
+    deny is left empty; hist_ext fills it in."""
     ctx = contx_of(X)
     ids = {a.aid for a in ctx}
-    G = frozenset(
-        (u, v)
-        for (u, v) in X.hb
-        if (u in ids and (v in ids or v == RET)) or (u == CALL and v in ids)
-    )
-    return History(frozenset(ctx) | frozenset(_boundary(X)), G)
+    G = frozenset((u, v) for (u, v) in X.hb if in_r_shape(v, u, ids))
+    return History(frozenset(ctx) | {a for a in X.actions
+                                     if a.aid in (CALL, RET)}, G)
 
 
 class PairIndex:
     """One bit for each pair of a context's ids, call and ret, the pairs
-    that every edge of a guarantee, a deny or an acyclicity relation
+    that every edge of a guarantee, a deny or the reverse of a guarantee
     under that context joins. Under one context the action sets of
-    extended histories differ only in the values of call and ret, which
-    key returns."""
+    histories differ only in the values of call and ret, which key
+    returns."""
 
     def __init__(self, ctx_ids):
         ids = [*ctx_ids, CALL, RET]
@@ -78,12 +68,13 @@ class PairIndex:
 
 
 class ClassMasks:
-    """The extended histories of the executions that share actions, rf
-    and hb, an rf class of rf_classes, as PairIndex masks.
+    """The histories of the executions that share actions, rf and hb, an
+    rf class of rf_classes, as PairIndex masks.
 
-    key, the guarantee and the acyclicity edges depend on hb alone and
-    are built once; deny(orders) gives the deny edges of one choice of
-    mo orders.
+    key, the guarantee and acyc, the reverse of the guarantee, depend on
+    hb alone and are built once; deny(orders) gives the deny edges of one
+    choice of mo orders. A scan tests deny | acyc, the edges a history
+    denies or covers by its guarantee, as refines reads them.
 
     hb comes as rows, bit j of rows[i] when the i-th action happens
     before the j-th, and up[i], the actions i reaches by reflexive hb
@@ -168,48 +159,38 @@ class ClassMasks:
         return D
 
 
-def deny(X: Execution):
+def deny(X: Execution) -> frozenset:
     """Deny edges: (u,v) such that enforcing u happens-before v would
-    complete an axiom violation (see ClassMasks), and the acyclicity
-    edges, those (u,v) whose reverse is already in hb."""
+    complete an axiom violation (see ClassMasks)."""
     pos = {a.aid: i for i, a in enumerate(X.actions)}
     rows = [0] * len(pos)
     for (u, v) in X.hb:
         rows[pos[u]] |= 1 << pos[v]
     index = PairIndex(a.aid for a in contx_of(X))
     masks = ClassMasks(X.actions, X.rf, rows, index)
-    return (index.decode(masks.deny(mo_orders_of(X))),
-            index.decode(masks.acyc))
+    return index.decode(masks.deny(mo_orders_of(X)))
 
 
-def hist_ext(X: Execution) -> ExtendedHistory:
+def hist_ext(X: Execution) -> History:
+    """hist(X) with its deny."""
     h = hist(X)
-    D, acyc = deny(X)
-    return ExtendedHistory(h.A, h.G, D, acyc)
+    return History(h.A, h.G, deny(X))
 
 
 def class_hist_ext(X: Execution, masks: ClassMasks,
-                   index: PairIndex) -> ExtendedHistory:
+                   index: PairIndex) -> History:
     """hist_ext(X) for an execution X of the rf class whose ClassMasks,
     built under index, are masks."""
     h = hist(X)
-    return ExtendedHistory(h.A, h.G,
-                           index.decode(masks.deny(mo_orders_of(X))),
-                           index.decode(masks.acyc))
+    return History(h.A, h.G, index.decode(masks.deny(mo_orders_of(X))))
 
 
-def refines_h(H1: History, H2: History) -> bool:
-    """History refinement: equal action sets, the left side guarantees at
-    least as much."""
-    return H1.A == H2.A and H2.G <= H1.G
-
-
-def refines_ext(E1: ExtendedHistory, E2: ExtendedHistory) -> bool:
+def refines(H1: History, H2: History) -> bool:
     """Equal action sets; the left side guarantees and denies at least as
-    much. An edge the right side denies is also covered if its reverse is
-    already guaranteed on the left (the context can never add it)."""
+    much. An edge the right side denies is also covered if the left side
+    guarantees its reverse (the context can never add it)."""
     return (
-        E1.A == E2.A
-        and E2.G <= E1.G
-        and E2.D <= (E1.D | E1.acyc)
+        H1.A == H2.A
+        and H2.G <= H1.G
+        and all((v, u) in H1.G for (u, v) in H2.D - H1.D)
     )

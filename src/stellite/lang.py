@@ -130,13 +130,20 @@ def _tokenize(text):
     return toks
 
 
+def _where(p, v):
+    """Where the token v at position p stands, or the end of input, for an
+    error message."""
+    return "at end of input" if p is None else f"at {p}, found {v!r}"
+
+
 class _Parser:
     def __init__(self, text):
         self.toks = _tokenize(text)
         self.i = 0
 
     def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None, -1)
+        """The next token, or (None, None, None) at the end of input."""
+        return self.toks[self.i] if self.i < len(self.toks) else (None,) * 3
 
     def next(self):
         t = self.peek()
@@ -146,7 +153,7 @@ class _Parser:
     def expect(self, val):
         k, v, p = self.next()
         if v != val:
-            raise ParseError(f"expected {val!r} at {p}, found {v!r}")
+            raise ParseError(f"expected {val!r} {_where(p, v)}")
         return v
 
     def at(self, val):
@@ -181,7 +188,7 @@ class _Parser:
             return ("lit", int(v))
         if k == "id":
             return ("var", v)
-        raise ParseError(f"expected value or local at {p}, found {v!r}")
+        raise ParseError(f"expected value or local {_where(p, v)}")
 
     def stmt(self):
         k, v, p = self.peek()
@@ -258,7 +265,7 @@ class _Parser:
     def _name(self, what):
         k, v, p = self.next()
         if k != "id":
-            raise ParseError(f"expected {what} at {p}, found {v!r}")
+            raise ParseError(f"expected {what} {_where(p, v)}")
         return v
 
     def _global(self):

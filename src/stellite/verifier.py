@@ -2,7 +2,7 @@
 
 check_cut_refinement decides the finite, cut-based refinement between two
 blocks by enumerating every reduced context within a derived per-location
-budget and comparing extended histories. It keeps both blocks' executions
+budget and comparing histories. It keeps both blocks' executions
 as rf classes (blocklocal.block_classes) with their history.ClassMasks,
 and computes an original-block class's deny masks, one per mo order, only
 as far as the domination scan needs them. check_q_instance decides
@@ -40,7 +40,7 @@ from .history import (
     class_hist_ext,
     hist,
     hist_ext,
-    refines_h,
+    refines,
 )
 
 
@@ -260,11 +260,10 @@ class _Class:
     def dominates(self, guarantee, deny):
         """Whether some execution of the class dominates one of the other
         block with the same action set, the given guarantee mask and the
-        given mask of deny and acyclicity edges. Testing a class's deny
-        and acyclicity edges together is refines_ext: its acyclicity
-        edges are the reverse of its guarantee within the deny domain,
-        so once that guarantee is inside the other's, they are the
-        other's acyclicity edges."""
+        given mask of deny edges and the reverse of that guarantee.
+        Testing a class's deny with the reverse of its guarantee is
+        refines: once its guarantee is inside the other's, the reverse
+        of its guarantee is inside the reverse of the other's."""
         masks = self.masks
         if masks.guarantee & ~guarantee or self.floor & ~deny:
             return False
@@ -314,9 +313,9 @@ def _classes(pres, ctx, index, limit, pruner=None):
 
 
 def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
-    """Does every cut execution of B1 under every reduced context have an
-    extended history dominated by some execution of B2 under the same
-    context? Blocks with non-atomic accesses raise ValueError.
+    """Does every cut execution of B1 under every reduced context have a
+    history dominated by some execution of B2 under the same context?
+    Blocks with non-atomic accesses raise ValueError.
 
     Both blocks are scanned as rf classes (blocklocal.block_classes):
     B1's cut survivors, built with the cut.CutPruner of each context,
@@ -409,13 +408,13 @@ def check_q_instance(B1, B2, ctx: CutContext, mode="AT",
         for X in x1s:
             h1 = hist(X)
             if mode == "AT":
-                if not any(refines_h(h1, h2) for (_, h2) in h2s):
+                if not any(refines(h1, h2) for (_, h2) in h2s):
                     return False
                 continue
             found = False
             for (Y, h2) in h2s:
                 if safe(Y):
-                    if safe(X) and refines_h(h1, h2):
+                    if safe(X) and refines(h1, h2):
                         found = True
                         break
                 else:
@@ -424,7 +423,7 @@ def check_q_instance(B1, B2, ctx: CutContext, mode="AT",
                         if safe(Yp):
                             continue
                         h2p = hist(Yp)
-                        if any(refines_h(h1p, h2p) for h1p in d1):
+                        if any(refines(h1p, h2p) for h1p in d1):
                             found = True
                             break
                     if found:

@@ -9,6 +9,9 @@ PYTHONHASHSEED=0 over the same inputs:
   V=2, the GENERATE_ROWS of tests/test_verifier.py at V=3 and the
   READ_WRITE_ROWS below at V=2: the outcome, the witness (context,
   sigma, execution, history, candidates) and every Verdict.stats field;
+  a history is compared by its actions A, guarantee G and deny D, and
+  where a checkout's history also keeps acyc, its acyclicity edges, the
+  row fails unless they are the reverse of G;
 - enumerate_program on litmus_batch(7, 2000) and litmus_batch(11, 2000)
   of bench/inputs.py: the executions, outcomes, unsafe and truncated;
 - check_q_instance on every corpus .ctx file against every corpus .tr
@@ -61,7 +64,14 @@ def verify_rows():
 
 
 def _canon(x):
-    """x as nested lists, with sets sorted and dataclasses by field."""
+    """x as nested lists, with sets sorted, dataclasses by field and
+    histories by A, G and D."""
+    if hasattr(x, "A") and hasattr(x, "G"):
+        acyc = getattr(x, "acyc", None)
+        if acyc is not None and acyc != {(v, u) for (u, v) in x.G}:
+            raise AssertionError(f"acyc is not the reverse of G in {x}")
+        return ["history", _canon(x.A), _canon(x.G),
+                _canon(getattr(x, "D", frozenset()))]
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return [type(x).__name__] + [
             [f.name, _canon(getattr(x, f.name))]
@@ -141,11 +151,13 @@ def rows_of(checkout):
     process on that checkout's package."""
     env = dict(os.environ, PYTHONHASHSEED="0",
                PYTHONPATH=str(Path(checkout).resolve() / "src"))
-    out = subprocess.run(
+    proc = subprocess.run(
         [sys.executable, __file__, "--dump", str(checkout)], env=env,
-        check=True, capture_output=True, text=True).stdout
+        check=False, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"dumping {checkout} failed:\n{proc.stderr}")
     rows = {}
-    for line in out.splitlines():
+    for line in proc.stdout.splitlines():
         row = json.loads(line)
         rows[row.pop("row")] = row
     return rows

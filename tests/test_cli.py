@@ -202,6 +202,41 @@ def test_input_errors_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("label", ["call", "ret"])
+def test_a_context_label_of_the_block_boundary_is_named_reserved(label):
+    with pytest.raises(ParseError, match=f"label {label!r} is reserved for"
+                                         " the block boundary"):
+        parse_context_file(f"ctx: {label} = st(x, 1)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["verify", str(d)],
+    lambda d: ["simulate", str(d)],
+    lambda d: ["instance", str(CORPUS / "load_dup.tr"), "--context", str(d)],
+    lambda d: ["verify", str(CORPUS / "load_to_local_intro.tr"),
+               "--json", str(d)],
+    lambda d: ["verify", str(CORPUS / "load_to_local_intro.tr"),
+               "--dot", str(d / "file")],
+], ids=["verify a directory", "simulate a directory",
+        "context a directory", "json into a directory", "dot into a file"])
+def test_a_path_that_cannot_be_read_or_written_exits_three(argv, tmp_path,
+                                                          capsys):
+    (tmp_path / "file").write_text("")
+    assert main(argv(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["v1", "v1=0,v2", "v1=0,=1", "v1=a"])
+def test_a_malformed_forbid_spec_exits_three_before_enumerating(spec,
+                                                                capsys):
+    assert main(["simulate", str(CORPUS / "sb.lit"), "--forbid", spec]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bad = next(p for p in spec.split(",") if not p.startswith("v1=0"))
+    assert f"error: --forbid item {bad!r} is not local=value" in captured.err
+
+
 @pytest.mark.parametrize("label, rc, out", [("q", 0, "holds\n"),
                                               ("b0", 3, "")])
 def test_instance_rejects_a_context_label_that_is_a_block_action_id(

@@ -1,4 +1,4 @@
-"""Histories, extended histories and their refinement orders."""
+"""Histories, their deny edges and their refinement order."""
 
 import dataclasses
 import functools
@@ -28,14 +28,12 @@ from stellite.blocklocal import (
 )
 from stellite.history import (
     ClassMasks,
-    ExtendedHistory,
     History,
     PairIndex,
     deny,
     hist,
     hist_ext,
-    refines_ext,
-    refines_h,
+    refines,
 )
 from stellite.verifier import check_cut_refinement, context_bound, \
     enumerate_contexts
@@ -57,16 +55,15 @@ def test_empty_context_gives_empty_guarantee_and_deny():
     [X] = block_local(lang.parse_block("skip"), CutContext(()))
     h = hist(X)
     assert {a.aid for a in h.A} == {CALL, RET}
-    assert h.G == frozenset()
-    D, acyc = deny(X)
-    assert D == frozenset() and acyc == frozenset()
+    assert h.G == h.D == frozenset()
+    assert deny(X) == frozenset()
 
 
 def test_guarantee_and_deny_never_mention_code_actions():
     for X in sample_block_local(200):
         allowed = {a.aid for a in contx_of(X)} | {CALL, RET}
         E = hist_ext(X)
-        for rel in (E.G, E.D, E.acyc):
+        for rel in (E.G, E.D):
             assert all(u in allowed and v in allowed for (u, v) in rel)
         assert {a.aid for a in E.A} == allowed
 
@@ -74,38 +71,48 @@ def test_guarantee_and_deny_never_mention_code_actions():
 def test_refinement_orders_are_preorders():
     samples = [hist_ext(X) for X in sample_block_local(60)][:40]
     for E in samples:
-        assert refines_ext(E, E)
-        assert refines_h(History(E.A, E.G), History(E.A, E.G))
+        assert refines(E, E)
+        assert refines(History(E.A, E.G), History(E.A, E.G))
     for E1 in samples[:12]:
         for E2 in samples[:12]:
             for E3 in samples[:12]:
-                if refines_ext(E1, E2) and refines_ext(E2, E3):
-                    assert refines_ext(E1, E3)
+                if refines(E1, E2) and refines(E2, E3):
+                    assert refines(E1, E3)
 
 
-def test_extended_refinement_implies_history_refinement():
+def test_refinement_with_deny_implies_refinement_without():
     samples = [hist_ext(X) for X in sample_block_local(60)][:30]
     for E1 in samples:
         for E2 in samples:
-            if refines_ext(E1, E2):
-                assert refines_h(History(E1.A, E1.G), History(E2.A, E2.G))
+            if refines(E1, E2):
+                assert refines(History(E1.A, E1.G), History(E2.A, E2.G))
 
 
 def test_stronger_guarantee_refines_weaker():
     A = frozenset()
     strong = History(A, frozenset({("a", "ret")}))
     weak = History(A, frozenset())
-    assert refines_h(strong, weak)
-    assert not refines_h(weak, strong)
+    assert refines(strong, weak)
+    assert not refines(weak, strong)
 
 
-def test_deny_inclusion_failure_blocks_extended_refinement():
+def test_deny_inclusion_failure_blocks_refinement():
     A = frozenset()
     G = frozenset()
-    e1 = ExtendedHistory(A, G, frozenset())
-    e2 = ExtendedHistory(A, G, frozenset({("ret", "a")}))
-    assert not refines_ext(e1, e2)
-    assert refines_ext(e2, e1)
+    e1 = History(A, G, frozenset())
+    e2 = History(A, G, frozenset({("ret", "a")}))
+    assert not refines(e1, e2)
+    assert refines(e2, e1)
+
+
+def test_a_deny_edge_is_covered_by_the_reverse_of_a_guarantee():
+    # a guarantees to happen before ret, so the context can never add
+    # (ret, a): the left side need not deny it
+    A = frozenset()
+    e1 = History(A, frozenset({("a", "ret")}))
+    e2 = History(A, frozenset(), frozenset({("ret", "a")}))
+    assert refines(e1, e2)
+    assert not refines(History(A, frozenset({("a", CALL)})), e2)
 
 
 def test_differing_return_vectors_never_refine():
@@ -118,7 +125,7 @@ def test_differing_return_vectors_never_refine():
     for X in execs:
         by_ret[X.action(RET).vals] = hist(X)
     h0, h1 = by_ret[(0,)], by_ret[(1,)]
-    assert not refines_h(h0, h1) and not refines_h(h1, h0)
+    assert not refines(h0, h1) and not refines(h1, h0)
 
 
 def test_order_contradiction_produces_a_deny_edge():
@@ -132,23 +139,26 @@ def test_order_contradiction_produces_a_deny_edge():
     for X in block_local(B, ctx):
         [b] = [a.aid for a in X.actions if a.origin == "code"]
         if (b, "w") in X.mo:
-            D, _ = deny(X)
-            assert ("w", CALL) in D
+            assert ("w", CALL) in deny(X)
             hit = True
     assert hit
 
 
 def test_acyclicity_edges_are_the_reverse_of_the_guarantee():
+    # the mask side keeps the reverse of the guarantee as ClassMasks.acyc;
+    # it lies within the deny domain, so refines may read it off G
     for X in sample_block_local(150):
-        E = hist_ext(X)
-        dom = set(deny_domain(X))
-        assert E.acyc == {(u, v) for (v, u) in E.G if (u, v) in dom}
+        reverse = {(v, u) for (u, v) in hist(X).G}
+        assert reverse <= set(deny_domain(X))
+        index = PairIndex(a.aid for a in contx_of(X))
+        masks = ClassMasks(X.actions, X.rf, _rows(X), index)
+        assert masks.acyc == index.encode(reverse)
 
 
 def test_deny_agrees_with_the_add_edge_oracle():
     checked = 0
     for X in sample_block_local(520):
-        D, acyc = deny(X)
+        D = deny(X)
         for (u, v) in deny_domain(X):
             assert ((u, v) in D) == oracle_deny_hit(X, u, v), (
                 X.actions,
@@ -165,7 +175,7 @@ def test_deny_agrees_with_the_oracle_on_prefixes():
     checked = 0
     for X in sample_block_local(520)[::40]:
         for P in downclosure(X):
-            D, _ = deny(P)
+            D = deny(P)
             for (u, v) in deny_domain(P):
                 assert ((u, v) in D) == oracle_deny_hit(P, u, v), (P, u, v)
             checked += RET not in {a.aid for a in P.actions}
@@ -188,7 +198,7 @@ def _executions_by_context():
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_the_mask_test_agrees_with_refines_ext_within_one_context(data):
+def test_the_mask_test_agrees_with_refines_within_one_context(data):
     ctx, xs = data.draw(st.sampled_from(_executions_by_context()))
     index = PairIndex(a.aid for a in ctx)
     coded = []
@@ -199,7 +209,7 @@ def test_the_mask_test_agrees_with_refines_ext_within_one_context(data):
     for E1, (k1, g1, d1) in zip(hs, coded):
         for E2, (k2, g2, d2) in zip(hs, coded):
             assert (k1 == k2 and not g2 & ~g1 and not d2 & ~d1) == \
-                refines_ext(E1, E2), (ctx, E1, E2)
+                refines(E1, E2), (ctx, E1, E2)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +225,8 @@ def _assert_classes_match(classes, flat, index):
     """classes, (pre, rf, rows, mo_choices) tuples, flattened over their
     mo orders, give the executions flat in order, with the hb that rows
     holds; and for each class and mo order the class's masks are the
-    PairIndex encoding of hist_ext of that execution. Yields each
+    PairIndex encoding of hist_ext of that execution and of the reverse
+    of its guarantee. Yields each
     execution once it is checked."""
     flat = iter(flat)
     for (pre, rf, rows, mo_choices) in classes:
@@ -229,7 +240,7 @@ def _assert_classes_match(classes, flat, index):
             E = hist_ext(X)
             assert masks.key == PairIndex.key(E.A)
             assert masks.guarantee == index.encode(E.G)
-            assert masks.acyc == index.encode(E.acyc)
+            assert masks.acyc == index.encode({(v, u) for (u, v) in E.G})
             assert masks.deny(mo_choice) == index.encode(E.D)
             # the scan's floor: mo only adds deny edges
             assert not masks.deny(()) & ~masks.deny(mo_choice)

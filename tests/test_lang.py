@@ -59,6 +59,8 @@ def test_sc_without_preceding_ll_is_rejected():
     ("a := LL(x); b := SC(x, ;)", 23),
     ("if (1) { st(x,1) }", 4),
     ("if (;) { st(x,1) }", 4),
+    ("a := LL(x); b := SC(x,", "end of input"),
+    ("if (", "end of input"),
 ])
 def test_sc_source_and_if_condition_must_be_locals(text, pos):
     with pytest.raises(ParseError, match=f"expected local at {pos}"):

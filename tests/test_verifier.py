@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from stellite import lang, verifier
 from stellite.blocklocal import CutContext, block_local, sigma_space
 from stellite.cut import cut
-from stellite.history import hist_ext, refines_ext
+from stellite.history import hist_ext, refines
 from stellite.verifier import (
     Budget,
     check_cut_refinement,
@@ -292,18 +292,16 @@ def test_the_candidate_list_is_hist_ext_of_every_original_execution():
 
 
 def test_refutation_witnesses_pass_the_filter_and_lack_a_match():
-    from stellite.history import hist_ext, refines_ext
-
     v = check_cut_refinement("l := ld(x)", "skip")
     assert v.outcome == "Refuted" and v.witness is not None
     w = v.witness
     assert cut(w.execution)
     e1 = hist_ext(w.execution)
-    assert not any(refines_ext(e1, e2) for e2 in w.candidates)
+    assert not any(refines(e1, e2) for e2 in w.candidates)
 
 
 # ---------------------------------------------------------------------------
-# the domination scan against the linear refines_ext scan it replaced
+# the domination scan against the linear refines scan it replaced
 
 # the rows of the benchmark's verify-generate workload, checked at V=3
 GENERATE_ROWS = ["load_after_store_elim.tr", "store_collapse.tr",
@@ -313,9 +311,9 @@ GENERATE_ROWS = ["load_after_store_elim.tr", "store_collapse.tr",
 def _linear_scan(B1, B2, budget, computed):
     """check_cut_refinement as a plain scan: both blocks' executions built
     afresh for each context and sigma, and each new-block execution
-    compared by refines_ext with the original block's extended histories,
+    compared by refines with the original block's histories with deny,
     computed in order as far as needed. computed collects the executions
-    whose extended histories were computed, in order."""
+    whose histories were computed, in order."""
     locals_order = tuple(sorted(set(lang.locals_of(B1))
                                 | set(lang.locals_of(B2))))
     live = lang.live_in(B1) | lang.live_in(B2)
@@ -348,7 +346,7 @@ def _linear_scan(B1, B2, budget, computed):
 
             for X in x1s:
                 e1 = ext(X)
-                if not any(refines_ext(e1, e2) for e2 in candidates()):
+                if not any(refines(e1, e2) for e2 in candidates()):
                     return "Refuted", stats, (ctx, dict(sigma), X, e1, h2s)
     return "Verified", stats, None
 
