@@ -7,7 +7,9 @@ Exit codes: 0 verified or allowed, 1 refuted or forbidden outcome found,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -245,10 +247,33 @@ def cmd_verify(args) -> int:
           + (f" ({verdict.stats.get('error')})" if verdict.outcome == "Unknown"
              else ""))
     print(f"contexts={verdict.stats['contexts']}"
+          f" symmetric={verdict.stats['symmetric']}"
           f" cut={verdict.stats['x1_cut']} candidates={verdict.stats['x2']}"
           f" time={dt:.2f}s")
     _emit(args, report, verdict)
     return {"Verified": 0, "Refuted": 1, "Unknown": 2}[verdict.outcome]
+
+
+def _check_writable(path, directory=False):
+    """Raise the OSError that writing path later would raise: path must
+    be a writable file, or with directory a writable directory, or be
+    creatable as one, a directory with its missing parents. Nothing is
+    created."""
+    p = Path(path)
+    if p.exists():
+        if p.is_dir() != directory:
+            code = errno.ENOTDIR if directory else errno.EISDIR
+            raise OSError(code, os.strerror(code), str(p))
+        dest = p
+    else:
+        dest = p.parent
+        while directory and not dest.exists():
+            dest = dest.parent
+        if not dest.is_dir():
+            code = errno.ENOTDIR if dest.exists() else errno.ENOENT
+            raise OSError(code, os.strerror(code), str(dest))
+    if not os.access(dest, os.W_OK):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), str(dest))
 
 
 def _emit(args, report, verdict=None):
@@ -402,6 +427,11 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 3 if e.code not in (0, None) else 0
     try:
+        # an output that cannot be written is an input error before any
+        # check runs, not after its verdict is printed
+        for name, directory in (("json", False), ("dot", True)):
+            if getattr(args, name, None):
+                _check_writable(getattr(args, name), directory)
         return args.fn(args)
     except (ParseError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -472,6 +472,21 @@ def literals_of(p) -> frozenset:
                      for a in _atoms(s) if a[0] == "lit")
 
 
+def fixed_values(p) -> frozenset:
+    """The values the thread-local semantics below names: 0, the value of
+    an unset local and what an if tests against; the literals; and 1,
+    when an SC or an ==/!= assignment can make it as its 0/1 result.
+    _eval and _tl only compare any other value for equality, so renaming
+    the values outside this set maps runs to runs."""
+    fixed = {0} | literals_of(p)
+    for th in threads_of(p):
+        for s in _stmts(th):
+            if isinstance(s, SCStmt) or (
+                    isinstance(s, Assign) and s.expr[0] in ("eq", "ne")):
+                fixed.add(1)
+    return frozenset(fixed)
+
+
 # ---------------------------------------------------------------------------
 # thread-local semantics
 

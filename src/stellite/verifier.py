@@ -5,7 +5,9 @@ blocks by enumerating every reduced context within a derived per-location
 budget and comparing histories. It keeps both blocks' executions
 as rf classes (blocklocal.block_classes) with their history.ClassMasks,
 and computes an original-block class's deny masks, one per mo order, only
-as far as the domination scan needs them. check_q_instance decides
+as far as the domination scan needs them, and checks each (context,
+sigma) pair once per renaming of the values neither block names.
+check_q_instance decides
 the quantified refinement at one explicit context instance (optionally
 with non-atomics and prefix matching for racy executions).
 """
@@ -312,6 +314,55 @@ def _classes(pres, ctx, index, limit, pruner=None):
     return classes, size
 
 
+def _context_key(ctx, renaming):
+    """The multisets of ctx's unpaired actions, as (kind, location, vals),
+    and of its LL/SC pairs, as (location, LL vals, SC vals), with every
+    value renamed: an enumerated context up to its action ids, as its R
+    is empty."""
+    ren = lambda vals: tuple(renaming.get(v, v) for v in vals)
+    byid = {a.aid: a for a in ctx.actions}
+    paired = {i for pair in ctx.S for i in pair}
+    lone = sorted((a.kind, a.gvar, ren(a.vals)) for a in ctx.actions
+                  if a.aid not in paired)
+    pairs = sorted((byid[ll].gvar, ren(byid[ll].vals), ren(byid[sc].vals))
+                   for (ll, sc) in ctx.S)
+    return tuple(lone), tuple(pairs)
+
+
+def _pair_keys(ctx, free, locals_order):
+    """The key of each pair (ctx, sigma), as a function of sigma, that
+    is the same for a pair and its image under a renaming of the free
+    values. A key is its pair renamed: the free values, ranked by their
+    roles in the pair, become the free values in order. A value's role
+    is the kinds and locations of the context actions that hold it, then
+    the locals of sigma that hold it; ties go by the value itself. So two
+    pairs with one key are renamings of each other, and a pair and its
+    image share a key unless two free values tie without being
+    interchangeable, which only leaves the image to be checked as well."""
+    target = sorted(free)
+    roles = {v: tuple(sorted((a.kind, a.gvar) for a in ctx.actions
+                             if v in a.vals))
+             for v in free}
+    # the roles in ctx, compared once per context as their ranks
+    ranks = {r: i for i, r in enumerate(sorted(set(roles.values())))}
+    rank = {v: ranks[r] for v, r in roles.items()}
+    # the ranking when ctx alone tells the free values apart
+    plain = (tuple(sorted(free, key=rank.get))
+             if len(ranks) == len(free) else None)
+    renamed = {}  # each ranking of the free values to ctx renamed by it
+
+    def key(sigma):
+        vals = tuple(sigma[l] for l in locals_order)
+        order = plain or tuple(sorted(free, key=lambda v: (
+            rank[v], [x == v for x in vals], v)))
+        renaming = dict(zip(order, target))
+        if order not in renamed:
+            renamed[order] = _context_key(ctx, renaming)
+        return renamed[order], tuple(renaming.get(x, x) for x in vals)
+
+    return key
+
+
 def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
     """Does every cut execution of B1 under every reduced context have a
     history dominated by some execution of B2 under the same context?
@@ -321,10 +372,23 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
     B1's cut survivors, built with the cut.CutPruner of each context,
     and all of B2's executions, built only where B1 has survivors.
 
-    Verdict.stats counts the contexts, B1's cut survivors (x1_cut), and
-    B2's executions (x2), rf classes (x2_classes) and the deny masks of
-    its mo orders that the scan computed (x2_denies), over the contexts
-    and initial local states where B1 has survivors."""
+    The free values are those of the domain that neither block names
+    (lang.fixed_values). The histories and their refinement only compare
+    values for equality, so a permutation of the free values maps the
+    executions of both blocks under a (context, sigma) pair to those
+    under its image, and their histories alike: a pair passes exactly
+    when its image does, with as many executions on each side. A pair is
+    skipped when its key (_pair_keys), the same for all its images, is
+    that of a pair already checked, and so passed. The first failing
+    pair, its witness, and the pair where max_block_execs gives Unknown
+    stay those of the unreduced scan. With fewer than two free values
+    there is nothing to rename and no pair is keyed.
+
+    Verdict.stats counts the contexts, the pairs skipped as renamed
+    images (symmetric), and over the checked pairs only, B1's cut
+    survivors (x1_cut), and B2's executions (x2), rf classes
+    (x2_classes) and the deny masks of its mo orders that the scan
+    computed (x2_denies), where B1 has survivors."""
     if isinstance(B1, str):
         B1 = lang.parse_block(B1)
     if isinstance(B2, str):
@@ -342,8 +406,10 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
                                 | set(lang.locals_of(B2))))
     live = lang.live_in(B1) | lang.live_in(B2)
     sigmas = sigma_space(locals_order, live, budget.values)
-    stats = {"contexts": 0, "x1_cut": 0, "x2": 0, "x2_classes": 0,
-             "x2_denies": 0}
+    stats = {"contexts": 0, "symmetric": 0, "x1_cut": 0, "x2": 0,
+             "x2_classes": 0, "x2_denies": 0}
+    free = budget.values - lang.fixed_values(B1) - lang.fixed_values(B2)
+    checked = set()  # the keys of the pairs checked
     # each block's pre-executions from each sigma, which no context
     # changes, built once per verdict
     pre1, pre2 = (
@@ -354,9 +420,19 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
     try:
         for ctx in enumerate_contexts(B1, B2, budget):
             stats["contexts"] += 1
-            pruner = CutPruner(ctx.actions, ctx.S)
-            index = PairIndex(a.aid for a in ctx.actions)
+            pruner = index = None
+            pair_key = (_pair_keys(ctx, free, locals_order)
+                        if len(free) > 1 else None)
             for i, sigma in enumerate(sigmas):
+                if pair_key is not None:
+                    key = pair_key(sigma)
+                    if key in checked:
+                        stats["symmetric"] += 1
+                        continue
+                    checked.add(key)
+                if pruner is None:
+                    pruner = CutPruner(ctx.actions, ctx.S)
+                    index = PairIndex(a.aid for a in ctx.actions)
                 x1s, size1 = _classes(pre1[i], ctx, index, limit, pruner)
                 stats["x1_cut"] += size1
                 if not size1:

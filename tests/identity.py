@@ -6,9 +6,12 @@ Each checkout's package (its src/) runs in a child process with
 PYTHONHASHSEED=0 over the same inputs:
 
 - check_cut_refinement on the SUITE rows of tests/test_acceptance.py at
-  V=2, the GENERATE_ROWS of tests/test_verifier.py at V=3 and the
-  READ_WRITE_ROWS below at V=2: the outcome, the witness (context,
-  sigma, execution, history, candidates) and every Verdict.stats field;
+  V=2, the GENERATE_ROWS of tests/test_verifier.py at V=3, its
+  RENAMING_ROWS at their own V and the READ_WRITE_ROWS below at V=2: the
+  outcome, the witness (context, sigma, execution, history, candidates)
+  and every Verdict.stats field, but symmetric where it reads 0, so that
+  a checkout without that counter compares equal to one that skips no
+  pair;
   a history is compared by its actions A, guarantee G and deny D, and
   where a checkout's history also keeps acyc, its acyclicity edges, the
   row fails unless they are the reverse of G;
@@ -59,7 +62,9 @@ def verify_rows():
     verify row compared."""
     suite = _literal(HERE / "test_acceptance.py", "SUITE")
     generate = _literal(HERE / "test_verifier.py", "GENERATE_ROWS")
+    renaming = _literal(HERE / "test_verifier.py", "RENAMING_ROWS")
     return ([(f, 2) for f, _ in suite] + [(f, 3) for f in generate]
+            + [tuple(r) for r in renaming]
             + [(t, 2) for t in READ_WRITE_ROWS])
 
 
@@ -117,7 +122,8 @@ def dump(checkout):
             w.context, w.sigma, w.execution, w.hist, w.candidates)
         print(json.dumps({"row": f"verify {fname} V={n}",
                           "outcome": v.outcome,
-                          "stats": v.stats,
+                          "stats": {k: n for k, n in v.stats.items()
+                                    if k != "symmetric" or n},
                           "witness": _digest(witness)}))
     for seed in LITMUS_SEEDS:
         for i, (text, mode) in enumerate(litmus_batch(seed,

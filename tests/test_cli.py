@@ -217,14 +217,37 @@ def test_a_context_label_of_the_block_boundary_is_named_reserved(label):
                "--json", str(d)],
     lambda d: ["verify", str(CORPUS / "load_to_local_intro.tr"),
                "--dot", str(d / "file")],
+    lambda d: ["verify", str(CORPUS / "load_dup.tr"), "--values", "3",
+               "--json", str(d)],
+    lambda d: ["verify", str(CORPUS / "load_dup.tr"),
+               "--json", str(d / "missing" / "r.json")],
+    lambda d: ["verify", str(CORPUS / "load_to_local_intro.tr"),
+               "--dot", str(d / "file" / "out")],
+    lambda d: ["simulate", str(CORPUS / "sb.lit"), "--json", str(d)],
 ], ids=["verify a directory", "simulate a directory",
-        "context a directory", "json into a directory", "dot into a file"])
+        "context a directory", "json into a directory", "dot into a file",
+        "verified json into a directory", "json into a missing directory",
+        "dot under a file", "simulate json into a directory"])
 def test_a_path_that_cannot_be_read_or_written_exits_three(argv, tmp_path,
                                                           capsys):
+    # outputs are checked before the check runs, so no verdict is printed
     (tmp_path / "file").write_text("")
     assert main(argv(tmp_path)) == 3
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_a_dot_directory_is_made_only_for_a_witness(tmp_path, capsys):
+    out = tmp_path / "new" / "dot"
+    assert main(["verify", str(CORPUS / "load_dup.tr"),
+                 "--dot", str(out)]) == 0
+    assert not (tmp_path / "new").exists()
+    assert main(["verify", str(CORPUS / "load_to_local_intro.tr"),
+                 "--dot", str(out)]) == 1
+    assert (out / "witness.dot").exists()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("spec", ["v1", "v1=0,v2", "v1=0,=1", "v1=a"])
@@ -442,3 +465,15 @@ def test_verify_json_reports_rf_classes_and_deny_masks(tmp_path, capsys):
     stats = json.loads(f.read_text())["stats"]
     assert stats["x2_classes"] > 0 and 0 < stats["x2_denies"] <= stats["x2"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("values,skipped", [(2, False), (3, True)])
+def test_verify_reports_the_pairs_skipped_as_renamed_images(
+        values, skipped, tmp_path, capsys):
+    # at V=2 load_dup has one free value, 1, and nothing to rename it to
+    f = tmp_path / "r.json"
+    assert main(["verify", str(CORPUS / "load_dup.tr"), "--values",
+                 str(values), "--json", str(f)]) == 0
+    symmetric = json.loads(f.read_text())["stats"]["symmetric"]
+    assert (symmetric > 0) == skipped
+    assert f" symmetric={symmetric} " in capsys.readouterr().out

@@ -178,6 +178,24 @@ def test_live_in_is_read_before_written():
     assert "l" not in lang.live_in(lang.parse_block("l := ld(x); st(y, l)"))
 
 
+@pytest.mark.parametrize("text,block,fixed", [
+    ("st(x,l)", None, {0}),
+    ("l := ld(x); if (l) { st(y,l) }", None, {0}),
+    ("st(x,2); st(x,5); ld(x)", None, {0, 2, 5}),
+    ("m := l != k", None, {0, 1}),
+    ("fc", None, {0}),
+    ("if (c) { a := LL(x); s := SC(x, a) }", None, {0, 1}),
+    # an == in a code region, and a literal in another thread
+    ("a := ld(y); if (a) { {-} } ||| st(y, 3)", "k := l == m", {0, 1, 3}),
+])
+def test_the_fixed_values_are_zero_the_literals_and_a_made_one(text, block,
+                                                                fixed):
+    p = lang.parse_program(text)
+    if block is not None:
+        p = lang.substitute(p, lang.parse_block(block))
+    assert lang.fixed_values(p) == fixed
+
+
 # (program, block substituted into its hole or None,
 #  locals_of, live_in, literals_of, vars_of)
 WALKER_CASES = [

@@ -2,14 +2,23 @@
 
 import dataclasses
 import itertools
+import math
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from stellite import lang, verifier
-from stellite.blocklocal import CutContext, block_local, sigma_space
-from stellite.cut import cut
+from stellite.axiomatic import Action
+from stellite.blocklocal import (
+    CutContext,
+    block_classes,
+    block_local,
+    pre_executions,
+    sigma_space,
+)
+from stellite.cut import CutPruner, cut
 from stellite.history import hist_ext, refines
 from stellite.verifier import (
     Budget,
@@ -308,12 +317,14 @@ GENERATE_ROWS = ["load_after_store_elim.tr", "store_collapse.tr",
                  "load_collapse.tr", "writeback_elim.tr"]
 
 
-def _linear_scan(B1, B2, budget, computed):
+def _linear_scan(B1, B2, budget, computed, pairs=None):
     """check_cut_refinement as a plain scan: both blocks' executions built
     afresh for each context and sigma, and each new-block execution
     compared by refines with the original block's histories with deny,
     computed in order as far as needed. computed collects the executions
-    whose histories were computed, in order."""
+    whose histories were computed, in order; pairs, if given, maps each
+    (context, sigma) scanned, as _pair keys it, to its (x1_cut, x2,
+    passed)."""
     locals_order = tuple(sorted(set(lang.locals_of(B1))
                                 | set(lang.locals_of(B2))))
     live = lang.live_in(B1) | lang.live_in(B2)
@@ -330,9 +341,11 @@ def _linear_scan(B1, B2, budget, computed):
                       sigmas=[sigma])
             x1s = cut_survivors(B1, ctx, **kw)
             stats["x1_cut"] += len(x1s)
+            x2s = block_local(B2, ctx, check_vs=False, **kw) if x1s else []
+            if pairs is not None:
+                pairs[_pair(ctx, sigma)] = (len(x1s), len(x2s), True)
             if not x1s:
                 continue
-            x2s = block_local(B2, ctx, check_vs=False, **kw)
             stats["x2"] += len(x2s)
             # the rows compared stay within the execution cap
             assert max(len(x1s), len(x2s)) <= budget.max_block_execs
@@ -347,23 +360,66 @@ def _linear_scan(B1, B2, budget, computed):
             for X in x1s:
                 e1 = ext(X)
                 if not any(refines(e1, e2) for e2 in candidates()):
+                    if pairs is not None:
+                        pairs[_pair(ctx, sigma)] = (len(x1s), len(x2s), False)
                     return "Refuted", stats, (ctx, dict(sigma), X, e1, h2s)
     return "Verified", stats, None
 
 
-@pytest.mark.parametrize(
-    "fname,nvalues",
-    [(f, 2) for f, _ in SUITE] + [(f, 3) for f in GENERATE_ROWS])
-def test_the_mask_scan_matches_the_linear_scan(fname, nvalues, monkeypatch):
-    B2, B1 = lang.parse_transformation((CORPUS / fname).read_text())
-    budget = context_bound(B1, B2, frozenset(range(nvalues)))
-    slow_computed, fast_computed = [], []
-    slow = _linear_scan(B1, B2, budget, slow_computed)
-    monkeypatch.setattr(verifier, "hist_ext",
-                        lambda X: fast_computed.append(X) or hist_ext(X))
-    fast = check_cut_refinement(B1, B2, budget)
+def _pair(ctx, sigma):
+    return ctx, tuple(sorted(sigma.items()))
+
+
+def _renamed_images(B1, B2, budget, pairs):
+    """Each of the pairs, keyed as _pair keys them and in scan order, that
+    a permutation of the free values maps to an earlier pair not itself
+    such an image, mapped to that earlier pair: the pairs that
+    check_cut_refinement skips, with the checked pair each is an image
+    of."""
+    free = sorted(budget.values - lang.fixed_values(B1)
+                  - lang.fixed_values(B2))
+    if len(free) < 2:
+        return {}
+    # the identity first
+    perms = [dict(zip(free, p)) for p in itertools.permutations(free)]
+    checked, images = {}, {}
+    for ctx, sigma in pairs:
+        keys = [(verifier._context_key(ctx, r),
+                 tuple((l, r.get(v, v)) for l, v in sigma)) for r in perms]
+        image = next((checked[k] for k in keys if k in checked), None)
+        if image is None:
+            checked[keys[0]] = (ctx, sigma)
+        else:
+            images[ctx, sigma] = image
+    return images
+
+
+def _scans_agree(B1, B2, budget):
+    """Run check_cut_refinement and _linear_scan on one budget and compare
+    them: the outcome and the witness exactly, and the stats exactly
+    where no (context, sigma) pair is the renamed image of one checked
+    before it. Where some are, the check must skip just as many, as no
+    two free values of the rows here tie in role without being
+    interchangeable; the linear scan must give each the x1_cut, x2 and
+    pass or fail of its checked image; and the checked and skipped pairs
+    must add up to its stats."""
+    slow_computed, fast_computed, pairs = [], [], {}
+    slow = _linear_scan(B1, B2, budget, slow_computed, pairs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "hist_ext",
+                   lambda X: fast_computed.append(X) or hist_ext(X))
+        fast = check_cut_refinement(B1, B2, budget)
+    images = _renamed_images(B1, B2, budget, pairs)
     assert fast.outcome == slow[0]
-    assert {k: fast.stats[k] for k in slow[1]} == slow[1]
+    assert fast.stats["symmetric"] == len(images)
+    if not images:
+        assert {k: fast.stats[k] for k in slow[1]} == slow[1]
+    for pair, image in images.items():
+        assert pairs[pair] == pairs[image], (pair, image)
+    assert fast.stats["contexts"] == slow[1]["contexts"]
+    for i, k in enumerate(("x1_cut", "x2")):
+        assert fast.stats[k] + sum(pairs[p][i] for p in images) == (
+            slow[1][k])
     assert fast.stats["x2_denies"] <= fast.stats["x2"]
     w = fast.witness
     # the scan compares masks of rf classes; hist_ext runs only for a
@@ -373,6 +429,88 @@ def test_the_mask_scan_matches_the_linear_scan(fname, nvalues, monkeypatch):
     assert (None if w is None else
             (w.context, w.sigma, w.execution, w.hist, w.candidates)
             ) == slow[2]
+
+
+# transformations ("original ~> replacement") whose fixed values, those
+# no renaming may move, each hold something a context can tell apart: an
+# SC's or an =='s result 1, a literal, and a local that an if tests
+# against 0; and, at V=4, three free values with six permutations
+RENAMING_ROWS = [
+    ("a := LL(x); s := SC(x,a); st(y,s) ~> a := LL(x); st(y,a)", 3),
+    ("m := l == k; st(y,m) ~> m := l == k; st(y,m)", 3),
+    ("st(x,2); ld(x) ~> st(x,2)", 3),
+    ("st(x,1) ~> st(x,1)", 3),
+    ("if (l) { st(y,l) } ~> if (l) { st(y,l) }", 3),
+    ("l := ld(x); if (l) { st(y,l) } ~> l := ld(x); st(y,l)", 3),
+    ("st(x,l) ~> st(x,l)", 4),
+    ("st(x,l) ~> st(x,l); st(x,l)", 4),
+]
+
+
+@pytest.mark.parametrize(
+    "row,nvalues",
+    [(f, 2) for f, _ in SUITE] + [(f, 3) for f in GENERATE_ROWS]
+    + RENAMING_ROWS)
+def test_the_mask_scan_matches_the_linear_scan(row, nvalues):
+    text = row if "~>" in row else (CORPUS / row).read_text()
+    B2, B1 = lang.parse_transformation(text)
+    _scans_agree(B1, B2, context_bound(B1, B2, frozenset(range(nvalues))))
+
+
+_STATEMENTS = st.lists(st.sampled_from([
+    "l := ld(x)", "st(x, l)", "st(y, l)", "st(x, 2)", "m := l == k",
+    "if (l) { st(y, l) }", "a := LL(x); s := SC(x, a)", "st(y, s)", "fc",
+]), min_size=1, max_size=2).map("; ".join)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_STATEMENTS, _STATEMENTS)
+@example("l := ld(x); st(y, l)", "l := ld(x); st(y, l)")
+def test_renamed_pairs_keep_verdicts_on_random_blocks(b1, b2):
+    B1, B2 = lang.parse_block(b1), lang.parse_block(b2)
+    enumerate_all = verifier.enumerate_contexts
+
+    def enumerate_small(*args):
+        # contexts come smallest first, and a renaming keeps the size
+        return itertools.takewhile(lambda c: len(c.actions) <= 3,
+                                   enumerate_all(*args))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "enumerate_contexts", enumerate_small)
+        mp.setattr(sys.modules[__name__], "enumerate_contexts",
+                   enumerate_small)
+        _scans_agree(B1, B2, context_bound(B1, B2, frozenset(range(3))))
+
+
+def test_an_sc_result_is_fixed_so_one_and_two_are_not_swapped():
+    # a context load of y tells the SC's result 1 apart from 2: under
+    # sigma = {a: 0, s: 0}, a load of 1 keeps one cut survivor, reading
+    # st(y,s) after a successful SC, and a load of 2 keeps none
+    B = lang.parse_block("a := LL(x); s := SC(x,a); st(y,s)")
+    assert lang.fixed_values(B) == {0, 1}
+    pres = pre_executions(B, {"a": 0, "s": 0}, frozenset(range(3)),
+                          ("a", "s"))
+
+    def survivors(v):
+        ctx = CutContext((Action("y.r0", "load", "y", (v,), "context"),))
+        pruner = CutPruner(ctx.actions, ctx.S)
+        return sum(math.prod(map(len, mo))
+                   for (*_, mo) in block_classes(pres, ctx, pruner=pruner))
+
+    assert (survivors(1), survivors(2)) == (1, 0)
+
+
+def test_a_larger_domain_adds_only_skipped_pairs():
+    # st(x,l) names no value but 0; from V=4 on, each pair's orbit under
+    # the renamings of the free values is there in full, so V=12, with
+    # 11! renamings, checks the pairs that V=4 checks and keys the rest
+    B = lang.parse_block("st(x,l)")
+    v4, v12 = (check_cut_refinement(B, B, context_bound(
+        B, B, frozenset(range(n)))) for n in (4, 12))
+    assert v4.outcome == v12.outcome == "Verified"
+    assert v12.stats["contexts"] > v4.stats["contexts"]
+    assert {k: v12.stats[k] for k in ("x1_cut", "x2")} == (
+        {k: v4.stats[k] for k in ("x1_cut", "x2")})
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +534,6 @@ def test_forced_read_instance_is_reflexively_accepted():
 
 
 def test_nonatomic_reorder_instance_holds_via_unsafe_prefixes():
-    from stellite.axiomatic import Action
-
     ctx = CutContext(
         (
             Action("a1", "store_NA", "x", (1,), "context"),
