@@ -2,8 +2,9 @@
 
 An execution is an action set together with the relations sb, at, rf, mo
 and the derived happens-before hb. Validity is the conjunction of the
-release-acquire axioms; the non-atomic mode adds the NA axioms and a
-data-race safety predicate.
+release-acquire axioms and the non-atomic axioms, which constrain only
+the non-atomic accesses (ldna/stna); a data-race safety predicate
+reports races between them.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class Execution:
     rf: frozenset  # (writer id, reader id)
     mo: frozenset
     hb: frozenset
-    mode: str = "AT"
     r_ctx: frozenset = frozenset()  # extra hb seed edges from the context
     locals_order: tuple = ()
 
@@ -102,10 +102,11 @@ def _bits(mask):
         mask &= mask - 1
 
 
-def _hb_rf(rf, byid, mode):
-    """The rf edges that seed hb: all of rf, but in NA mode none into or
-    out of an NA action."""
-    if mode != "NA":
+def _hb_rf(rf, byid, na):
+    """The rf edges that seed hb: all of rf but those into or out of a
+    non-atomic action. na says whether the actions byid include one; when
+    they do not, rf is returned as it is."""
+    if not na:
         return rf
     return [(w, r) for (w, r) in rf
             if not (is_na(byid[w]) or is_na(byid[r]))]
@@ -137,19 +138,19 @@ def _hb_pairs(rows, aids):
                      for j in _bits(row))
 
 
-def _derived_rows(actions, byid, sb, rf, R, mode):
+def _derived_rows(actions, byid, sb, rf, R, na):
     """The bit rows of (sb ∪ rf ∪ R)+ over the positions of actions, with
     rf filtered by _hb_rf, or None when that relation is cyclic."""
     pos = {a.aid: i for i, a in enumerate(actions)}
     return _add_hb_edges([0] * len(pos),
-                         itertools.chain(sb, _hb_rf(rf, byid, mode), R), pos)
+                         itertools.chain(sb, _hb_rf(rf, byid, na), R), pos)
 
 
-def derive_hb(actions, sb, rf, R=frozenset(), mode="AT"):
+def derive_hb(actions, sb, rf, R=frozenset()):
     """hb = (sb ∪ rf ∪ R)+, with rf filtered by _hb_rf, as pairs, or None
     when that relation is cyclic."""
     byid = {a.aid: a for a in actions}
-    rows = _derived_rows(actions, byid, sb, rf, R, mode)
+    rows = _derived_rows(actions, byid, sb, rf, R, any(map(is_na, actions)))
     return None if rows is None else _hb_pairs(rows, list(byid))
 
 
@@ -166,13 +167,15 @@ def _may_read_from(w, r):
     return w.gvar == r.gvar and w.vals == r.vals
 
 
-def _rf_violation(reads, writes, byid, rf, rows, pos, mode):
+def _rf_violation(reads, writes, byid, rf, rows, pos, na):
     """The first break of RFVAL, RFHBNA or COHERNA as (name, witness), or
     None, with hb the bit rows rows over the positions pos. RFVAL: a read
     without a source may read the initial value and no write of its
-    location happens before it. In NA mode, RFHBNA: an rf edge into or
-    out of an NA action is in hb; COHERNA: no NA write of its location
-    happens between an NA read and its source."""
+    location happens before it. RFHBNA: an rf edge into or out of a
+    non-atomic action is in hb. COHERNA: no non-atomic write of its
+    location happens between a non-atomic read and its source. na says
+    whether the actions byid include a non-atomic one; when they do not,
+    RFHBNA and COHERNA hold and are not checked."""
     hb = lambda u, v: rows[pos[u]] >> pos[v] & 1
     srcs = {r for (_, r) in rf}
     for r in reads:
@@ -183,7 +186,7 @@ def _rf_violation(reads, writes, byid, rf, rows, pos, mode):
         for w in writes:
             if w.gvar == r.gvar and hb(w.aid, r.aid):
                 return ("RFVAL", (r.aid, w.aid))
-    if mode != "NA":
+    if not na:
         return None
     for (w, r) in rf:
         if (is_na(byid[w]) or is_na(byid[r])) and not hb(w, r):
@@ -271,7 +274,8 @@ def check_axioms(X: Execution):
         if (wa is None or ra is None or not is_write(wa) or not is_read(ra)
                 or not _may_read_from(wa, ra) or srcs.setdefault(r, w) != w):
             return ("RFWF", (w, r))
-    rows = _derived_rows(X.actions, byid, X.sb, X.rf, X.r_ctx, X.mode)
+    na = any(map(is_na, X.actions))
+    rows = _derived_rows(X.actions, byid, X.sb, X.rf, X.r_ctx, na)
     if rows is None:
         return ("HBDEF", ("sb ∪ rf ∪ R is cyclic",))
     if _hb_pairs(rows, list(byid)) != X.hb:
@@ -283,7 +287,7 @@ def check_axioms(X: Execution):
             name = _mo_step(masks, (1 << i) - 1, i - 1, i)
             if name is not None:
                 return (name, tuple(ws[:i + 1]))
-    return _rf_violation(reads, writes, byid, X.rf, rows, pos, X.mode)
+    return _rf_violation(reads, writes, byid, X.rf, rows, pos, na)
 
 
 def valid(X: Execution) -> bool:
@@ -364,7 +368,7 @@ def _mo_orders(ws, rows, pos, rf, at, byid, hidden):
                    tuple(w in hidden for w in ws))
 
 
-def rf_classes(pre: PreExecution, mode="AT", pruner=None):
+def rf_classes(pre: PreExecution, pruner=None):
     """The valid completions of the pre-execution pre, one class per rf
     choice.
 
@@ -383,7 +387,8 @@ def rf_classes(pre: PreExecution, mode="AT", pruner=None):
     first admitted rf choice, then each choice's hb-seeding rf edges
     added to a copy of its rows. The actions by id and by position and
     the writes by location, which only admitted choices use, are built
-    there too.
+    there too, and whether any action is non-atomic, which decides
+    whether the non-atomic rules (_hb_rf, _rf_violation) are applied.
     """
     actions, sb, at, r_ctx = pre
     reads = [a for a in actions if is_read(a)]
@@ -409,13 +414,14 @@ def rf_classes(pre: PreExecution, mode="AT", pruner=None):
             byid = {a.aid: a for a in actions}
             pos = {a.aid: i for i, a in enumerate(actions)}
             movars = _mo_locations(writes)
+            na = any(map(is_na, actions))
             base = _add_hb_edges([0] * len(actions),
                                  itertools.chain(sb, r_ctx), pos)
             if base is None:
                 return
-        rows = _add_hb_edges(base, _hb_rf(rf, byid, mode), pos)
+        rows = _add_hb_edges(base, _hb_rf(rf, byid, na), pos)
         if rows is None or _rf_violation(reads, writes, byid, rf, rows, pos,
-                                         mode):
+                                         na):
             continue
         mo_choices = [_mo_orders(ws, rows, pos, rf, at, byid, hidden)
                       for ws in movars.values()]
@@ -439,7 +445,7 @@ def mo_orders_of(X: Execution):
                 a for a in X.actions if is_write(a)).values()]
 
 
-def class_executions(pre: PreExecution, rf, rows, mo_choices, mode="AT",
+def class_executions(pre: PreExecution, rf, rows, mo_choices,
                      locals_order=()):
     """The executions of one rf class of the pre-execution pre, one for
     each element of the product of mo_choices, in order. Their hb is
@@ -453,21 +459,20 @@ def class_executions(pre: PreExecution, rf, rows, mo_choices, mode="AT",
             rf=rf,
             mo=mo_pairs(mo_choice),
             hb=hb,
-            mode=mode,
             r_ctx=pre.r_ctx,
             locals_order=locals_order,
         )
 
 
-def complete(pre: PreExecution, mode="AT"):
+def complete(pre: PreExecution):
     """Enumerate every valid (rf, mo) completion of a pre-execution.
 
     Yields Execution objects: the classes of rf_classes, in order, each
     flattened by class_executions. A caller that needs a cap counts
     what it takes.
     """
-    for c in rf_classes(pre, mode):
-        yield from class_executions(pre, *c, mode)
+    for c in rf_classes(pre):
+        yield from class_executions(pre, *c)
 
 
 class BudgetExceeded(Exception):
@@ -481,7 +486,7 @@ class BudgetExceeded(Exception):
 @dataclass
 class EnumConfig:
     values: frozenset = frozenset({0, 1})
-    mode: str = "AT"
+    mode: str = "AT"  # "NA": report races in EnumResult.unsafe
     limit: int | None = 2_000_000
     thread_prefilter: object = None  # predicate over a thread's action tuple
 
@@ -519,7 +524,7 @@ def enumerate_program(P, cfg: EnumConfig | None = None) -> EnumResult:
             tuple(a for (p, _) in combo for a in p.actions),
             frozenset().union(*(p.sb for (p, _) in combo)),
             frozenset().union(*(p.at for (p, _) in combo)))
-        for X in complete(pre, cfg.mode):
+        for X in complete(pre):
             if cfg.limit is not None and len(execs) >= cfg.limit:
                 truncated = True
                 break
@@ -588,12 +593,12 @@ def obs_refines_ex(X: Execution, Y: Execution, ovar) -> bool:
 
 
 def obs_refines_pr(P1, P2, ovar, cfg: EnumConfig | None = None) -> bool:
-    """Every observable behaviour of P1 is one of P2. In NA mode an unsafe
-    P2 is refined by anything; a safe P2 requires P1 safe as well. An
-    enumeration that cfg.limit truncates raises BudgetExceeded: a partial
-    list of executions decides neither way. Each side's executions are
-    compared once per distinct projection (_project), which is all that
-    obs_refines_ex reads."""
+    """Every observable behaviour of P1 is one of P2. Where cfg.mode
+    reports races, an unsafe P2 is refined by anything; a safe P2
+    requires P1 safe as well. An enumeration that cfg.limit truncates
+    raises BudgetExceeded: a partial list of executions decides neither
+    way. Each side's executions are compared once per distinct
+    projection (_project), which is all that obs_refines_ex reads."""
     cfg = cfg or EnumConfig()
 
     def run(P):
@@ -603,14 +608,11 @@ def obs_refines_pr(P1, P2, ovar, cfg: EnumConfig | None = None) -> bool:
         return res
 
     r2 = run(P2)
-    if cfg.mode == "NA":
-        if r2.unsafe:
-            return True
-        r1 = run(P1)
-        if r1.unsafe:
-            return False
-    else:
-        r1 = run(P1)
+    if r2.unsafe:
+        return True
+    r1 = run(P1)
+    if r1.unsafe:
+        return False
     p2 = {_project(X, ovar) for X in r2.executions}
     return all(any(_obs_refines(p1, q) for q in p2)
                for p1 in {_project(X, ovar) for X in r1.executions})

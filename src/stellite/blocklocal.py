@@ -111,7 +111,6 @@ def block_local(
     ctx: CutContext,
     *,
     values=frozenset({0, 1}),
-    mode="AT",
     locals_order=None,
     sigmas=None,
     check_vs=True,
@@ -136,8 +135,8 @@ def block_local(
         if shared:
             raise ValueError(f"context action id {min(shared)!r} is the id"
                              " of a block action")
-        for c in block_classes(pres, ctx, mode):
-            out.extend(class_executions(*c, mode, locals_order))
+        for c in block_classes(pres, ctx):
+            out.extend(class_executions(*c, locals_order))
     return out
 
 
@@ -149,7 +148,7 @@ def _under(p: PreExecution, ctx: CutContext) -> PreExecution:
                         frozenset(ctx.R) | frozenset(ctx.S))
 
 
-def block_classes(pres, ctx: CutContext, mode="AT", pruner=None):
+def block_classes(pres, ctx: CutContext, pruner=None):
     """The valid executions of the pre-executions pres under ctx, as the
     rf classes of axiomatic.rf_classes, in order: (pre, rf, rows,
     mo_choices), where pre is a pre-execution under ctx (_under), rows
@@ -160,7 +159,7 @@ def block_classes(pres, ctx: CutContext, mode="AT", pruner=None):
     keeps."""
     for p in pres:
         pre = _under(p, ctx)
-        for c in rf_classes(pre, mode, pruner):
+        for c in rf_classes(pre, pruner):
             yield (pre, *c)
 
 
@@ -178,7 +177,8 @@ def downclosure(X: Execution):
     ids = [a.aid for a in X.actions]
     n = len(ids)
     preds = {i: set() for i in ids}
-    for (u, v) in derive_hb(X.actions, X.hb, X.rf):
+    # rf goes in with hb, not as rf, which derive_hb would filter
+    for (u, v) in derive_hb(X.actions, X.hb | X.rf, ()):
         preds[v].add(u)
     out = []
     for bits in itertools.product((False, True), repeat=n):
@@ -202,7 +202,6 @@ def project(X: Execution, keep) -> Execution:
         rf=pr(X.rf),
         mo=pr(X.mo),
         hb=pr(X.hb),
-        mode=X.mode,
         r_ctx=pr(X.r_ctx),
         locals_order=X.locals_order,
     )

@@ -23,6 +23,7 @@ from .axiomatic import (
     Execution,
     check_axioms,
     enumerate_program,
+    is_na,
     safe,
 )
 from .blocklocal import CutContext
@@ -50,10 +51,9 @@ def execution_to_json(X: Execution) -> dict:
             rel: sorted(map(list, getattr(X, rel)))
             for rel in ("sb", "rf", "mo", "hb", "at")
         },
-        "mode": X.mode,
         "context_hb": sorted(map(list, X.r_ctx)),
         "locals": list(X.locals_order),
-        "safe": safe(X) if X.mode == "NA" else None,
+        "safe": safe(X) if any(map(is_na, X.actions)) else None,
     }
 
 
@@ -65,7 +65,8 @@ def execution_from_json(d: dict) -> Execution:
     """The inverse of execution_to_json; ValueError if d has another
     shape, a node id defined twice, an unknown node kind or origin, a var
     that is not a string or null or a value that is not an integer, or an
-    edge whose endpoint is not a node."""
+    edge whose endpoint is not a node. Keys it does not read, such as
+    the "mode" of older files, are ignored."""
     try:
         acts = tuple(
             Action(n["id"], n["kind"], n["var"], tuple(n["values"]),
@@ -99,7 +100,6 @@ def execution_from_json(d: dict) -> Execution:
             rf=rels["rf"],
             mo=rels["mo"],
             hb=rels["hb"],
-            mode=d.get("mode", "AT"),
             r_ctx=rels["context_hb"],
             locals_order=tuple(d.get("locals", [])),
         )
@@ -304,9 +304,10 @@ def cmd_simulate(args) -> int:
     want = args.forbid and _outcome(args.forbid)
     text = Path(args.litmus).read_text()
     prog = lang.parse_program(text)
-    mode = "NA" if args.na else "AT"
+    na = bool(lang.na_vars_of(prog))
     values = frozenset(range(args.values))
-    res = enumerate_program(prog, EnumConfig(values=values, mode=mode))
+    res = enumerate_program(prog, EnumConfig(values=values,
+                                             mode="NA" if na else "AT"))
     outcomes = {}
     for X, sigmas in zip(res.executions, res.outcomes):
         merged = {}
@@ -320,7 +321,7 @@ def cmd_simulate(args) -> int:
     if res.truncated:
         print("truncated: the execution limit was reached, so more"
               " outcomes may be allowed")
-    if mode == "NA":
+    if na:
         print("safety: " + ("UNSAFE (racy)" if res.unsafe else "safe"))
     for key in sorted(outcomes):
         desc = " ".join(f"{k}={v}" for k, v in key) or "(no locals)"
@@ -346,9 +347,8 @@ def cmd_simulate(args) -> int:
 def cmd_instance(args) -> int:
     B2, B1 = lang.parse_transformation(Path(args.file).read_text())
     ctx = parse_context_file(Path(args.context).read_text())
-    mode = "NA" if args.na else "AT"
     values = frozenset(range(args.values))
-    ok = check_q_instance(B1, B2, ctx, mode=mode, values=values)
+    ok = check_q_instance(B1, B2, ctx, values=values)
     print("holds" if ok else "fails")
     _emit(args, {"instance": ok})
     return 0 if ok else 1
@@ -400,7 +400,6 @@ def main(argv=None) -> int:
 
     s = sub.add_parser("simulate", help="enumerate a litmus test")
     s.add_argument("litmus")
-    s.add_argument("--na", action="store_true")
     s.add_argument("--values", type=_at_least(1), default=2)
     s.add_argument("--forbid", default=None,
                    help="fail (exit 1) if this l=v,... outcome is admitted")
@@ -410,7 +409,6 @@ def main(argv=None) -> int:
     i = sub.add_parser("instance", help="check one explicit context instance")
     i.add_argument("file")
     i.add_argument("--context", required=True)
-    i.add_argument("--na", action="store_true")
     i.add_argument("--values", type=_at_least(1), default=2)
     i.add_argument("--json", default=None)
     i.set_defaults(fn=cmd_instance)

@@ -8,8 +8,8 @@ and computes an original-block class's deny masks, one per mo order, only
 as far as the domination scan needs them, and checks each (context,
 sigma) pair once per renaming of the values neither block names.
 check_q_instance decides
-the quantified refinement at one explicit context instance (optionally
-with non-atomics and prefix matching for racy executions).
+the quantified refinement at one explicit context instance, with prefix
+matching for racy executions of non-atomic accesses.
 """
 
 from __future__ import annotations
@@ -397,7 +397,7 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
         # the cut rules and the context bound are derived for atomics only
         raise ValueError(
             "the finite check covers atomic blocks only; check ldna/stna"
-            " blocks at an explicit context (instance --na)"
+            " blocks at an explicit context (instance)"
         )
     if budget is None:
         budget = context_bound(B1, B2)
@@ -461,49 +461,47 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
     return Verdict("Verified", stats=stats)
 
 
-def check_q_instance(B1, B2, ctx: CutContext, mode="AT",
+def check_q_instance(B1, B2, ctx: CutContext,
                      values=frozenset({0, 1})) -> bool:
     """Quantified refinement at one explicit (A, R, S) instance: every
     execution of B1 must have a matching execution of B2 with a refining
-    history; in NA mode racy matches may stop at the race via prefixes."""
+    history; a racy match may stop at the race via prefixes, and a safe
+    one asks B1's execution to be safe too. Executions without
+    non-atomic accesses are safe, so there each match is one refinement.
+    Both blocks and the local maps range over values and the literals of
+    both blocks, as in context_bound."""
     if isinstance(B1, str):
         B1 = lang.parse_block(B1)
     if isinstance(B2, str):
         B2 = lang.parse_block(B2)
+    values = frozenset(values) | lang.literals_of(B1) | lang.literals_of(B2)
     locals_order = tuple(sorted(set(lang.locals_of(B1))
                                 | set(lang.locals_of(B2))))
     live = lang.live_in(B1) | lang.live_in(B2)
     for sigma in sigma_space(locals_order, live, values):
-        x1s = block_local(B1, ctx, values=values, mode=mode,
+        x1s = block_local(B1, ctx, values=values,
                           locals_order=locals_order, sigmas=[sigma],
                           check_vs=False)
-        x2s = block_local(B2, ctx, values=values, mode=mode,
+        x2s = block_local(B2, ctx, values=values,
                           locals_order=locals_order, sigmas=[sigma],
                           check_vs=False)
-        h2s = [(Y, hist(Y)) for Y in x2s]
+        # a safe candidate's history, None for a racy one
+        cands = [(Y, hist(Y) if safe(Y) else None) for Y in x2s]
+        racy = {}  # a racy candidate's racy prefixes' histories, as needed
         for X in x1s:
-            h1 = hist(X)
-            if mode == "AT":
-                if not any(refines(h1, h2) for (_, h2) in h2s):
-                    return False
-                continue
-            found = False
-            for (Y, h2) in h2s:
-                if safe(Y):
-                    if safe(X) and refines(h1, h2):
-                        found = True
+            h1, x_safe, d1 = hist(X), safe(X), None
+            for i, (Y, h2) in enumerate(cands):
+                if h2 is not None:
+                    if x_safe and refines(h1, h2):
                         break
-                else:
+                    continue
+                if i not in racy:
+                    racy[i] = [hist(Yp) for Yp in downclosure(Y)
+                               if not safe(Yp)]
+                if d1 is None:
                     d1 = [hist(Xp) for Xp in downclosure(X)]
-                    for Yp in downclosure(Y):
-                        if safe(Yp):
-                            continue
-                        h2p = hist(Yp)
-                        if any(refines(h1p, h2p) for h1p in d1):
-                            found = True
-                            break
-                    if found:
-                        break
-            if not found:
+                if any(refines(h1p, h2p) for h2p in racy[i] for h1p in d1):
+                    break
+            else:
                 return False
     return True

@@ -218,8 +218,8 @@ def brute_force_signatures(P, values=frozenset({0, 1}), mode="AT"):
     return out
 
 
-def enumerated_signatures(P, values=frozenset({0, 1}), mode="AT"):
-    res = enumerate_program(P, EnumConfig(values=values, mode=mode))
+def enumerated_signatures(P, values=frozenset({0, 1})):
+    res = enumerate_program(P, EnumConfig(values=values))
     return {_signature(X.actions, X.rf, X.mo) for X in res.executions}
 
 

@@ -193,7 +193,6 @@ def test_criterion_5_worked_instances():
         "l1 := ldna(x); l3 := ldna(x); l2 := ld(y)",
         "l1 := ldna(x); l2 := ld(y); l3 := ldna(x)",
         ctx11,
-        mode="NA",
     )
 
     # forced-read block-local set
@@ -245,7 +244,7 @@ def test_criterion_6b_oracle_equivalence():
             continue
         for P in progs:
             mode = "NA" if lang.na_vars_of(P) else "AT"
-            assert enumerated_signatures(P, mode=mode) == \
+            assert enumerated_signatures(P) == \
                 brute_force_signatures(P, mode=mode), path
             checked += 1
     _report(6, True, f"oracle equivalence on {checked} corpus programs,"

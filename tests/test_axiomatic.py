@@ -25,6 +25,7 @@ from stellite.axiomatic import (
     derive_hb,
     enumerate_program,
     is_atomic_write,
+    is_na,
     is_read,
     is_write,
     obs_refines_ex,
@@ -52,9 +53,9 @@ from test_acceptance import SUITE
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
-def _exec(actions, sb=(), rf=(), mo=(), at=(), mode="AT", r_ctx=()):
+def _exec(actions, sb=(), rf=(), mo=(), at=(), r_ctx=()):
     hb = derive_hb(actions, frozenset(sb), frozenset(rf),
-                   frozenset(r_ctx), mode)
+                   frozenset(r_ctx))
     return Execution(
         actions=tuple(actions),
         sb=frozenset(sb),
@@ -62,7 +63,6 @@ def _exec(actions, sb=(), rf=(), mo=(), at=(), mode="AT", r_ctx=()):
         rf=frozenset(rf),
         mo=frozenset(mo),
         hb=hb,
-        mode=mode,
         r_ctx=frozenset(r_ctx),
     )
 
@@ -87,8 +87,7 @@ def test_derive_hb_is_the_closure_of_sb_rf_and_extra_edges():
 def test_derive_hb_drops_nonatomic_reads_from_in_na_mode():
     w = A("w", "store_NA", "x", 1)
     r = A("r", "load_NA", "x", 1)
-    assert derive_hb((w, r), frozenset(), {("w", "r")}, mode="NA") == frozenset()
-    assert ("w", "r") in derive_hb((w, r), frozenset(), {("w", "r")}, mode="AT")
+    assert derive_hb((w, r), frozenset(), {("w", "r")}) == frozenset()
 
 
 def test_derive_hb_is_idempotent_and_contains_input():
@@ -187,7 +186,7 @@ def test_atomicity_forbids_an_intervening_write():
 def test_reading_from_a_nonatomic_write_outside_hb_is_invalid():
     w = A("w", "store_NA", "x", 1)
     r = A("r", "load_NA", "x", 1)
-    X = _exec((w, r), rf={("w", "r")}, mode="NA")
+    X = _exec((w, r), rf={("w", "r")})
     assert check_axioms(X)[0] == "RFHBNA"
 
 
@@ -198,7 +197,7 @@ def test_nonatomic_read_of_an_overwritten_value_is_invalid():
         A("r", "load_NA", "x", 1),
     )
     X = _exec(acts, sb={("w1", "w2"), ("w2", "r"), ("w1", "r")},
-              rf={("w1", "r")}, mode="NA")
+              rf={("w1", "r")})
     assert check_axioms(X)[0] == "COHERNA"
 
 
@@ -227,12 +226,12 @@ def test_unordered_stores_of_one_location_are_ill_formed():
 def test_safety_flags_unordered_nonatomic_conflicts():
     w = A("w", "store_NA", "x", 1)
     r = A("r", "load_NA", "x", 0)
-    racy = _exec((w, r), mode="NA")
+    racy = _exec((w, r))
     assert not safe(racy)
     ordered = _exec((w, A("w2", "store_NA", "x", 1)),
-                    sb={("w", "w2")}, mode="NA")
+                    sb={("w", "w2")})
     assert safe(ordered)
-    assert safe(_exec((A("w", "store", "x", 1),), mode="NA"))
+    assert safe(_exec((A("w", "store", "x", 1),)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +268,38 @@ def test_enumeration_matches_brute_force_oracle(text):
 @pytest.mark.parametrize("text", ORACLE_PROGRAMS_NA)
 def test_enumeration_matches_brute_force_oracle_na(text):
     P = lang.parse_program(text)
-    assert enumerated_signatures(P, mode="NA") == brute_force_signatures(
-        P, mode="NA"
-    )
+    assert enumerated_signatures(P) == brute_force_signatures(P, mode="NA")
+
+
+@st.composite
+def _mixed_programs(draw):
+    """A program of two or three threads of one or two accesses each, to
+    x and y; each location is atomic or non-atomic for the whole program,
+    at random, so some programs have no non-atomic access."""
+    na = {g: draw(st.booleans()) for g in "xy"}
+
+    def access(local):
+        g = draw(st.sampled_from("xy"))
+        kind = "na" if na[g] else ""
+        if draw(st.booleans()):
+            return f"st{kind}({g},{draw(st.integers(1, 2))})"
+        return f"{local} := ld{kind}({g})"
+
+    threads = ["; ".join(access(f"l{t}{k}")
+                         for k in range(draw(st.integers(1, 2))))
+               for t in range(draw(st.integers(2, 3)))]
+    return lang.parse_program(" ||| ".join(threads))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_programs())
+def test_enumeration_applies_the_nonatomic_rules_where_the_accesses_are(P):
+    # the package takes no mode: its executions are the oracle's with the
+    # non-atomic axioms, which on atomic accesses are the atomic ones
+    sigs = enumerated_signatures(P)
+    assert sigs == brute_force_signatures(P, mode="NA")
+    if not lang.na_vars_of(P):
+        assert sigs == brute_force_signatures(P, mode="AT")
 
 
 def _assignments(P, mode):
@@ -295,12 +323,12 @@ def _assignments(P, mode):
         for choice in itertools.product([None] + writes, repeat=len(reads)):
             rf = frozenset((w, r.aid) for w, r in zip(choice, reads)
                            if w is not None)
-            hb = derive_hb(acts, sb, rf, mode=mode)
+            hb = derive_hb(acts, sb, rf)
             for orders in itertools.product(
                     *(itertools.permutations(ws) for ws in locs.values())):
                 mo = frozenset(p for order in orders
                                for p in itertools.combinations(order, 2))
-                X = Execution(acts, sb, at, rf, mo, hb, mode)
+                X = Execution(acts, sb, at, rf, mo, hb)
                 yield X, _oracle_valid(acts, sb, at, rf, mo, mode)
 
 
@@ -325,7 +353,7 @@ def test_emitted_executions_satisfy_structural_invariants():
     assert res.executions
     for X in res.executions:
         byid = X.by_id()
-        assert X.hb == derive_hb(X.actions, X.sb, X.rf, X.r_ctx, X.mode)
+        assert X.hb == derive_hb(X.actions, X.sb, X.rf, X.r_ctx)
         assert all(u != v for (u, v) in X.hb)
         for (w, r) in X.rf:
             assert is_write(byid[w]) and is_read(byid[r])
@@ -498,9 +526,9 @@ def _slow_mo_orders(ws, rows, pos, rf, at, byid, hidden):
     return tuple(out)
 
 
-def _slow_rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT",
-                     pruner=None):
+def _slow_rf_classes(actions, sb, at, r_ctx=frozenset(), pruner=None):
     byid = {a.aid: a for a in actions}
+    na = any(map(is_na, actions))
     aids = list(byid)
     pos = {aid: i for i, aid in enumerate(aids)}
     reads = [a for a in actions if is_read(a)]
@@ -516,11 +544,11 @@ def _slow_rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT",
         hidden = frozenset() if pruner is None else pruner.admit(rf, reads)
         if hidden is None:
             continue
-        hb = _closure(set(sb) | set(r_ctx) | set(_hb_rf(rf, byid, mode)))
+        hb = _closure(set(sb) | set(r_ctx) | set(_hb_rf(rf, byid, na)))
         if any(u == v for (u, v) in hb):
             continue
         rows = rows_of(aids, hb)
-        if _rf_violation(reads, writes, byid, rf, rows, pos, mode):
+        if _rf_violation(reads, writes, byid, rf, rows, pos, na):
             continue
         mo_choices = [_slow_mo_orders(ws, rows, pos, rf, at, byid, hidden)
                       for ws in _mo_locations(writes).values()]
@@ -528,13 +556,13 @@ def _slow_rf_classes(actions, sb, at, r_ctx=frozenset(), mode="AT",
             yield rf, hb, mo_choices
 
 
-def _assert_rf_classes_match(pre, mode="AT", pruner=None):
+def _assert_rf_classes_match(pre, pruner=None):
     """rf_classes and the slow path give the same classes in the same
     order, with rf_classes' rows decoded to pairs; returns how many."""
     aids = [a.aid for a in pre.actions]
     fast = [(rf, pairs_of(aids, rows), mo_choices)
-            for rf, rows, mo_choices in rf_classes(pre, mode, pruner)]
-    assert fast == list(_slow_rf_classes(*pre, mode, pruner)), pre
+            for rf, rows, mo_choices in rf_classes(pre, pruner)]
+    assert fast == list(_slow_rf_classes(*pre, pruner)), pre
     return len(fast)
 
 
@@ -553,12 +581,11 @@ def _program_pres(P, values=frozenset({0, 1})):
 
 
 def test_rf_classes_match_the_slow_path_on_the_corpus_programs():
-    programs = [(t, "AT") for t in ORACLE_PROGRAMS_AT]
-    programs += [(t, "NA") for t in ORACLE_PROGRAMS_NA]
-    programs += [((CORPUS / f).read_text(), "NA" if "na_" in f else "AT")
+    programs = ORACLE_PROGRAMS_AT + ORACLE_PROGRAMS_NA
+    programs += [(CORPUS / f).read_text()
                  for f in sorted(p.name for p in CORPUS.glob("*.lit"))]
-    assert sum(_assert_rf_classes_match(pre, mode)
-               for text, mode in programs
+    assert sum(_assert_rf_classes_match(pre)
+               for text in programs
                for pre in _program_pres(lang.parse_program(text))) >= 40
 
 
@@ -641,12 +668,10 @@ _KINDS = ("load", "store", "LL", "SC", "load_NA", "store_NA")
 def _random_pres(draw):
     """A pre-execution of two to six actions at x and y, a third of them
     context actions: sb forward along a random order, so acyclic; r_ctx
-    any pairs, so often cyclic; at some LL/SC pairs of one location. Then
-    a mode, with
-    non-atomics only in NA mode, and, for some, the CutPruner of the
-    context actions and their at pairs."""
-    mode = draw(st.sampled_from(["AT", "NA"]))
-    kinds = _KINDS if mode == "NA" else _KINDS[:4]
+    any pairs, so often cyclic; at some LL/SC pairs of one location.
+    Half of them have no non-atomic action. Then, for some, the
+    CutPruner of the context actions and their at pairs."""
+    kinds = _KINDS if draw(st.booleans()) else _KINDS[:4]
     acts = tuple(
         Action(f"a{i}", draw(st.sampled_from(kinds)),
                draw(st.sampled_from("xy")), (draw(st.integers(0, 1)),),
@@ -669,15 +694,15 @@ def _random_pres(draw):
         S = {(u, v) for (u, v) in at
              if {u, v} <= {a.aid for a in ctx}}
         pruner = CutPruner(ctx, S)
-    return PreExecution(acts, sb, at, r_ctx), mode, pruner
+    return PreExecution(acts, sb, at, r_ctx), pruner
 
 
 _CTX_STORE = Action("c", "store", "x", (1,), "context")
 
 
-def _case(acts, sb=(), r_ctx=(), mode="AT", pruner=None):
+def _case(acts, sb=(), r_ctx=(), pruner=None):
     return PreExecution(tuple(acts), frozenset(sb), frozenset(),
-                        frozenset(r_ctx)), mode, pruner
+                        frozenset(r_ctx)), pruner
 
 
 @settings(max_examples=300, deadline=None)
@@ -690,11 +715,10 @@ def _case(acts, sb=(), r_ctx=(), mode="AT", pruner=None):
 @example(_case([A("r1", "load", "x", 1), A("w1", "store", "y", 1),
                 A("r2", "load", "y", 1), A("w2", "store", "x", 1)],
                sb=[("r1", "w1"), ("r2", "w2")]))
-@example(_case([A("w", "store_NA", "x", 1), A("r", "load_NA", "x", 1)],
-               mode="NA"))
+@example(_case([A("w", "store_NA", "x", 1), A("r", "load_NA", "x", 1)]))
 @example(_case([A("w", "store", "x", 1), _CTX_STORE,
                 A("r", "load", "x", 1)],
                sb=[("w", "r")], pruner=CutPruner([_CTX_STORE], ())))
 def test_rf_classes_match_the_slow_path_on_random_pre_executions(case):
-    pre, mode, pruner = case
-    _assert_rf_classes_match(pre, mode, pruner)
+    pre, pruner = case
+    _assert_rf_classes_match(pre, pruner)

@@ -145,6 +145,19 @@ def test_downclosure_of_a_three_action_chain_has_four_prefixes():
     assert sizes == [0, 1, 2, 3]
 
 
+def test_downclosure_closes_over_every_reads_from_edge():
+    # a valid execution has each non-atomic rf edge in hb (RFHBNA); this
+    # one does not, and its read still needs its source in a prefix
+    from stellite.axiomatic import Execution
+
+    w = Action("w", "store_NA", "x", (1,), "code")
+    r = Action("r", "load_NA", "x", (1,), "code")
+    none = frozenset()
+    X = Execution((w, r), none, none, frozenset({("w", "r")}), none, none)
+    assert {tuple(a.aid for a in Y.actions) for Y in downclosure(X)} == {
+        (), ("w",), ("w", "r")}
+
+
 def test_downclosure_members_are_predecessor_closed():
     for X in single_load_instance_execs():
         for Y in downclosure(X):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stellite import cli, lang
-from stellite.axiomatic import EnumConfig, valid
+from stellite.axiomatic import Action, EnumConfig, Execution, valid
 from stellite.cut import cut
 from stellite.cli import (
     execution_from_json,
@@ -66,7 +66,7 @@ def test_verify_rejects_nonatomic_blocks(capsys):
     rc = main(["verify", str(CORPUS / "na_load_reorder.tr")])
     captured = capsys.readouterr()
     assert rc == 3
-    assert "instance --na" in captured.err
+    assert "(instance)" in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -89,6 +89,8 @@ def test_simulate_allows_and_forbids_outcomes(capsys):
     rc = main(["simulate", str(CORPUS / "sb.lit")])
     out = capsys.readouterr().out
     assert rc == 0 and "v1=0 v2=0" in out
+    # no non-atomic access, so no race to report
+    assert "safety" not in out
 
     rc = main(["simulate", str(CORPUS / "sb.lit"), "--forbid", "v1=0,v2=0"])
     assert rc == 1
@@ -113,9 +115,10 @@ def test_simulate_reports_a_truncated_enumeration_as_unknown(
 
 
 def test_simulate_nonatomic_mode_reports_safety(capsys):
-    rc = main(["simulate", str(CORPUS / "na_race_before.lit"), "--na"])
+    rc = main(["simulate", str(CORPUS / "na_race_before.lit")])
     out = capsys.readouterr().out
-    assert rc == 0 and "UNSAFE" in out
+    assert rc == 0 and "2 valid executions" in out
+    assert "safety: UNSAFE (racy)" in out
 
 
 def test_instance_subcommand_accepts_the_single_load_context(capsys):
@@ -140,7 +143,6 @@ def test_instance_subcommand_nonatomic_reorder(capsys):
             str(CORPUS / "na_load_reorder.tr"),
             "--context",
             str(CORPUS / "na_reorder.ctx"),
-            "--na",
         ]
     )
     out = capsys.readouterr().out
@@ -169,6 +171,20 @@ def test_execution_json_round_trip():
     for X in forced_read_instance_execs():
         Y = execution_from_json(json.loads(json.dumps(execution_to_json(X))))
         assert Y == X
+
+
+def test_execution_json_reports_safety_only_with_nonatomic_actions():
+    from oracles import forced_read_instance_execs
+
+    X = forced_read_instance_execs()[0]
+    d = execution_to_json(X)
+    assert "mode" not in d and d["safe"] is None
+    # a witness file that still names a mode loads as before
+    assert execution_from_json(dict(d, mode="NA")) == X
+    racy = Execution((Action("w", "store_NA", "x", (1,), "code"),
+                      Action("r", "load_NA", "x", (0,), "code")),
+                     *[frozenset()] * 5)
+    assert execution_to_json(racy)["safe"] is False
 
 
 def test_context_file_parsing_and_errors():
@@ -306,6 +322,10 @@ def test_verify_max_execs_caps_a_block_to_unknown(capsys):
     # lowering the derived context caps made a refuted row Verified
     ["verify", str(CORPUS / "writeback_elim.tr"), "--budget", "total=0"],
     ["verify", str(CORPUS / "load_to_local_intro.tr"), "--explain-cut"],
+    # the non-atomic rules follow from the accesses
+    ["simulate", str(CORPUS / "na_race_before.lit"), "--na"],
+    ["instance", str(CORPUS / "na_load_reorder.tr"), "--context",
+     str(CORPUS / "na_reorder.ctx"), "--na"],
 ])
 def test_removed_flags_are_input_errors(argv, capsys):
     assert main(argv) == 3

@@ -284,9 +284,9 @@ def test_class_masks_match_the_flattened_executions_and_the_oracle(data):
     X = data.draw(st.sampled_from(_sample()))
     pre = PreExecution(X.actions, X.sb, X.at, X.r_ctx)
     index = PairIndex(a.aid for a in contx_of(X))
-    flat = list(complete(pre, X.mode))
+    flat = list(complete(pre))
     assert dataclasses.replace(X, locals_order=()) in flat
-    classes = ((pre, *c) for c in rf_classes(pre, X.mode))
+    classes = ((pre, *c) for c in rf_classes(pre))
     for Y in _assert_classes_match(classes, flat, index):
         # the deny and acyclicity edges by their definitions, not through
         # the threat masks both sides share

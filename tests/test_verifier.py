@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from stellite import lang, verifier
 from stellite.axiomatic import Action
+from stellite.cli import parse_context_file
 from stellite.blocklocal import (
     CutContext,
     block_classes,
@@ -544,7 +545,14 @@ def test_nonatomic_reorder_instance_holds_via_unsafe_prefixes():
     )
     B1 = "l1 := ldna(x); l3 := ldna(x); l2 := ld(y)"
     B2 = "l1 := ldna(x); l2 := ld(y); l3 := ldna(x)"
-    assert check_q_instance(B1, B2, ctx, mode="NA")
+    assert check_q_instance(B1, B2, ctx)
+
+
+def test_instance_gives_both_blocks_the_literals_of_either_block():
+    # only the new block names 2; the original block must still be able
+    # to read the context's 2, as it can in verify's derived domain
+    ctx = parse_context_file("ctx: w = st(x, 2)")
+    assert check_q_instance("t := 2; t := 0; l := ld(x)", "l := ld(x)", ctx)
 
 
 # ---------------------------------------------------------------------------
