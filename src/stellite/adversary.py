@@ -215,8 +215,6 @@ def _hole_region(Z):
 def reproduce(X, B) -> bool:
     """Does the adversarial context for X, wrapped around B, admit an
     error-free execution whose code and interface replay X?"""
-    if isinstance(B, str):
-        B = lang.parse_block(B)
     ac = build_context(X)
     prog = lang.substitute(ac.program, tuple(B))
     res = enumerate_program(prog,

@@ -19,6 +19,7 @@ from .axiomatic import (
     PreExecution,
     class_executions,
     derive_hb,
+    is_na,
     rf_classes,
 )
 
@@ -54,8 +55,15 @@ def in_r_shape(u, v, ids):
     return (u in ids and (v in ids or v == CALL)) or (u == RET and v in ids)
 
 
-def _check_context(ctx: CutContext, vs):
+def check_context(ctx: CutContext, blocks, pres):
+    """ValueError unless the blocks, with the lists of pre-executions
+    pres, may run under ctx: context actions carry the context origin,
+    are paired LL/SC at the fence location and take no block action's
+    id; R has in_r_shape; S pairs LL with SC injectively per location;
+    and no location is used both atomically and non-atomically by ctx
+    and the blocks together. Locations the blocks do not use are fine."""
     paired = {i for pair in ctx.S for i in pair}
+    code = {a.aid for ps in pres for p in ps for a in p.actions}
     for a in ctx.actions:
         if a.origin != "context":
             raise ValueError("context actions must carry the context origin")
@@ -66,10 +74,9 @@ def _check_context(ctx: CutContext, vs):
             raise ValueError(
                 "context actions at the fence location must be paired LL/SC"
             )
-        if vs is not None and a.gvar not in vs and a.gvar != lang.FENCE_VAR:
-            raise ValueError(
-                f"context action {a} is outside the block's variable set"
-            )
+        if a.aid in code:
+            raise ValueError(f"context action id {a.aid!r} is the id"
+                             " of a block action")
     ids = ctx.ids()
     for (u, v) in ctx.R:
         if not in_r_shape(u, v, ids):
@@ -85,6 +92,14 @@ def _check_context(ctx: CutContext, vs):
             raise ValueError("S must be an injective function")
         seen_ll.add(ll)
         seen_sc.add(sc)
+    uses = {(a.gvar, is_na(a)) for a in ctx.actions}
+    for B in blocks:
+        na = lang.na_vars_of(B)
+        uses |= {(g, g in na) for g in lang.vars_of(B)}
+    mixed = sorted(g for (g, n) in uses if n and (g, False) in uses)
+    if mixed:
+        raise ValueError(
+            f"global {mixed[0]!r} used both atomically and non-atomically")
 
 
 def pre_executions(B, sigma, values, locals_order):
@@ -106,38 +121,31 @@ def pre_executions(B, sigma, values, locals_order):
     return out
 
 
-def block_local(
-    B,
-    ctx: CutContext,
-    *,
-    values=frozenset({0, 1}),
-    locals_order=None,
-    sigmas=None,
-    check_vs=True,
-):
+def block_local(B, ctx: CutContext, *, values=frozenset({0, 1}),
+                locals_order=None, sigmas=None):
     """All executions of block B under the reduced context ctx, the rf
     classes of block_classes from each of sigmas flattened in order.
 
     Code actions come from the thread-local semantics and sit sb-between
     call and ret; context actions carry no sb; R seeds hb and S extends at.
-    A context action with the id of a block action is a ValueError.
+    A context that check_context rejects is a ValueError.
     """
     B = tuple(B)
-    _check_context(ctx, lang.vars_of(B) if check_vs else None)
     if locals_order is None:
         locals_order = lang.locals_of(B)
     if sigmas is None:
         sigmas = sigma_space(locals_order, lang.live_in(B), values)
-    out = []
-    for sigma in sigmas:
-        pres = pre_executions(B, sigma, values, locals_order)
-        shared = ctx.ids() & {a.aid for p in pres for a in p.actions}
-        if shared:
-            raise ValueError(f"context action id {min(shared)!r} is the id"
-                             " of a block action")
-        for c in block_classes(pres, ctx):
-            out.extend(class_executions(*c, locals_order))
-    return out
+    pres = [pre_executions(B, sigma, values, locals_order)
+            for sigma in sigmas]
+    check_context(ctx, [B], pres)
+    return executions(itertools.chain(*pres), ctx, locals_order)
+
+
+def executions(pres, ctx: CutContext, locals_order):
+    """Every execution of the pre-executions pres under ctx: the rf
+    classes of block_classes flattened in order."""
+    return [X for c in block_classes(pres, ctx)
+            for X in class_executions(*c, locals_order)]
 
 
 def _under(p: PreExecution, ctx: CutContext) -> PreExecution:

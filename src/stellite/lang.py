@@ -202,19 +202,10 @@ class _Parser:
             self.next()
             return FenceStmt()
         if v in ("st", "stna"):
-            self.next()
-            self.expect("(")
-            g = self._global()
-            self.expect(",")
-            src = self._atom()
-            self.expect(")")
+            g, src = self._access(self._atom)
             return StoreStmt(g, src, na=(v == "stna"))
         if v in ("ld", "ldna"):
-            self.next()
-            self.expect("(")
-            g = self._global()
-            self.expect(")")
-            return LoadStmt(None, g, na=(v == "ldna"))
+            return LoadStmt(None, self._access()[0], na=(v == "ldna"))
         if v == "if":
             self.next()
             self.expect("(")
@@ -235,24 +226,11 @@ class _Parser:
             self.expect(":=")
             k2, v2, _ = self.peek()
             if v2 in ("ld", "ldna"):
-                self.next()
-                self.expect("(")
-                g = self._global()
-                self.expect(")")
-                return LoadStmt(v, g, na=(v2 == "ldna"))
+                return LoadStmt(v, self._access()[0], na=(v2 == "ldna"))
             if v2 == "LL":
-                self.next()
-                self.expect("(")
-                g = self._global()
-                self.expect(")")
-                return LLStmt(v, g)
+                return LLStmt(v, self._access()[0])
             if v2 == "SC":
-                self.next()
-                self.expect("(")
-                g = self._global()
-                self.expect(",")
-                src = self._name("local")
-                self.expect(")")
+                g, src = self._access(lambda: self._name("local"))
                 return SCStmt(v, g, src)
             a = self._atom()
             if self.peek()[1] in ("==", "!="):
@@ -267,6 +245,18 @@ class _Parser:
         if k != "id":
             raise ParseError(f"expected {what} {_where(p, v)}")
         return v
+
+    def _access(self, arg=None):
+        """An access op(global[, arg]) from its op on: the global and,
+        given arg, what arg parses after the comma (else None)."""
+        self.next()
+        self.expect("(")
+        g, val = self._global(), None
+        if arg is not None:
+            self.expect(",")
+            val = arg()
+        self.expect(")")
+        return g, val
 
     def _global(self):
         v = self._name("global name")

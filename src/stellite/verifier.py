@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import lang
@@ -30,8 +31,9 @@ from .axiomatic import (
 from .blocklocal import (
     CutContext,
     block_classes,
-    block_local,
+    check_context,
     downclosure,
+    executions,
     pre_executions,
     sigma_space,
 )
@@ -41,7 +43,6 @@ from .history import (
     PairIndex,
     class_hist_ext,
     hist,
-    hist_ext,
     refines,
 )
 
@@ -92,25 +93,46 @@ class Verdict:
         return self.outcome == "Verified"
 
 
-def _code_counts(B, values):
-    """Max number of code reads/writes per location over all thread-local
-    executions of B (LL counts as a read, SC as a write)."""
-    locs = lang.locals_of(B)
-    live = lang.live_in(B)
-    reads, writes = {}, {}
-    for sigma in sigma_space(locs, live, values):
-        for (pre, _) in lang.thread_local_block(B, sigma, values):
-            r, w = {}, {}
-            for a in pre.actions:
-                if is_read(a):
-                    r[a.gvar] = r.get(a.gvar, 0) + 1
-                elif is_write(a):
-                    w[a.gvar] = w.get(a.gvar, 0) + 1
-            for g, n in r.items():
-                reads[g] = max(reads.get(g, 0), n)
-            for g, n in w.items():
-                writes[g] = max(writes.get(g, 0), n)
+def _setup(B1, B2, values):
+    """What every check of B1, B2 ranges over: the domain (values and
+    both blocks' literals), both blocks' locals in order, the initial
+    local maps and each block's pre-executions from each map."""
+    values = frozenset(values) | lang.literals_of(B1) | lang.literals_of(B2)
+    locals_order = tuple(sorted(set(lang.locals_of(B1))
+                                | set(lang.locals_of(B2))))
+    live = lang.live_in(B1) | lang.live_in(B2)
+    sigmas = sigma_space(locals_order, live, values)
+    pres = tuple([pre_executions(B, sigma, values, locals_order)
+                  for sigma in sigmas] for B in (B1, B2))
+    return values, locals_order, sigmas, pres
+
+
+def _code_counts(pres):
+    """Max number of code reads/writes per location over the lists of
+    pre-executions pres (LL counts as a read, SC as a write)."""
+    reads, writes = Counter(), Counter()
+    for pre in itertools.chain(*pres):
+        reads |= Counter(a.gvar for a in pre.actions if is_read(a))
+        writes |= Counter(a.gvar for a in pre.actions if is_write(a))
     return reads, writes
+
+
+def _caps(pre1, pre2):
+    """context_bound's reads, writes and pairs caps, from the new and the
+    original block's pre-executions over the pair's initial maps. A
+    local not live in a block leaves its runs alone, so these give the
+    same maxima as the block's own initial maps."""
+    r1, w1 = _code_counts(pre1)
+    r2, w2 = _code_counts(pre2)
+    wc, rc = w1 | w2, r1 | r2
+    reads = {x: wc[x] for x in wc | rc}
+    # rc visible writes and wc + rc + 1 non-visible ones
+    writes = {x: wc[x] + 2 * rc[x] + 1 for x in wc | rc}
+    pairs = {x: n for x, n in r1.items() if x != lang.FENCE_VAR and x in w2}
+    for x, n in pairs.items():
+        reads[x] += n
+        writes[x] += n
+    return reads, writes, pairs
 
 
 def context_bound(B1, B2, values=frozenset({0, 1})) -> Budget:
@@ -136,23 +158,8 @@ def context_bound(B1, B2, values=frozenset({0, 1})) -> Budget:
     original block has no write of x, only context writes can follow, and
     the new block's execution orders those too.
     """
-    values = frozenset(values) | lang.literals_of(B1) | lang.literals_of(B2)
-    r1, w1 = _code_counts(B1, values)
-    r2, w2 = _code_counts(B2, values)
-    locs = set(r1) | set(r2) | set(w1) | set(w2)
-    reads, writes, pairs = {}, {}, {}
-    for x in locs:
-        wc = max(w1.get(x, 0), w2.get(x, 0))
-        rc = max(r1.get(x, 0), r2.get(x, 0))
-        reads[x] = wc
-        # rc visible writes and wc + rc + 1 non-visible ones
-        writes[x] = wc + 2 * rc + 1
-        rp = r1.get(x, 0)
-        if x != lang.FENCE_VAR and rp and x in w2:
-            pairs[x] = rp
-            reads[x] += rp
-            writes[x] += rp
-    return Budget(reads=reads, writes=writes, pairs=pairs, values=values)
+    values, _, _, (pre1, pre2) = _setup(B1, B2, values)
+    return Budget(*_caps(pre1, pre2), values=values)
 
 
 def _multisets(vals, n):
@@ -281,9 +288,9 @@ class _Class:
 
 def _undominated(x1s, classes, locals_order):
     """The first execution of the new block's classes x1s that no class
-    of the original block dominates, or None. The executions of one
-    class share its ClassMasks and differ only in their deny masks, so
-    only that execution is built."""
+    of the original block dominates, with its class, or None. The
+    executions of one class share its ClassMasks and differ only in
+    their deny masks, so only that execution is built."""
     groups = {}
     for c in classes:
         groups.setdefault(c.masks.key, []).append(c)
@@ -297,7 +304,7 @@ def _undominated(x1s, classes, locals_order):
                 [X] = class_executions(pre, rf, rows,
                                        [(order,) for order in mo_choice],
                                        locals_order=locals_order)
-                return X
+                return X, c1
     return None
 
 
@@ -388,35 +395,34 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
     images (symmetric), and over the checked pairs only, B1's cut
     survivors (x1_cut), and B2's executions (x2), rf classes
     (x2_classes) and the deny masks of its mo orders that the scan
-    computed (x2_denies), where B1 has survivors."""
-    if isinstance(B1, str):
-        B1 = lang.parse_block(B1)
-    if isinstance(B2, str):
-        B2 = lang.parse_block(B2)
+    computed (x2_denies), where B1 has survivors.
+
+    A budget with a reads, writes or pairs cap below context_bound's,
+    derived from the same _setup, raises ValueError: its Verified would
+    be unsound. Raised caps are accepted."""
     if lang.na_vars_of(B1) or lang.na_vars_of(B2):
         # the cut rules and the context bound are derived for atomics only
         raise ValueError(
             "the finite check covers atomic blocks only; check ldna/stna"
             " blocks at an explicit context (instance)"
         )
+    values, locals_order, sigmas, (pre1, pre2) = _setup(
+        B1, B2, frozenset({0, 1}) if budget is None else budget.values)
+    caps = _caps(pre1, pre2)
     if budget is None:
-        budget = context_bound(B1, B2)
+        budget = Budget(*caps, values=values)
+    for name, derived in zip(("reads", "writes", "pairs"), caps):
+        given = getattr(budget, name)
+        for x in sorted(derived):
+            if given.get(x, 0) < derived[x]:
+                raise ValueError(
+                    f"the {name} cap of {x!r} is below the {derived[x]} that"
+                    " context_bound derives; a lowered cap voids Verified")
     limit = budget.max_block_execs
-    locals_order = tuple(sorted(set(lang.locals_of(B1))
-                                | set(lang.locals_of(B2))))
-    live = lang.live_in(B1) | lang.live_in(B2)
-    sigmas = sigma_space(locals_order, live, budget.values)
     stats = {"contexts": 0, "symmetric": 0, "x1_cut": 0, "x2": 0,
              "x2_classes": 0, "x2_denies": 0}
     free = budget.values - lang.fixed_values(B1) - lang.fixed_values(B2)
     checked = set()  # the keys of the pairs checked
-    # each block's pre-executions from each sigma, which no context
-    # changes, built once per verdict
-    pre1, pre2 = (
-        [pre_executions(B, sigma, budget.values, locals_order)
-         for sigma in sigmas]
-        for B in (B1, B2)
-    )
     try:
         for ctx in enumerate_contexts(B1, B2, budget):
             stats["contexts"] += 1
@@ -440,13 +446,14 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
                 classes, size = _classes(pre2[i], ctx, index, limit)
                 stats["x2"] += size
                 stats["x2_classes"] += len(classes)
-                X = _undominated(x1s, classes, locals_order)
+                found = _undominated(x1s, classes, locals_order)
                 stats["x2_denies"] += sum(len(c.denies) for c in classes)
-                if X is None:
+                if found is None:
                     continue
-                e1 = hist_ext(X)
-                # every candidate, in the order block_classes yields them,
-                # read off the masks of its class
+                X, c1 = found
+                # the witness and every candidate, in the order
+                # block_classes yields them, read off the masks of its class
+                e1 = class_hist_ext(X, c1.masks, index)
                 h2s = [class_hist_ext(Y, c.masks, index) for c in classes
                        for Y in class_executions(
                            *c.rf_class, locals_order=locals_order)]
@@ -469,22 +476,14 @@ def check_q_instance(B1, B2, ctx: CutContext,
     one asks B1's execution to be safe too. Executions without
     non-atomic accesses are safe, so there each match is one refinement.
     Both blocks and the local maps range over values and the literals of
-    both blocks, as in context_bound."""
-    if isinstance(B1, str):
-        B1 = lang.parse_block(B1)
-    if isinstance(B2, str):
-        B2 = lang.parse_block(B2)
-    values = frozenset(values) | lang.literals_of(B1) | lang.literals_of(B2)
-    locals_order = tuple(sorted(set(lang.locals_of(B1))
-                                | set(lang.locals_of(B2))))
-    live = lang.live_in(B1) | lang.live_in(B2)
-    for sigma in sigma_space(locals_order, live, values):
-        x1s = block_local(B1, ctx, values=values,
-                          locals_order=locals_order, sigmas=[sigma],
-                          check_vs=False)
-        x2s = block_local(B2, ctx, values=values,
-                          locals_order=locals_order, sigmas=[sigma],
-                          check_vs=False)
+    both blocks, as in context_bound. A context that
+    blocklocal.check_context rejects for the two blocks is a
+    ValueError."""
+    _, locals_order, _, (pre1, pre2) = _setup(B1, B2, values)
+    check_context(ctx, (B1, B2), pre1 + pre2)
+    for ps1, ps2 in zip(pre1, pre2):
+        x1s = executions(ps1, ctx, locals_order)
+        x2s = executions(ps2, ctx, locals_order)
         # a safe candidate's history, None for a racy one
         cands = [(Y, hist(Y) if safe(Y) else None) for Y in x2s]
         racy = {}  # a racy candidate's racy prefixes' histories, as needed

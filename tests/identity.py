@@ -9,24 +9,19 @@ PYTHONHASHSEED=0 over the same inputs:
   V=2, the GENERATE_ROWS of tests/test_verifier.py at V=3, its
   RENAMING_ROWS at their own V and the READ_WRITE_ROWS below at V=2: the
   outcome, the witness (context, sigma, execution, history, candidates)
-  and every Verdict.stats field, but symmetric where it reads 0, so that
-  a checkout without that counter compares equal to one that skips no
-  pair;
-  a history is compared by its actions A, guarantee G and deny D, and
-  where a checkout's history also keeps acyc, its acyclicity edges, the
-  row fails unless they are the reverse of G;
+  and every Verdict.stats field; a history is compared by its actions
+  A, guarantee G and deny D;
 - enumerate_program on litmus_batch(7, 2000) and litmus_batch(11, 2000)
   of bench/inputs.py: the executions, outcomes, unsafe and truncated;
 - check_q_instance on every corpus .ctx file against every corpus .tr
   file at V=2: the result, and the block_local executions of both
-  blocks under that context. A checkout whose check_q_instance still
-  takes a mode runs both in its NA mode, which applies the non-atomic
-  rules as a checkout without the mode always does.
+  blocks under that context, or the error that rejects the context. A
+  checkout whose block_local still has a check_vs switch gets
+  check_vs=False, as a context at a location only one block uses needs.
 
 The row lists and the litmus generator are read from this script's own
 checkout, the corpus from each checkout. Sets are compared as sorted
-lists, so two equal relations built in different orders agree, and an
-execution's mode field, which later checkouts drop, is not compared. The
+lists, so two equal relations built in different orders agree. The
 script prints the rows compared and each row that differs, and exits 1
 on any difference. It is no test module, so pytest does not collect it.
 """
@@ -73,18 +68,14 @@ def verify_rows():
 
 
 def _canon(x):
-    """x as nested lists, with sets sorted, dataclasses by field but
-    mode, and histories by A, G and D."""
+    """x as nested lists, with sets sorted, dataclasses by field and
+    histories by A, G and D."""
     if hasattr(x, "A") and hasattr(x, "G"):
-        acyc = getattr(x, "acyc", None)
-        if acyc is not None and acyc != {(v, u) for (u, v) in x.G}:
-            raise AssertionError(f"acyc is not the reverse of G in {x}")
-        return ["history", _canon(x.A), _canon(x.G),
-                _canon(getattr(x, "D", frozenset()))]
+        return ["history", _canon(x.A), _canon(x.G), _canon(x.D)]
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return [type(x).__name__] + [
             [f.name, _canon(getattr(x, f.name))]
-            for f in dataclasses.fields(x) if f.name != "mode"]
+            for f in dataclasses.fields(x)]
     if isinstance(x, dict):
         return sorted(([_canon(k), _canon(v)] for k, v in x.items()),
                       key=repr)
@@ -116,9 +107,9 @@ def dump(checkout):
     from inputs import litmus_batch
 
     corpus = Path(checkout) / "corpus"
-    na = ({"mode": "NA"}
-          if "mode" in inspect.signature(check_q_instance).parameters
-          else {})
+    shim = ({"check_vs": False}
+            if "check_vs" in inspect.signature(block_local).parameters
+            else {})
     for fname, n in verify_rows():
         text = fname if "~>" in fname else (corpus / fname).read_text()
         B2, B1 = lang.parse_transformation(text)
@@ -129,8 +120,7 @@ def dump(checkout):
             w.context, w.sigma, w.execution, w.hist, w.candidates)
         print(json.dumps({"row": f"verify {fname} V={n}",
                           "outcome": v.outcome,
-                          "stats": {k: n for k, n in v.stats.items()
-                                    if k != "symmetric" or n},
+                          "stats": v.stats,
                           "witness": _digest(witness)}))
     for seed in LITMUS_SEEDS:
         for i, (text, mode) in enumerate(litmus_batch(seed,
@@ -149,10 +139,9 @@ def dump(checkout):
             B2, B1 = lang.parse_transformation(tpath.read_text())
             row = {"row": f"instance {cpath.name} {tpath.name}"}
             try:
-                row["holds"] = check_q_instance(B1, B2, ctx, **na)
+                row["holds"] = check_q_instance(B1, B2, ctx)
                 row["executions"] = _digest(
-                    [block_local(B, ctx, check_vs=False, **na)
-                     for B in (B1, B2)])
+                    [block_local(B, ctx, **shim) for B in (B1, B2)])
             except ValueError as exc:
                 row["error"] = str(exc)
             print(json.dumps(row))

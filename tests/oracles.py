@@ -22,7 +22,7 @@ from stellite.axiomatic import (
     is_na,
     is_read,
     is_write,
-    obs_refines_ex,
+    obs_refines_pr,
 )
 from stellite.blocklocal import (
     CALL,
@@ -295,7 +295,7 @@ def sample_block_local(minimum=500, cut_only=False):
         B = lang.parse_block(btxt)
         budget = context_bound(B, B)
         for ctx in enumerate_contexts(B, B, budget):
-            for X in block_local(B, ctx, check_vs=False):
+            for X in block_local(B, ctx):
                 if cut_only and not cut_pred(X):
                     continue
                 out.append(X)
@@ -391,41 +391,6 @@ def random_context_threads(rng, gvars):
     return threads, frozenset(ovars)
 
 
-def _obs_reps(res, ovar):
-    reps = {}
-    for X in res.executions:
-        key = (
-            tuple(
-                sorted(
-                    (a.aid, a.kind, a.gvar, a.vals)
-                    for a in X.actions
-                    if a.gvar in ovar
-                )
-            ),
-            frozenset(
-                (u, v)
-                for (u, v) in X.hb
-                if any(a.aid == u and a.gvar in ovar for a in X.actions)
-                and any(a.aid == v and a.gvar in ovar for a in X.actions)
-            ),
-        )
-        reps.setdefault(key, X)
-    return list(reps.values())
-
-
-def obs_program_refines(P1, P2, ovar, values=frozenset({0, 1})):
-    """obs_refines_pr with executions deduplicated by their observable
-    projection first (the projection determines the comparison)."""
-    cfg = EnumConfig(values=values)
-    r1 = enumerate_program(P1, cfg)
-    r2 = enumerate_program(P2, cfg)
-    reps1 = _obs_reps(r1, ovar)
-    reps2 = _obs_reps(r2, ovar)
-    return all(
-        any(obs_refines_ex(X1, X2, ovar) for X2 in reps2) for X1 in reps1
-    )
-
-
 def adequacy_trial(rng, b1_txt, b2_txt):
     """One random-context adequacy sample: does the whole program around
     the checked block refine the one around the original block?"""
@@ -437,6 +402,6 @@ def adequacy_trial(rng, b1_txt, b2_txt):
     init = "".join(f"{l} := {rng.randint(0, 1)}; " for l in locs)
     p1 = " ||| ".join([init + b1_txt] + ctx_threads)
     p2 = " ||| ".join([init + b2_txt] + ctx_threads)
-    return obs_program_refines(
-        lang.parse_program(p1), lang.parse_program(p2), ovar
+    return obs_refines_pr(
+        lang.parse_program(p1), lang.parse_program(p2), ovar, EnumConfig()
     )

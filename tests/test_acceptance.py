@@ -156,9 +156,9 @@ def test_criterion_3_nonatomic_litmus_safety_and_outcomes():
 
 def test_criterion_4_finite_check_refutes_what_every_instance_allows():
     t0 = time.monotonic()
-    v = check_cut_refinement("skip", "ld(x)")
-    assert v.outcome == "Refuted"
     B1, B2 = lang.parse_block("skip"), lang.parse_block("ld(x)")
+    v = check_cut_refinement(B1, B2)
+    assert v.outcome == "Refuted"
     ctxs = list(enumerate_contexts(B1, B2))
     assert ctxs
     for ctx in ctxs:
@@ -174,8 +174,8 @@ def test_criterion_4_finite_check_refutes_what_every_instance_allows():
 def test_criterion_5_worked_instances():
     t0 = time.monotonic()
     # collapsed store under one late context load
-    _, ctx6 = single_load_instance()
-    assert check_q_instance("st(x,11)", "st(x,11); st(x,11)", ctx6)
+    B6, ctx6 = single_load_instance()
+    assert check_q_instance(B6, lang.parse_block("st(x,11); st(x,11)"), ctx6)
 
     # non-atomic reorder accepted via unsafe prefixes
     from stellite.axiomatic import Action
@@ -190,8 +190,8 @@ def test_criterion_5_worked_instances():
         frozenset(),
     )
     assert check_q_instance(
-        "l1 := ldna(x); l3 := ldna(x); l2 := ld(y)",
-        "l1 := ldna(x); l2 := ld(y); l3 := ldna(x)",
+        lang.parse_block("l1 := ldna(x); l3 := ldna(x); l2 := ld(y)"),
+        lang.parse_block("l1 := ldna(x); l2 := ld(y); l3 := ldna(x)"),
         ctx11,
     )
 

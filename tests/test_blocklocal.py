@@ -9,6 +9,7 @@ from stellite.blocklocal import (
     RET,
     CutContext,
     block_local,
+    check_context,
     code_of,
     contx_of,
     downclosure,
@@ -117,10 +118,39 @@ def test_context_validation_rejects_malformed_inputs():
                 S=frozenset({("a", "b")}),  # not an LL/SC pair
             ),
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="used both atomically and non"):
         block_local(
-            B, CutContext((Action("a", "load", "y", (0,), "context"),))
-        )  # outside the block's variable set
+            B, CutContext((Action("a", "store_NA", "x", (0,), "context"),))
+        )  # the block accesses x atomically
+    with pytest.raises(ValueError, match="'b0' is the id of a block action"):
+        block_local(
+            B, CutContext((Action("b0", "load", "x", (0,), "context"),))
+        )
+
+
+def test_a_context_may_use_locations_the_block_does_not():
+    # forced_read.ctx writes f next to blocks that never touch it
+    B = lang.parse_block("st(x,l)")
+    ctx = CutContext((Action("a", "load", "y", (0,), "context"),
+                      Action("b", "store_NA", "z", (1,), "context")))
+    assert block_local(B, ctx)
+
+
+@pytest.mark.parametrize("kinds,blocks", [
+    (("store", "load_NA"), ()),  # the context alone
+    (("load",), ("ldna(x)",)),
+    ((), ("ld(x)", "stna(x,1)")),  # the blocks alone
+    (("LL", "SC"), ("skip", "l := ldna(x)")),
+])
+def test_no_location_is_used_both_atomically_and_non_atomically(kinds,
+                                                                blocks):
+    acts = tuple(Action(f"a{i}", k, "x", (0,), "context")
+                 for i, k in enumerate(kinds))
+    S = frozenset({("a0", "a1")}) if kinds == ("LL", "SC") else frozenset()
+    with pytest.raises(ValueError, match="global 'x' used both atomically"
+                                         " and non-atomically"):
+        check_context(CutContext(acts, S=S),
+                      [lang.parse_block(b) for b in blocks], [])
 
 
 def test_downclosure_of_a_three_action_chain_has_four_prefixes():

@@ -149,6 +149,25 @@ def test_instance_subcommand_nonatomic_reorder(capsys):
     assert rc == 0 and "holds" in out
 
 
+@pytest.mark.parametrize("tr,ctx,rc,out", [
+    # stna(x, 1) in the context, ld(x) in the block
+    ("load_intro.tr", "na_reorder.ctx", 3, ""),
+    # the context writes f, which neither block touches
+    ("load_intro.tr", "forced_read.ctx", 0, "holds\n"),
+    ("na_load_reorder.tr", "na_reorder.ctx", 0, "holds\n"),
+    ("na_load_reorder.tr", "forced_read.ctx", 3, ""),
+])
+def test_instance_applies_the_atomicity_rule_to_the_context(tr, ctx, rc,
+                                                            out, capsys):
+    got = main(["instance", str(CORPUS / tr),
+                "--context", str(CORPUS / ctx)])
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (rc, out)
+    if rc == 3:
+        assert captured.err == ("error: global 'x' used both atomically"
+                                " and non-atomically\n")
+
+
 def test_adversary_subcommand_round_trips_a_witness(tmp_path, capsys):
     from oracles import single_load_instance_execs
 

@@ -119,7 +119,7 @@ def test_cut_invariants_on_samples():
 
 def _assert_fast_path_matches(B, ctx, values):
     fast = cut_survivors(B, ctx, values)
-    every = block_local(B, ctx, values=values, check_vs=False)
+    every = block_local(B, ctx, values=values)
     slow = [X for X in every if cut(X)]
     assert len(set(fast)) == len(fast)
     assert set(fast) == set(slow)

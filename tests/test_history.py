@@ -268,7 +268,7 @@ def test_class_masks_match_the_flattened_executions_on_the_corpus():
                 pres = [pre_executions(B, sigma, values, locals_order)
                         for sigma in sigma_space(locals_order,
                                                  lang.live_in(B), values)]
-                flat = block_local(B, ctx, values=values, check_vs=False)
+                flat = block_local(B, ctx, values=values)
                 classes = block_classes(
                     [p for ps in pres for p in ps], ctx)
                 checked += sum(1 for _ in _assert_classes_match(

@@ -322,3 +322,29 @@ def test_thread_local_at_is_the_oracle_pairing_around_a_code_region(
         before, block, after, hole):
     p = lang.substitute(Program((before + hole + after,)), block)
     _assert_at_is_the_oracle(p.threads[0])
+
+
+# every access form op(global[, arg]) goes through one parser rule; each
+# malformed access keeps its own message, word for word
+@pytest.mark.parametrize("text,message", [
+    ("st(x", "expected ',' at end of input"),
+    ("st(x 1)", "expected ',' at 5, found '1'"),
+    ("st(x,", "expected value or local at end of input"),
+    ("st(x,1;", "expected ')' at 6, found ';'"),
+    ("st(1,1)", "expected global name at 3, found '1'"),
+    ("stna(x)", "expected ',' at 6, found ')'"),
+    ("ld x", "expected '(' at 3, found 'x'"),
+    ("ld(x,1)", "expected ')' at 4, found ','"),
+    ("ldna(1)", "expected global name at 5, found '1'"),
+    ("l := ld", "expected '(' at end of input"),
+    ("l := ldna(x,", "expected ')' at 11, found ','"),
+    ("l := LL(x,l)", "expected ')' at 9, found ','"),
+    ("l := LL(fen)", "'fen' is reserved for fences"),
+    ("m := SC(x)", "expected ',' at 9, found ')'"),
+    ("m := SC(x,2)", "expected local at 10, found '2'"),
+    ("m := SC(x,l", "expected ')' at end of input"),
+])
+def test_each_malformed_access_keeps_its_message(text, message):
+    with pytest.raises(ParseError) as exc:
+        lang.parse_block(text)
+    assert str(exc.value) == message
