@@ -374,13 +374,14 @@ def rf_classes(pre: PreExecution, pruner=None):
 
     Yields (rf, rows, mo_choices) for every rf choice that has a valid
     completion: rf candidates are the writes a read may read from
-    (_may_read_from); an rf choice is kept when hb is acyclic and
-    _rf_violation finds nothing; mo_choices holds, per location, the
-    orders of its writes that _mo_orders keeps, and each element of
-    their product completes the class. hb, and so everything that hb
-    alone decides, is the same for every mo order of a class. A pruner
-    (cut.CutPruner) narrows the rf candidates, rejects rf choices and
-    drops mo orders that its filter would discard.
+    (_may_read_from), looked up by location and value; an rf choice is
+    kept when hb is acyclic and _rf_violation finds nothing;
+    mo_choices holds, per location, the orders of its writes that
+    _mo_orders keeps, and each element of their product completes the
+    class. hb, and so everything that hb alone decides, is the same for
+    every mo order of a class. A pruner (cut.CutPruner) narrows the rf
+    candidates, rejects rf choices and drops mo orders that its filter
+    would discard.
 
     hb is kept as rows, its reachability bit rows over the positions of
     the actions (_add_hb_edges): the closure of sb ∪ r_ctx once, at the
@@ -391,12 +392,19 @@ def rf_classes(pre: PreExecution, pruner=None):
     whether the non-atomic rules (_hb_rf, _rf_violation) are applied.
     """
     actions, sb, at, r_ctx = pre
-    reads = [a for a in actions if is_read(a)]
-    writes = [a for a in actions if is_write(a)]
+    reads, writes = [], []
+    by_val = {}  # the ids of the writes of each (location, vals)
+    for a in actions:
+        if is_read(a):
+            reads.append(a)
+        elif is_write(a):
+            writes.append(a)
+            by_val.setdefault((a.gvar, a.vals), []).append(a.aid)
     cands = []
     for r in reads:
+        # the writes _may_read_from allows r, in order
         opts = [None] if _may_read_from(None, r) else []
-        opts += [w.aid for w in writes if _may_read_from(w, r)]
+        opts += by_val.get((r.gvar, r.vals), ())
         if pruner is not None:
             opts = pruner.sources(r.aid, opts)
         cands.append(opts)
@@ -530,7 +538,7 @@ def enumerate_program(P, cfg: EnumConfig | None = None) -> EnumResult:
                 break
             execs.append(X)
             outcomes.append(tuple(dict(s) for (_, s) in combo))
-            if cfg.mode == "NA" and not safe(X):
+            if cfg.mode == "NA" and not any_unsafe and not safe(X):
                 any_unsafe = True
         if truncated:
             break

@@ -59,9 +59,10 @@ def check_context(ctx: CutContext, blocks, pres):
     """ValueError unless the blocks, with the lists of pre-executions
     pres, may run under ctx: context actions carry the context origin,
     are paired LL/SC at the fence location and take no block action's
-    id; R has in_r_shape; S pairs LL with SC injectively per location;
-    and no location is used both atomically and non-atomically by ctx
-    and the blocks together. Locations the blocks do not use are fine."""
+    id; R has in_r_shape; S pairs a context LL with a context SC
+    injectively per location; and no location is used both atomically
+    and non-atomically by ctx and the blocks together. Locations the
+    blocks do not use are fine."""
     paired = {i for pair in ctx.S for i in pair}
     code = {a.aid for ps in pres for p in ps for a in p.actions}
     for a in ctx.actions:
@@ -84,6 +85,9 @@ def check_context(ctx: CutContext, blocks, pres):
     seen_ll, seen_sc = set(), set()
     byid = {a.aid: a for a in ctx.actions}
     for (ll, sc) in ctx.S:
+        if ll not in byid or sc not in byid:
+            raise ValueError(f"S pair ({ll},{sc}) must join two context"
+                             " actions")
         if byid[ll].kind != "LL" or byid[sc].kind != "SC":
             raise ValueError("S must pair an LL with an SC")
         if byid[ll].gvar != byid[sc].gvar:
@@ -114,10 +118,12 @@ def pre_executions(B, sigma, values, locals_order):
     for (pre, sigma2) in lang.thread_local_block(B, sigma, values):
         ret = Action(RET, "ret", None,
                      tuple(sigma2[l] for l in locals_order), "boundary")
-        actions = (call,) + pre.actions + (ret,)
-        # a block is sequential: sb orders call, its actions and ret
-        sb = frozenset(itertools.combinations([a.aid for a in actions], 2))
-        out.append(PreExecution(actions, sb, pre.at))
+        # a block is sequential: the block's sb, with call before and ret
+        # after each of its actions
+        ids = [a.aid for a in pre.actions]
+        sb = pre.sb.union([(CALL, i) for i in ids], [(i, RET) for i in ids],
+                          [(CALL, RET)])
+        out.append(PreExecution((call,) + pre.actions + (ret,), sb, pre.at))
     return out
 
 

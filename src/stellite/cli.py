@@ -247,6 +247,7 @@ def cmd_verify(args) -> int:
           + (f" ({verdict.stats.get('error')})" if verdict.outcome == "Unknown"
              else ""))
     print(f"contexts={verdict.stats['contexts']}"
+          f" unfit={verdict.stats['unfit']}"
           f" symmetric={verdict.stats['symmetric']}"
           f" cut={verdict.stats['x1_cut']} candidates={verdict.stats['x2']}"
           f" time={dt:.2f}s")

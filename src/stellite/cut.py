@@ -40,10 +40,14 @@ refutes fence elimination on a shape nothing here confirms or rules out.
 
 CutPruner applies the same rules inside rf × mo completion
 (blocklocal.block_classes with a pruner); explain_cut stays the
-reference.
+reference. room_needed, room and fits restate them as counts, so that a
+pre-execution with no room for a survivor under a context is never
+completed.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from . import lang
 from .axiomatic import Execution, is_read, is_write
@@ -201,3 +205,62 @@ class CutPruner:
         # non-visible context writes are separated by a visible or code
         # write exactly when no two non-visible ones are mo-adjacent
         return frozenset(w for w in self._writes if not unit[w] & shown)
+
+
+def room_needed(actions, S):
+    """What a pre-execution must hold for a context of the actions and
+    the LL/SC pairs S to leave it any execution that CutPruner admits,
+    as (key, n) items, each asking room(p)[key] >= n (fits).
+
+    The counts restate CutPruner's rules per location x, for one
+    pre-execution with r(x) code reads and w(x) code writes:
+
+    - reads: an unpaired context read reads a code write (sources), and
+      no two context reads share a source (admit). So the unpaired
+      context reads of x with value v, key (x, (v,)), need as many code
+      writes of x with value v.
+    - writes: a visible context write is an unpaired one that a code
+      read reads, at most r(x) of them, or the SC of a shown pair, at
+      most pairs(x), the context's LL/SC pairs at x. Non-visible
+      context writes are never mo-adjacent, so there are at most w(x) +
+      visible + 1 of them. So x holds at most w(x) + 2·(r(x) + pairs(x))
+      + 1 context writes: key x, the context writes less 2·pairs(x) + 1,
+      against w(x) + 2·r(x).
+
+    Values are only compared for equality, so the test gives a pair and
+    its image under a renaming of the values alike."""
+    need = Counter()
+    paired = {i for pair in S for i in pair}
+    for a in actions:
+        if is_read(a) and a.aid not in paired:
+            need[a.gvar, a.vals] += 1
+        elif is_write(a):
+            need[a.gvar] += 1
+    byid = {a.aid: a for a in actions}
+    for (ll, _) in S:
+        need[byid[ll].gvar] -= 2
+    for x in {a.gvar for a in actions}:
+        need[x] -= 1
+    return tuple((k, n) for k, n in need.items() if n > 0)
+
+
+def room(actions):
+    """What the code actions among actions offer a context, under the
+    keys of room_needed: code writes by (location, vals), and per
+    location its code writes and twice its code reads."""
+    have = Counter()
+    for a in actions:
+        if a.origin != "code":
+            continue
+        if is_write(a):
+            have[a.gvar, a.vals] += 1
+            have[a.gvar] += 1
+        elif is_read(a):
+            have[a.gvar] += 2
+    return dict(have)
+
+
+def fits(need, have):
+    """Whether a pre-execution with room(...) have holds what
+    room_needed(...) need asks."""
+    return all(have.get(k, 0) >= n for k, n in need)

@@ -6,7 +6,8 @@ budget and comparing histories. It keeps both blocks' executions
 as rf classes (blocklocal.block_classes) with their history.ClassMasks,
 and computes an original-block class's deny masks, one per mo order, only
 as far as the domination scan needs them, and checks each (context,
-sigma) pair once per renaming of the values neither block names.
+sigma) pair once per renaming of the values neither block names, and
+only where the new block has room for a cut survivor.
 check_q_instance decides
 the quantified refinement at one explicit context instance, with prefix
 matching for racy executions of non-atomic accesses.
@@ -37,7 +38,7 @@ from .blocklocal import (
     pre_executions,
     sigma_space,
 )
-from .cut import CutPruner
+from .cut import CutPruner, fits, room, room_needed
 from .history import (
     ClassMasks,
     PairIndex,
@@ -379,23 +380,31 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
     B1's cut survivors, built with the cut.CutPruner of each context,
     and all of B2's executions, built only where B1 has survivors.
 
+    Only the pre-executions of B1 with room for a cut survivor under the
+    context (cut.room_needed, counted once per context, against cut.room,
+    counted once per pre-execution) are completed. A (context, sigma)
+    pair where none has room has no survivor and passes; it is skipped
+    before it is keyed or anything is built for it.
+
     The free values are those of the domain that neither block names
     (lang.fixed_values). The histories and their refinement only compare
     values for equality, so a permutation of the free values maps the
     executions of both blocks under a (context, sigma) pair to those
     under its image, and their histories alike: a pair passes exactly
-    when its image does, with as many executions on each side. A pair is
-    skipped when its key (_pair_keys), the same for all its images, is
-    that of a pair already checked, and so passed. The first failing
-    pair, its witness, and the pair where max_block_execs gives Unknown
-    stay those of the unreduced scan. With fewer than two free values
-    there is nothing to rename and no pair is keyed.
+    when its image does, with as many executions on each side. A pair
+    with room is skipped when its key (_pair_keys), the same for all its
+    images, is that of a pair already checked, and so passed. The first
+    failing pair, its witness, and the pair where max_block_execs gives
+    Unknown stay those of the unreduced scan. With fewer than two free
+    values there is nothing to rename and no pair is keyed.
 
-    Verdict.stats counts the contexts, the pairs skipped as renamed
-    images (symmetric), and over the checked pairs only, B1's cut
-    survivors (x1_cut), and B2's executions (x2), rf classes
-    (x2_classes) and the deny masks of its mo orders that the scan
-    computed (x2_denies), where B1 has survivors.
+    Verdict.stats counts the contexts, the pairs skipped for want of
+    room (unfit), the pairs with room skipped as renamed images
+    (symmetric), and over the checked pairs only, B1's cut survivors
+    (x1_cut), and B2's executions (x2), rf classes (x2_classes) and the
+    deny masks of its mo orders that the scan computed (x2_denies),
+    where B1 has survivors. The checked pairs, symmetric and unfit add
+    up to contexts times the number of sigmas.
 
     A budget with a reads, writes or pairs cap below context_bound's,
     derived from the same _setup, raises ValueError: its Verified would
@@ -419,18 +428,25 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
                     f"the {name} cap of {x!r} is below the {derived[x]} that"
                     " context_bound derives; a lowered cap voids Verified")
     limit = budget.max_block_execs
-    stats = {"contexts": 0, "symmetric": 0, "x1_cut": 0, "x2": 0,
-             "x2_classes": 0, "x2_denies": 0}
+    stats = {"contexts": 0, "unfit": 0, "symmetric": 0, "x1_cut": 0,
+             "x2": 0, "x2_classes": 0, "x2_denies": 0}
     free = budget.values - lang.fixed_values(B1) - lang.fixed_values(B2)
+    rooms = [[room(p.actions) for p in ps] for ps in pre1]
     checked = set()  # the keys of the pairs checked
     try:
         for ctx in enumerate_contexts(B1, B2, budget):
             stats["contexts"] += 1
-            pruner = index = None
-            pair_key = (_pair_keys(ctx, free, locals_order)
-                        if len(free) > 1 else None)
+            need = room_needed(ctx.actions, ctx.S)
+            pruner = index = pair_key = None
             for i, sigma in enumerate(sigmas):
-                if pair_key is not None:
+                fitting = [p for p, have in zip(pre1[i], rooms[i])
+                           if fits(need, have)]
+                if not fitting:
+                    stats["unfit"] += 1
+                    continue
+                if len(free) > 1:
+                    if pair_key is None:
+                        pair_key = _pair_keys(ctx, free, locals_order)
                     key = pair_key(sigma)
                     if key in checked:
                         stats["symmetric"] += 1
@@ -439,7 +455,7 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
                 if pruner is None:
                     pruner = CutPruner(ctx.actions, ctx.S)
                     index = PairIndex(a.aid for a in ctx.actions)
-                x1s, size1 = _classes(pre1[i], ctx, index, limit, pruner)
+                x1s, size1 = _classes(fitting, ctx, index, limit, pruner)
                 stats["x1_cut"] += size1
                 if not size1:
                     continue

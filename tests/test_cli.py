@@ -168,6 +168,20 @@ def test_instance_applies_the_atomicity_rule_to_the_context(tr, ctx, rc,
                                 " and non-atomically\n")
 
 
+@pytest.mark.parametrize("edge", ["call -> b", "b -> ret"])
+def test_instance_rejects_an_s_pair_that_is_not_two_context_actions(
+        edge, tmp_path, capsys):
+    # parse_context_file accepts the boundary labels as edge endpoints;
+    # only R may use them
+    ctx = tmp_path / "s.ctx"
+    ctx.write_text(f"ctx: b = SC(x, 1)\nS: {edge}\n")
+    assert main(["instance", str(CORPUS / "load_intro.tr"),
+                 "--context", str(ctx)]) == 3
+    u, v = edge.split(" -> ")
+    assert capsys.readouterr().err == (
+        f"error: S pair ({u},{v}) must join two context actions\n")
+
+
 def test_adversary_subcommand_round_trips_a_witness(tmp_path, capsys):
     from oracles import single_load_instance_execs
 
@@ -516,3 +530,16 @@ def test_verify_reports_the_pairs_skipped_as_renamed_images(
     symmetric = json.loads(f.read_text())["stats"]["symmetric"]
     assert (symmetric > 0) == skipped
     assert f" symmetric={symmetric} " in capsys.readouterr().out
+
+
+def test_verify_reports_the_pairs_skipped_without_room(tmp_path, capsys):
+    # store_collapse's new block is one store and no load, so a context
+    # with three stores, or with a load of a value the store does not
+    # write, leaves it no cut survivor
+    f = tmp_path / "r.json"
+    assert main(["verify", str(CORPUS / "store_collapse.tr"), "--values",
+                 "3", "--json", str(f)]) == 0
+    stats = json.loads(f.read_text())["stats"]
+    assert stats["unfit"] > 0
+    assert f"contexts={stats['contexts']} unfit={stats['unfit']} " in (
+        capsys.readouterr().out)

@@ -2,18 +2,23 @@
 
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stellite import lang
 from stellite.axiomatic import Action, is_read, is_write
 from stellite.blocklocal import (
     CutContext,
+    block_classes,
     block_local,
     code_of,
     contx_of,
+    pre_executions,
+    sigma_space,
 )
-from stellite.cut import cut, explain_cut, vis
-from stellite.verifier import enumerate_contexts
+from stellite.cut import (CutPruner, cut, explain_cut, fits, room,
+                          room_needed, vis)
+from stellite.verifier import _setup, context_bound, enumerate_contexts
 
 from oracles import cut_survivors, sample_block_local
 from test_acceptance import SUITE
@@ -147,12 +152,12 @@ _STMTS = st.sampled_from([
 
 
 @st.composite
-def _cases(draw):
+def _cases(draw, stmts=_STMTS):
     """A block of one to three statements, a value domain and a context of
     one to four loads, stores, LL/SC actions and S-paired LL/SC pairs
     (fences among them)."""
     values = frozenset(range(draw(st.sampled_from([2, 3]))))
-    block = "; ".join(draw(st.lists(_STMTS, min_size=1, max_size=3)))
+    block = "; ".join(draw(st.lists(stmts, min_size=1, max_size=3)))
     # one shared location most of the time, so that the actions interact
     locs = draw(st.sampled_from([["x"], ["y"], ["x", "y"]]))
     acts, S = [], set()
@@ -210,3 +215,74 @@ def _pairs(*specs, others=()):
 def test_cut_only_matches_the_filtered_slow_path_on_random_blocks(case):
     block, ctx, values = case
     _assert_fast_path_matches(lang.parse_block(block), ctx, values)
+
+
+# ---------------------------------------------------------------------------
+# the cut's rules as counts (cut.room_needed, room and fits), which
+# check_cut_refinement applies before it completes anything: a
+# pre-execution without room has no cut survivor
+
+
+def _unfit_have_no_survivor(pres, ctx):
+    """Assert that block_classes with ctx's CutPruner yields nothing for
+    each of the pre-executions pres that fits rejects under ctx; return
+    how many it rejects."""
+    need = room_needed(ctx.actions, ctx.S)
+    unfit = [p for p in pres if not fits(need, room(p.actions))]
+    pruner = CutPruner(ctx.actions, ctx.S)
+    for p in unfit:
+        assert not list(block_classes([p], ctx, pruner=pruner)), (p, ctx)
+    return len(unfit)
+
+
+# the SUITE rows, and at V=2 two rows whose contexts hold LL/SC pairs,
+# as the original block writes x and the new one reads it
+_SUITE_TEXTS = [(CORPUS / f).read_text() for f, _ in SUITE]
+_PAIR_ROWS = [
+    "a := LL(x); s := SC(x,a); st(y,s) ~> a := LL(x); st(y,a)",
+    "l := ld(x); st(x,l) ~> l := ld(x); if (l) { st(y,l) }",
+]
+
+
+@pytest.mark.parametrize("texts,nvalues", [
+    (_SUITE_TEXTS + _PAIR_ROWS, 2), (_SUITE_TEXTS, 3)], ids=["V=2", "V=3"])
+def test_a_pre_execution_without_room_has_no_survivor_on_the_corpus(
+        texts, nvalues):
+    rejected = 0
+    for text in texts:
+        B2, B1 = lang.parse_transformation(text)
+        budget = context_bound(B1, B2, frozenset(range(nvalues)))
+        _, _, _, (pre1, _) = _setup(B1, B2, budget.values)
+        for ctx in enumerate_contexts(B1, B2, budget):
+            for pres in pre1:
+                rejected += _unfit_have_no_survivor(pres, ctx)
+    # the test rejects most of the (context, sigma, pre-execution) triples
+    # of an elimination or a collapse, so this is no empty check
+    assert rejected > 1000
+
+
+_ROOM_STMTS = st.sampled_from([
+    "l := ld(x)", "st(x, l)", "st(x, 1)", "st(y, m)", "fc",
+    "l := LL(x); m := SC(x, l)", "m := LL(y); n := 1; m := SC(y, n)",
+    "if (l) { st(x, l) }", "if (m) { l := ld(y) } else { st(y, 1) }",
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases(_ROOM_STMTS))
+# one example per count that the test allows and a survivor uses up: a
+# non-visible store on each side of the code store, two non-visible
+# stores around one that the code read reads, and a data-location pair
+# whose LL reads the initial value as the code read does
+@example(("st(x, 1)", _ctx(("w0", "store", "x", 1), ("w1", "store", "x", 0)),
+          _V2))
+@example(("l := ld(x)", _ctx(("w0", "store", "x", 1), ("w1", "store", "x", 0),
+                             ("w2", "store", "x", 1)), _V2))
+@example(("l := ld(x)", _pairs(("p", "x", 0, 1)), _V2))
+def test_a_pre_execution_without_room_has_no_survivor_on_random_blocks(case):
+    block, ctx, values = case
+    B = lang.parse_block(block)
+    locals_order = lang.locals_of(B)
+    for sigma in sigma_space(locals_order, lang.live_in(B), values):
+        _unfit_have_no_survivor(
+            pre_executions(B, sigma, values, locals_order), ctx)

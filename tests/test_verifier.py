@@ -21,7 +21,7 @@ from stellite.blocklocal import (
     pre_executions,
     sigma_space,
 )
-from stellite.cut import CutPruner, cut
+from stellite.cut import CutPruner, cut, fits, room, room_needed
 from stellite.history import hist_ext, refines
 from stellite.verifier import (
     Budget,
@@ -419,12 +419,27 @@ def _pair(ctx, sigma):
     return ctx, tuple(sorted(sigma.items()))
 
 
+def _unfit(B1, B2, budget, pairs):
+    """The pairs, keyed as _pair keys them, under which no pre-execution
+    of B1 has room for a cut survivor (cut.fits): the pairs that
+    check_cut_refinement skips before it keys them."""
+    locals_order = tuple(sorted(set(lang.locals_of(B1))
+                                | set(lang.locals_of(B2))))
+
+    def unfit(ctx, sigma):
+        need = room_needed(ctx.actions, ctx.S)
+        return not any(fits(need, room(p.actions)) for p in pre_executions(
+            B1, dict(sigma), budget.values, locals_order))
+
+    return {pair for pair in pairs if unfit(*pair)}
+
+
 def _renamed_images(B1, B2, budget, pairs):
     """Each of the pairs, keyed as _pair keys them and in scan order, that
     a permutation of the free values maps to an earlier pair not itself
-    such an image, mapped to that earlier pair: the pairs that
-    check_cut_refinement skips, with the checked pair each is an image
-    of."""
+    such an image, mapped to that earlier pair: of pairs with room, the
+    ones that check_cut_refinement skips, with the checked pair each is
+    an image of."""
     free = sorted(budget.values - lang.fixed_values(B1)
                   - lang.fixed_values(B2))
     if len(free) < 2:
@@ -446,19 +461,25 @@ def _renamed_images(B1, B2, budget, pairs):
 def _scans_agree(B1, B2, budget):
     """Run check_cut_refinement and _linear_scan on one budget and compare
     them: the outcome and the witness exactly, and the stats exactly
-    where no (context, sigma) pair is the renamed image of one checked
-    before it. Where some are, the check must skip just as many, as no
-    two free values of the rows here tie in role without being
-    interchangeable; the linear scan must give each the x1_cut, x2 and
-    pass or fail of its checked image; and the checked and skipped pairs
-    must add up to its stats."""
+    where no (context, sigma) pair with room is the renamed image of one
+    checked before it. The check must skip every pair without room, each
+    of which the linear scan must find without cut survivors. Where
+    pairs with room are renamed images, the check must skip just as
+    many, as no two free values of the rows here tie in role without
+    being interchangeable; the linear scan must give each the x1_cut, x2
+    and pass or fail of its checked image; and the checked and skipped
+    pairs must add up to its stats."""
     slow_computed, fast_computed, pairs = [], [], {}
     slow = _linear_scan(B1, B2, budget, slow_computed, pairs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(history, "hist_ext",
                    lambda X: fast_computed.append(X) or hist_ext(X))
         fast = check_cut_refinement(B1, B2, budget)
-    images = _renamed_images(B1, B2, budget, pairs)
+    unfit = _unfit(B1, B2, budget, pairs)
+    assert all(pairs[p] == (0, 0, True) for p in unfit)
+    assert fast.stats["unfit"] == len(unfit)
+    images = _renamed_images(B1, B2, budget,
+                             [p for p in pairs if p not in unfit])
     assert fast.outcome == slow[0]
     assert fast.stats["symmetric"] == len(images)
     if not images:
