@@ -211,18 +211,22 @@ def _mo_locations(writes):
     return locs
 
 
-def _mo_masks(ws, rows, pos, rf, at, byid):
+def _mo_masks(ws, rows, pos, rf, at, byid, before=()):
     """Three tuples of bit masks over the writes ws of one location, one
     mask per write c in each: the writes that must come before c
-    (HBVSMO), the writes c may not follow because c happens before one
-    of their readers (COHERENCE), and the SCs that must come right after
-    c because their LL reads c (ATOM).
+    (HBVSMO, and u for each pair (u, c) of before), the writes c may not
+    follow because c happens before one of their readers (COHERENCE),
+    and the SCs that must come right after c because their LL reads c
+    (ATOM).
     hb is the bit rows rows over the positions pos. An LL that reads no
     write constrains no SC."""
     idx = {w: i for i, w in enumerate(ws)}
     wrows = [rows[pos[w]] for w in ws]
     preds = [sum(1 << i for i, row in enumerate(wrows) if row >> pos[c] & 1)
              for c in ws]
+    for (u, c) in before:
+        if c in idx:
+            preds[idx[c]] |= 1 << idx[u]
     late = [0] * len(ws)
     succ = [0] * len(ws)
     src = {}
@@ -356,15 +360,16 @@ def _mo_ids(ws, preds, late, succ, hid):
                  for order in _mo_positions(preds, late, succ, hid))
 
 
-def _mo_orders(ws, rows, pos, rf, at, byid, hidden):
+def _mo_orders(ws, rows, pos, rf, at, byid, hidden, before=()):
     """The total orders of the writes ws of one location that keep the mo
-    axioms (_mo_step) and leave no two hidden writes adjacent, in
-    itertools.permutations(ws) order, with hb the bit rows rows over the
-    positions pos, as a tuple."""
+    axioms (_mo_step), put u before w for each pair (u, w) of before and
+    leave no two hidden writes adjacent, in itertools.permutations(ws)
+    order, with hb the bit rows rows over the positions pos, as a
+    tuple."""
     ws = tuple(ws)
     if len(ws) == 1:
         return (ws,)
-    return _mo_ids(ws, *_mo_masks(ws, rows, pos, rf, at, byid),
+    return _mo_ids(ws, *_mo_masks(ws, rows, pos, rf, at, byid, before),
                    tuple(w in hidden for w in ws))
 
 
@@ -381,7 +386,8 @@ def rf_classes(pre: PreExecution, pruner=None):
     class. hb, and so everything that hb alone decides, is the same for
     every mo order of a class. A pruner (cut.CutPruner) narrows the rf
     candidates, rejects rf choices and drops mo orders that its filter
-    would discard.
+    would discard: admit gives the hidden writes and the before pairs
+    of _mo_orders.
 
     hb is kept as rows, its reachability bit rows over the positions of
     the actions (_add_hb_edges): the closure of sb ∪ r_ctx once, at the
@@ -413,11 +419,12 @@ def rf_classes(pre: PreExecution, pruner=None):
         rf = frozenset(
             (w, r.aid) for w, r in zip(choice, reads) if w is not None
         )
-        hidden = frozenset()
+        hidden, before = frozenset(), ()
         if pruner is not None:
-            hidden = pruner.admit(rf, reads)
-            if hidden is None:
+            admitted = pruner.admit(rf, reads)
+            if admitted is None:
                 continue
+            hidden, before = admitted
         if base is None:
             byid = {a.aid: a for a in actions}
             pos = {a.aid: i for i, a in enumerate(actions)}
@@ -431,7 +438,7 @@ def rf_classes(pre: PreExecution, pruner=None):
         if rows is None or _rf_violation(reads, writes, byid, rf, rows, pos,
                                          na):
             continue
-        mo_choices = [_mo_orders(ws, rows, pos, rf, at, byid, hidden)
+        mo_choices = [_mo_orders(ws, rows, pos, rf, at, byid, hidden, before)
                       for ws in movars.values()]
         if all(mo_choices):
             yield rf, rows, mo_choices

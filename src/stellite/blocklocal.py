@@ -170,7 +170,7 @@ def block_classes(pres, ctx: CutContext, pruner=None):
     axiomatic.class_executions flattens one. This is the one place a
     pre-execution is put under a context and completed. A pruner
     (cut.CutPruner of ctx) keeps only the executions that cut.cut
-    keeps."""
+    keeps, or with orbits one of each orbit of them."""
     for p in pres:
         pre = _under(p, ctx)
         for c in rf_classes(pre, pruner):

@@ -222,9 +222,9 @@ def cmd_verify(args) -> int:
     budget = verifier.context_bound(B1, B2, frozenset(range(args.values)))
     if args.max_execs is not None:
         budget.max_block_execs = args.max_execs
-    t0 = time.time()
+    t0 = time.perf_counter()
     verdict = check_cut_refinement(B1, B2, budget)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     report = {
         "transformation": text.strip(),
         "verdict": verdict.outcome,
@@ -249,7 +249,9 @@ def cmd_verify(args) -> int:
     print(f"contexts={verdict.stats['contexts']}"
           f" unfit={verdict.stats['unfit']}"
           f" symmetric={verdict.stats['symmetric']}"
-          f" cut={verdict.stats['x1_cut']} candidates={verdict.stats['x2']}"
+          f" cut={verdict.stats['x1_cut']}"
+          f" orbits={verdict.stats['x1_orbits']}"
+          f" candidates={verdict.stats['x2']}"
           f" time={dt:.2f}s")
     _emit(args, report, verdict)
     return {"Verified": 0, "Refuted": 1, "Unknown": 2}[verdict.outcome]

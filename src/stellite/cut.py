@@ -40,13 +40,15 @@ refutes fence elimination on a shape nothing here confirms or rules out.
 
 CutPruner applies the same rules inside rf × mo completion
 (blocklocal.block_classes with a pruner); explain_cut stays the
-reference. room_needed, room and fits restate them as counts, so that a
-pre-execution with no room for a survivor under a context is never
-completed.
+reference. With orbits it also keeps one survivor per orbit of the
+permutations of interchangeable context actions. room_needed, room and
+fits restate the rules as counts, so that a pre-execution with no room
+for a survivor under a context is never completed.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 from . import lang
@@ -140,9 +142,30 @@ class CutPruner:
     read nor write, so they never appear in rf or mo. rf_classes, and so
     blocklocal.block_classes, with a pruner yields exactly the classes
     and mo orders of the completions that cut() keeps.
+
+    With orbits, for a context whose R is empty, as
+    verifier.enumerate_contexts builds them, it yields one canonical
+    member of each orbit of those completions instead. A group is the
+    unpaired context actions with one (kind, location, vals), of two or
+    more; permuting the ids within groups maps the context to itself and
+    a survivor to a survivor, and an orbit is the survivors that such
+    permutations map onto each other. No permutation but the identity
+    fixes a survivor: a group's writes hold distinct places in the mo of
+    their location, and its reads read distinct code writes (sources,
+    admit). So every orbit has exactly orbit = Π |g|! members, and the
+    canonical member is the one whose groups are in id order:
+
+    - a write group's members that some read reads come first, ordered
+      by the position of their first reader among the pre-execution's
+      reads (admit), and the rest follow each other in mo (the before
+      pairs of admit);
+    - a read group's members read code writes in increasing id order.
+
+    A paired LL or SC is left alone: the permutation would have to move
+    its partner too.
     """
 
-    def __init__(self, actions, S):
+    def __init__(self, actions, S, orbits=False):
         unit = {a.aid: frozenset({a.aid}) for a in actions}
         for (ll, sc) in S:
             unit[ll] = unit[sc] = frozenset({ll, sc})
@@ -164,6 +187,19 @@ class CutPruner:
         )
         self._data_pairs = frozenset(
             a for (ll, _) in self._data_lls for a in unit[ll])
+        groups = {}
+        for a in actions if orbits else ():
+            if len(unit[a.aid]) == 1:
+                groups.setdefault((a.kind, a.gvar, a.vals), []).append(a.aid)
+        groups = [tuple(g) for g in groups.values() if len(g) > 1]
+        self.orbit = math.prod(math.factorial(len(g)) for g in groups)
+        self._read_groups = tuple(g for g in groups
+                                  if g[0] in self._lone_reads)
+        self._write_groups = tuple(g for g in groups
+                                   if g[0] not in self._lone_reads)
+        # each member of a write group, as (group, place in it)
+        self._member = {w: (i, j) for i, g in enumerate(self._write_groups)
+                        for j, w in enumerate(g)}
 
     def sources(self, r, opts):
         """The rf candidates of read r worth trying: an unpaired context
@@ -174,9 +210,11 @@ class CutPruner:
 
     def admit(self, rf, reads):
         """None if rf leaves a context read or LL/SC pair non-visible or
-        lets two context reads share a source; else the non-visible
+        lets two context reads share a source, or with orbits if it is
+        not canonical; else (hidden, before): hidden, the non-visible
         context writes, no two of which may be adjacent in one location's
-        mo order. reads are the pre-execution's read actions."""
+        mo order, and before, the pairs (u, w) of writes that mo must
+        order u first. reads are the pre-execution's read actions."""
         ctx = self._ctx
         seen = set()
         shown = set()
@@ -204,7 +242,27 @@ class CutPruner:
         # mo orders the atomic writes of one location totally, so two
         # non-visible context writes are separated by a visible or code
         # write exactly when no two non-visible ones are mo-adjacent
-        return frozenset(w for w in self._writes if not unit[w] & shown)
+        hidden = frozenset(w for w in self._writes if not unit[w] & shown)
+        if self.orbit == 1:
+            return hidden, ()
+        for g in self._read_groups:
+            srcs = [rf_of[r] for r in g]
+            if srcs != sorted(srcs):
+                return None
+        # how many members of each write group some read reads so far: a
+        # read of a member not read before must read the next one
+        count = [0] * len(self._write_groups)
+        member = self._member
+        for a in reads:
+            m = member.get(rf_of.get(a.aid))
+            if m is not None:
+                i, j = m
+                if j == count[i]:
+                    count[i] += 1
+                elif j > count[i]:
+                    return None
+        return hidden, tuple(pair for g, n in zip(self._write_groups, count)
+                             for pair in zip(g[n:], g[n + 1:]))
 
 
 def room_needed(actions, S):

@@ -71,8 +71,8 @@ class ClassMasks:
     """The histories of the executions that share actions, rf and hb, an
     rf class of rf_classes, as PairIndex masks.
 
-    key, the guarantee and acyc, the reverse of the guarantee, depend on
-    hb alone and are built once; deny(orders) gives the deny edges of one
+    The guarantee and acyc, the reverse of the guarantee, depend on hb
+    alone and are built once; deny(orders) gives the deny edges of one
     choice of mo orders. A scan tests deny | acyc, the edges a history
     denies or covers by its guarantee, as refines reads them.
 
@@ -89,7 +89,6 @@ class ClassMasks:
         pos = {a.aid: i for i, a in enumerate(actions)}
         up = [row | 1 << i for i, row in enumerate(rows)]
         ctx = [a.aid for a in actions if a.origin == "context"]
-        self.key = PairIndex.key(actions)
         # a write would happen before an rf-less read of its location
         readers = {r for (_, r) in rf}
         unread = {}

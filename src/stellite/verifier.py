@@ -6,8 +6,9 @@ budget and comparing histories. It keeps both blocks' executions
 as rf classes (blocklocal.block_classes) with their history.ClassMasks,
 and computes an original-block class's deny masks, one per mo order, only
 as far as the domination scan needs them, and checks each (context,
-sigma) pair once per renaming of the values neither block names, and
-only where the new block has room for a cut survivor.
+sigma) pair once per renaming of the values neither block names, only
+where the new block has room for a cut survivor, and there each cut
+survivor once per permutation of interchangeable context actions.
 check_q_instance decides
 the quantified refinement at one explicit context instance, with prefix
 matching for racy executions of non-atomic accesses.
@@ -253,19 +254,30 @@ def enumerate_contexts(B1, B2, budget: Budget | None = None):
 
 
 class _Class:
-    """One rf class of a block's executions under a context: its
-    ClassMasks, and, when it is the original block's, the deny masks of
-    its mo orders, computed in order only as far as a domination test
-    needs them. An mo order only adds threats, so every deny mask of the
-    class holds floor, the deny mask with no mo at all."""
+    """One rf class of a block's executions under a context: its key,
+    the PairIndex.key of its actions, its ClassMasks, built at first
+    use, and, when it is the original block's, the deny masks of its mo
+    orders, computed in order only as far as a domination test needs
+    them. An mo order only adds threats, so every deny mask of the class
+    holds floor, the deny mask with no mo at all, which its first
+    domination test builds."""
 
-    def __init__(self, pre, rf, rows, mo_choices, index):
+    def __init__(self, pre, rf, rows, mo_choices, key, index):
         self.rf_class = (pre, rf, rows, mo_choices)
-        self.masks = masks = ClassMasks(pre.actions, rf, rows, index)
-        self.floor = masks.deny(()) | masks.acyc
+        self.key = key
         self.size = math.prod(map(len, mo_choices))
         self.denies = []
+        self.floor = None
+        self._index = index
+        self._masks = None
         self._orders = itertools.product(*mo_choices)
+
+    @property
+    def masks(self):
+        if self._masks is None:
+            pre, rf, rows, _ = self.rf_class
+            self._masks = ClassMasks(pre.actions, rf, rows, self._index)
+        return self._masks
 
     def dominates(self, guarantee, deny):
         """Whether some execution of the class dominates one of the other
@@ -275,6 +287,8 @@ class _Class:
         refines: once its guarantee is inside the other's, the reverse
         of its guarantee is inside the reverse of the other's."""
         masks = self.masks
+        if self.floor is None:
+            self.floor = masks.deny(()) | masks.acyc
         if masks.guarantee & ~guarantee or self.floor & ~deny:
             return False
         if any(not d & ~deny for d in self.denies):
@@ -294,10 +308,10 @@ def _undominated(x1s, classes, locals_order):
     their deny masks, so only that execution is built."""
     groups = {}
     for c in classes:
-        groups.setdefault(c.masks.key, []).append(c)
+        groups.setdefault(c.key, []).append(c)
     for c1 in x1s:
         masks = c1.masks
-        rivals = groups.get(masks.key, ())
+        rivals = groups.get(c1.key, ())
         pre, rf, rows, mo_choices = c1.rf_class
         for mo_choice in itertools.product(*mo_choices):
             deny = masks.deny(mo_choice) | masks.acyc
@@ -311,12 +325,15 @@ def _undominated(x1s, classes, locals_order):
 
 def _classes(pres, ctx, index, limit, pruner=None):
     """The rf classes of the pre-executions pres under ctx, as _Class,
-    with their total size; more than limit executions in all raise
-    BudgetExceeded."""
-    classes, size = [], 0
+    with the number of executions they stand for: their own, times the
+    orbit of a pruner. More than limit in all raise BudgetExceeded."""
+    weight = 1 if pruner is None else pruner.orbit
+    classes, size, pre = [], 0, None
     for c in block_classes(pres, ctx, pruner=pruner):
-        classes.append(_Class(*c, index))
-        size += classes[-1].size
+        if c[0] is not pre:  # the classes of one pre-execution share a key
+            pre, key = c[0], PairIndex.key(c[0].actions)
+        classes.append(_Class(*c, key, index))
+        size += classes[-1].size * weight
         if limit is not None and size > limit:
             raise BudgetExceeded("block-local execution budget exceeded")
     return classes, size
@@ -398,13 +415,33 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
     Unknown stay those of the unreduced scan. With fewer than two free
     values there is nothing to rename and no pair is keyed.
 
+    Within a checked pair, B1's cut survivors are built one per orbit
+    (cut.CutPruner with orbits): the orbits of the permutations of the
+    ids of interchangeable context actions, unpaired ones with one
+    (kind, location, vals). A permutation pi of them maps the context to
+    itself, so it maps B1's cut survivors under the pair to cut
+    survivors and B2's executions to executions under the same pair. It
+    leaves a history's actions A unchanged and relabels its guarantee G
+    and deny D, and refines compares them only as relations over ids:
+    X is dominated exactly when pi(X) is. So a pair passes exactly when
+    every canonical survivor is dominated. Every orbit has the same
+    number of members, the pruner's orbit, so x1_cut and the test of
+    max_block_execs count canonical survivors times that number, which
+    is the count of every survivor: Unknown comes at the same pair. A
+    pair that fails is scanned again in full, with the plain CutPruner
+    and B2's classes afresh, so the first failing survivor, the witness,
+    the candidate list and the deny masks counted there are the full
+    scan's. A context without two interchangeable actions has an orbit
+    of one, and its pruner does no orbit work.
+
     Verdict.stats counts the contexts, the pairs skipped for want of
     room (unfit), the pairs with room skipped as renamed images
     (symmetric), and over the checked pairs only, B1's cut survivors
-    (x1_cut), and B2's executions (x2), rf classes (x2_classes) and the
-    deny masks of its mo orders that the scan computed (x2_denies),
-    where B1 has survivors. The checked pairs, symmetric and unfit add
-    up to contexts times the number of sigmas.
+    (x1_cut) and the canonical ones among them (x1_orbits), and B2's
+    executions (x2), rf classes (x2_classes) and the deny masks of its
+    mo orders that the scan computed (x2_denies), where B1 has
+    survivors. The checked pairs, symmetric and unfit add up to contexts
+    times the number of sigmas.
 
     A budget with a reads, writes or pairs cap below context_bound's,
     derived from the same _setup, raises ValueError: its Verified would
@@ -429,7 +466,7 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
                     " context_bound derives; a lowered cap voids Verified")
     limit = budget.max_block_execs
     stats = {"contexts": 0, "unfit": 0, "symmetric": 0, "x1_cut": 0,
-             "x2": 0, "x2_classes": 0, "x2_denies": 0}
+             "x1_orbits": 0, "x2": 0, "x2_classes": 0, "x2_denies": 0}
     free = budget.values - lang.fixed_values(B1) - lang.fixed_values(B2)
     rooms = [[room(p.actions) for p in ps] for ps in pre1]
     checked = set()  # the keys of the pairs checked
@@ -453,16 +490,23 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
                         continue
                     checked.add(key)
                 if pruner is None:
-                    pruner = CutPruner(ctx.actions, ctx.S)
+                    pruner = CutPruner(ctx.actions, ctx.S, orbits=True)
                     index = PairIndex(a.aid for a in ctx.actions)
                 x1s, size1 = _classes(fitting, ctx, index, limit, pruner)
                 stats["x1_cut"] += size1
+                stats["x1_orbits"] += size1 // pruner.orbit
                 if not size1:
                     continue
                 classes, size = _classes(pre2[i], ctx, index, limit)
                 stats["x2"] += size
                 stats["x2_classes"] += len(classes)
                 found = _undominated(x1s, classes, locals_order)
+                if found is not None and pruner.orbit > 1:
+                    # the full scan's first failing survivor and deny masks
+                    x1s, _ = _classes(fitting, ctx, index, limit,
+                                      CutPruner(ctx.actions, ctx.S))
+                    classes, _ = _classes(pre2[i], ctx, index, limit)
+                    found = _undominated(x1s, classes, locals_order)
                 stats["x2_denies"] += sum(len(c.denies) for c in classes)
                 if found is None:
                     continue

@@ -7,10 +7,10 @@ PYTHONHASHSEED=0 over the same inputs:
 
 - check_cut_refinement on the SUITE rows of tests/test_acceptance.py at
   V=2, the GENERATE_ROWS of tests/test_verifier.py at V=3, its
-  RENAMING_ROWS at their own V and the READ_WRITE_ROWS below at V=2: the
-  outcome, the witness (context, sigma, execution, history, candidates)
-  and every Verdict.stats field; a history is compared by its actions
-  A, guarantee G and deny D;
+  RENAMING_ROWS at their own V, its READ_WRITE_ROWS at V=2 and the
+  ORBIT_ROWS below at their own V: the outcome, the witness (context,
+  sigma, execution, history, candidates) and every Verdict.stats field;
+  a history is compared by its actions A, guarantee G and deny D;
 - enumerate_program on litmus_batch(7, 2000) and litmus_batch(11, 2000)
   of bench/inputs.py: the executions, outcomes, unsafe and truncated;
 - check_q_instance on every corpus .ctx file against every corpus .tr
@@ -41,10 +41,11 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 LITMUS_SEEDS = (7, 11)
 LITMUS_PROGRAMS = 2000
-# transformations whose original block reads and writes x, so that the
-# mo orders of its executions, not the cut, make up most of the check
-READ_WRITE_ROWS = ["st(x,1) ~> st(x,1); ld(x)",
-                   "l := ld(x); st(x,l) ~> l := ld(x); st(x,l)"]
+# rows whose contexts repeat the most interchangeable actions, so that
+# one cut survivor per orbit removes the most work
+ORBIT_ROWS = [("load_dup.tr", 3),
+              ("a := LL(x); s := SC(x,a); st(y,s)"
+               " ~> a := LL(x); s := SC(x,a); st(y,s)", 2)]
 
 
 def _literal(path, name):
@@ -62,9 +63,10 @@ def verify_rows():
     suite = _literal(HERE / "test_acceptance.py", "SUITE")
     generate = _literal(HERE / "test_verifier.py", "GENERATE_ROWS")
     renaming = _literal(HERE / "test_verifier.py", "RENAMING_ROWS")
+    read_write = _literal(HERE / "test_verifier.py", "READ_WRITE_ROWS")
     return ([(f, 2) for f, _ in suite] + [(f, 3) for f in generate]
             + [tuple(r) for r in renaming]
-            + [(t, 2) for t in READ_WRITE_ROWS])
+            + [(t, 2) for t in read_write] + ORBIT_ROWS)
 
 
 def _canon(x):

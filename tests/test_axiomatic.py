@@ -508,10 +508,10 @@ def test_obs_refines_pr_matches_the_pairwise_comparison(case):
 # checks on that closure as bit rows
 
 
-def _slow_mo_orders(ws, rows, pos, rf, at, byid, hidden):
+def _slow_mo_orders(ws, rows, pos, rf, at, byid, hidden, before):
     """The permutations of ws, in itertools order, that break no mo
-    axiom at any step and leave no two hidden writes adjacent, as a
-    tuple."""
+    axiom at any step, leave no two hidden writes adjacent and put u
+    before w for each pair (u, w) of before, as a tuple."""
     masks = _mo_masks(ws, rows, pos, rf, at, byid)
     out = []
     for perm in itertools.permutations(range(len(ws))):
@@ -522,7 +522,10 @@ def _slow_mo_orders(ws, rows, pos, rf, at, byid, hidden):
                 break
             placed, last = placed | 1 << i, i
         else:
-            out.append(tuple(ws[i] for i in perm))
+            order = [ws[i] for i in perm]
+            if all(order.index(u) < order.index(w) for (u, w) in before
+                   if w in order):
+                out.append(tuple(order))
     return tuple(out)
 
 
@@ -541,16 +544,19 @@ def _slow_rf_classes(actions, sb, at, r_ctx=frozenset(), pruner=None):
     for choice in itertools.product(*cands):
         rf = frozenset((w, r.aid) for w, r in zip(choice, reads)
                        if w is not None)
-        hidden = frozenset() if pruner is None else pruner.admit(rf, reads)
-        if hidden is None:
+        admitted = ((frozenset(), ()) if pruner is None
+                    else pruner.admit(rf, reads))
+        if admitted is None:
             continue
+        hidden, before = admitted
         hb = _closure(set(sb) | set(r_ctx) | set(_hb_rf(rf, byid, na)))
         if any(u == v for (u, v) in hb):
             continue
         rows = rows_of(aids, hb)
         if _rf_violation(reads, writes, byid, rf, rows, pos, na):
             continue
-        mo_choices = [_slow_mo_orders(ws, rows, pos, rf, at, byid, hidden)
+        mo_choices = [_slow_mo_orders(ws, rows, pos, rf, at, byid, hidden,
+                                      before)
                       for ws in _mo_locations(writes).values()]
         if all(mo_choices):
             yield rf, hb, mo_choices
@@ -670,7 +676,8 @@ def _random_pres(draw):
     context actions: sb forward along a random order, so acyclic; r_ctx
     any pairs, so often cyclic; at some LL/SC pairs of one location.
     Half of them have no non-atomic action. Then, for some, the
-    CutPruner of the context actions and their at pairs."""
+    CutPruner of the context actions and their at pairs, with or without
+    orbits."""
     kinds = _KINDS if draw(st.booleans()) else _KINDS[:4]
     acts = tuple(
         Action(f"a{i}", draw(st.sampled_from(kinds)),
@@ -693,11 +700,13 @@ def _random_pres(draw):
         ctx = [a for a in acts if a.origin == "context"]
         S = {(u, v) for (u, v) in at
              if {u, v} <= {a.aid for a in ctx}}
-        pruner = CutPruner(ctx, S)
+        pruner = CutPruner(ctx, S, orbits=draw(st.booleans()))
     return PreExecution(acts, sb, at, r_ctx), pruner
 
 
 _CTX_STORE = Action("c", "store", "x", (1,), "context")
+_CTX_STORES = tuple(Action(f"c{i}", "store", "x", (1,), "context")
+                    for i in range(3))
 
 
 def _case(acts, sb=(), r_ctx=(), pruner=None):
@@ -709,7 +718,9 @@ def _case(acts, sb=(), r_ctx=(), pruner=None):
 @given(_random_pres())
 # a cyclic R base; load buffering, where both reads read the other
 # thread's write only through an hb cycle; RFHBNA, a non-atomic read of a
-# write it is not sb-after; and a context store a pruner must hide
+# write it is not sb-after; a context store a pruner must hide; and three
+# equal context stores, one read by the code, whose other two a pruner
+# with orbits puts in mo in id order
 @example(_case([A("a", "store", "x", 1), A("b", "load", "x", 1)],
                r_ctx=[("a", "b"), ("b", "a")]))
 @example(_case([A("r1", "load", "x", 1), A("w1", "store", "y", 1),
@@ -719,6 +730,9 @@ def _case(acts, sb=(), r_ctx=(), pruner=None):
 @example(_case([A("w", "store", "x", 1), _CTX_STORE,
                 A("r", "load", "x", 1)],
                sb=[("w", "r")], pruner=CutPruner([_CTX_STORE], ())))
+@example(_case([A("w", "store", "x", 1), *_CTX_STORES,
+                A("r", "load", "x", 1)],
+               pruner=CutPruner(_CTX_STORES, (), orbits=True)))
 def test_rf_classes_match_the_slow_path_on_random_pre_executions(case):
     pre, pruner = case
     _assert_rf_classes_match(pre, pruner)

@@ -543,3 +543,15 @@ def test_verify_reports_the_pairs_skipped_without_room(tmp_path, capsys):
     assert stats["unfit"] > 0
     assert f"contexts={stats['contexts']} unfit={stats['unfit']} " in (
         capsys.readouterr().out)
+
+
+def test_verify_reports_the_survivors_checked_one_per_orbit(tmp_path,
+                                                             capsys):
+    # load_dup's contexts repeat equal loads and stores: 1,237 survivors
+    # fall into 147 orbits of their permutations
+    f = tmp_path / "r.json"
+    assert main(["verify", str(CORPUS / "load_dup.tr"), "--json",
+                 str(f)]) == 0
+    stats = json.loads(f.read_text())["stats"]
+    assert (stats["x1_cut"], stats["x1_orbits"]) == (1237, 147)
+    assert " cut=1237 orbits=147 " in capsys.readouterr().out

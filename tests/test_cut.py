@@ -1,12 +1,14 @@
 """The redundancy filter over block-local executions."""
 
+import dataclasses
+import itertools
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stellite import lang
-from stellite.axiomatic import Action, is_read, is_write
+from stellite.axiomatic import Action, class_executions, is_read, is_write
 from stellite.blocklocal import (
     CutContext,
     block_classes,
@@ -285,4 +287,97 @@ def test_a_pre_execution_without_room_has_no_survivor_on_random_blocks(case):
     locals_order = lang.locals_of(B)
     for sigma in sigma_space(locals_order, lang.live_in(B), values):
         _unfit_have_no_survivor(
+            pre_executions(B, sigma, values, locals_order), ctx)
+
+
+# ---------------------------------------------------------------------------
+# one cut survivor per orbit (CutPruner with orbits, as verify builds the
+# new block's survivors) against every survivor (the plain CutPruner)
+
+
+def _interchangeable(ctx):
+    """Every permutation of the ids of ctx's interchangeable actions, the
+    unpaired ones that share (kind, location, vals), as a dict."""
+    paired = {i for pair in ctx.S for i in pair}
+    groups = {}
+    for a in ctx.actions:
+        if a.aid not in paired:
+            groups.setdefault((a.kind, a.gvar, a.vals), []).append(a.aid)
+    groups = [g for g in groups.values() if len(g) > 1]
+    return [{u: v for g, p in zip(groups, perm) for u, v in zip(g, p)}
+            for perm in itertools.product(
+                *(itertools.permutations(g) for g in groups))]
+
+
+def _relabel(X, pi):
+    """X with its action ids moved by pi in every relation."""
+    move = lambda rel: frozenset((pi.get(u, u), pi.get(v, v))
+                                 for (u, v) in rel)
+    return dataclasses.replace(X, sb=move(X.sb), at=move(X.at),
+                               rf=move(X.rf), mo=move(X.mo),
+                               hb=move(X.hb), r_ctx=move(X.r_ctx))
+
+
+def _one_survivor_per_orbit(pres, ctx):
+    """Assert that the canonical survivors of the pre-executions pres
+    under ctx, times the permutations of its interchangeable actions,
+    are as many as all survivors, and that each survivor has exactly one
+    image among the canonical ones; return how many survivors the
+    canonical ones leave out."""
+    perms = _interchangeable(ctx)
+    orbits = CutPruner(ctx.actions, ctx.S, orbits=True)
+    assert orbits.orbit == len(perms), ctx
+    if len(perms) == 1:
+        return 0
+
+    def survivors(pruner):
+        return [X for c in block_classes(pres, ctx, pruner=pruner)
+                for X in class_executions(*c)]
+
+    every = survivors(CutPruner(ctx.actions, ctx.S))
+    canonical = survivors(orbits)
+    assert len(canonical) * len(perms) == len(every), ctx
+    found = set(canonical)
+    assert found <= set(every)
+    for X in every:
+        assert sum(_relabel(X, pi) in found for pi in perms) == 1, (X, ctx)
+    return len(every) - len(canonical)
+
+
+@pytest.mark.parametrize("texts,nvalues", [
+    (_SUITE_TEXTS + _PAIR_ROWS, 2), (_SUITE_TEXTS, 3)], ids=["V=2", "V=3"])
+def test_one_survivor_per_orbit_on_the_corpus(texts, nvalues):
+    left_out = 0
+    for text in texts:
+        B2, B1 = lang.parse_transformation(text)
+        budget = context_bound(B1, B2, frozenset(range(nvalues)))
+        _, _, _, (pre1, _) = _setup(B1, B2, budget.values)
+        for ctx in enumerate_contexts(B1, B2, budget):
+            need = room_needed(ctx.actions, ctx.S)
+            for pres in pre1:
+                left_out += _one_survivor_per_orbit(
+                    [p for p in pres if fits(need, room(p.actions))], ctx)
+    # load_dup alone leaves out over a thousand survivors at V=2
+    assert left_out > 1000
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases(_ROOM_STMTS))
+# two equal stores, one of them read by the code; two equal loads of two
+# code stores; two equal stores that the LL of a pair may read; and two
+# pairs with one LL value, which are no group
+@example(("l := ld(x)", _ctx(("w0", "store", "x", 1), ("w1", "store", "x", 1),
+                             ("w2", "store", "x", 0)), _V2))
+@example(("st(x, 1); st(x, l)", _ctx(("r0", "load", "x", 1),
+                                     ("r1", "load", "x", 1)), _V2))
+@example(("l := ld(x)", _pairs(("p", "x", 1, 0), others=[
+    ("w0", "store", "x", 1), ("w1", "store", "x", 1)]), _V2))
+@example(("l := ld(x); st(x, l)", _pairs(("p", "x", 0, 1),
+                                         ("q", "x", 0, 0)), _V2))
+def test_one_survivor_per_orbit_on_random_blocks(case):
+    block, ctx, values = case
+    B = lang.parse_block(block)
+    locals_order = lang.locals_of(B)
+    for sigma in sigma_space(locals_order, lang.live_in(B), values):
+        _one_survivor_per_orbit(
             pre_executions(B, sigma, values, locals_order), ctx)

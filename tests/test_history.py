@@ -204,7 +204,8 @@ def test_the_mask_test_agrees_with_refines_within_one_context(data):
     coded = []
     for X in xs:
         m = ClassMasks(X.actions, X.rf, _rows(X), index)
-        coded.append((m.key, m.guarantee, m.deny(mo_orders_of(X)) | m.acyc))
+        coded.append((PairIndex.key(X.actions), m.guarantee,
+                      m.deny(mo_orders_of(X)) | m.acyc))
     hs = [hist_ext(X) for X in xs]
     for E1, (k1, g1, d1) in zip(hs, coded):
         for E2, (k2, g2, d2) in zip(hs, coded):
@@ -238,7 +239,7 @@ def _assert_classes_match(classes, flat, index):
             mo = mo_pairs(mo_choice)
             assert (X.actions, X.rf, X.hb, X.mo) == (acts, rf, hb, mo)
             E = hist_ext(X)
-            assert masks.key == PairIndex.key(E.A)
+            assert PairIndex.key(acts) == PairIndex.key(E.A)
             assert masks.guarantee == index.encode(E.G)
             assert masks.acyc == index.encode({(v, u) for (u, v) in E.G})
             assert masks.deny(mo_choice) == index.encode(E.D)

@@ -551,6 +551,84 @@ def test_renamed_pairs_keep_verdicts_on_random_blocks(b1, b2):
         _scans_agree(B1, B2, context_bound(B1, B2, frozenset(range(3))))
 
 
+# ---------------------------------------------------------------------------
+# one new-block survivor per orbit of the interchangeable context actions
+# (CutPruner with orbits) against every survivor (the plain CutPruner,
+# which the check already uses to rescan a failing pair)
+
+# transformations whose original block reads and writes x, so that the
+# mo orders of its executions, not the cut, make up most of the check
+READ_WRITE_ROWS = ["st(x,1) ~> st(x,1); ld(x)",
+                   "l := ld(x); st(x,l) ~> l := ld(x); st(x,l)"]
+
+
+def _every_survivor(B1, B2, budget):
+    """check_cut_refinement with the plain CutPruner in place of the one
+    with orbits."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "CutPruner",
+                   lambda actions, S, orbits=False: CutPruner(actions, S))
+        return check_cut_refinement(B1, B2, budget)
+
+
+def _orbits_agree(B1, B2, budget):
+    """The check with one survivor per orbit and the one with every
+    survivor give the same outcome, witness and stats, but for x1_orbits
+    and x2_denies, which may only be smaller; return how many survivors
+    the first leaves out."""
+    every = _every_survivor(B1, B2, budget)
+    fast = check_cut_refinement(B1, B2, budget)
+    exact = lambda v: {k: n for k, n in v.stats.items()
+                       if k not in ("x1_orbits", "x2_denies")}
+    assert fast.outcome == every.outcome
+    assert fast.witness == every.witness
+    assert exact(fast) == exact(every)
+    assert every.stats["x1_orbits"] == every.stats["x1_cut"]
+    assert fast.stats["x1_orbits"] <= fast.stats["x1_cut"]
+    assert fast.stats["x2_denies"] <= every.stats["x2_denies"]
+    return fast.stats["x1_cut"] - fast.stats["x1_orbits"]
+
+
+@pytest.mark.parametrize(
+    "row,nvalues",
+    [(f, 2) for f, _ in SUITE] + [(f, 3) for f, _ in SUITE]
+    + RENAMING_ROWS + [(t, 2) for t in READ_WRITE_ROWS])
+def test_one_survivor_per_orbit_keeps_the_verdict(row, nvalues):
+    text = row if "~>" in row else (CORPUS / row).read_text()
+    B2, B1 = lang.parse_transformation(text)
+    budget = context_bound(B1, B2, frozenset(range(nvalues)))
+    _orbits_agree(B1, B2, budget)
+    if nvalues == 2:
+        # the execution cap gives Unknown at the same pair
+        for cap in (1, 10, 100):
+            _orbits_agree(B1, B2, dataclasses.replace(
+                budget, max_block_execs=cap))
+
+
+_ORBIT_STATEMENTS = st.lists(st.sampled_from([
+    "l := ld(x)", "ld(x)", "st(x, l)", "st(x, 1)", "st(y, l)",
+    "if (l) { st(y, l) }", "a := LL(x); s := SC(x, a)", "fc",
+]), min_size=1, max_size=2).map("; ".join)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ORBIT_STATEMENTS, _ORBIT_STATEMENTS)
+@example("ld(x); ld(x)", "ld(x)")
+@example("l := ld(x); st(x, l)", "l := ld(x); st(x, l)")
+def test_one_survivor_per_orbit_keeps_verdicts_on_random_blocks(b1, b2):
+    B1, B2 = lang.parse_block(b1), lang.parse_block(b2)
+    enumerate_all = verifier.enumerate_contexts
+
+    def enumerate_small(*args):
+        # contexts come smallest first
+        return itertools.takewhile(lambda c: len(c.actions) <= 4,
+                                   enumerate_all(*args))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "enumerate_contexts", enumerate_small)
+        _orbits_agree(B1, B2, context_bound(B1, B2))
+
+
 def test_an_sc_result_is_fixed_so_one_and_two_are_not_swapped():
     # a context load of y tells the SC's result 1 apart from 2: under
     # sigma = {a: 0, s: 0}, a load of 1 keeps one cut survivor, reading
