@@ -167,15 +167,26 @@ def _may_read_from(w, r):
     return w.gvar == r.gvar and w.vals == r.vals
 
 
-def _rf_violation(reads, writes, byid, rf, rows, pos, na):
+def _write_masks(actions):
+    """The positions of the writes of each location among actions, as a
+    bit mask per location."""
+    masks = {}
+    for i, a in enumerate(actions):
+        if a.kind in WRITE_KINDS:
+            masks[a.gvar] = masks.get(a.gvar, 0) | 1 << i
+    return masks
+
+
+def _rf_violation(actions, reads, wmasks, byid, rf, rows, pos, na):
     """The first break of RFVAL, RFHBNA or COHERNA as (name, witness), or
-    None, with hb the bit rows rows over the positions pos. RFVAL: a read
-    without a source may read the initial value and no write of its
-    location happens before it. RFHBNA: an rf edge into or out of a
-    non-atomic action is in hb. COHERNA: no non-atomic write of its
-    location happens between a non-atomic read and its source. na says
-    whether the actions byid include a non-atomic one; when they do not,
-    RFHBNA and COHERNA hold and are not checked."""
+    None, with hb the bit rows rows over the positions pos of actions and
+    wmasks their _write_masks. RFVAL: a read without a source may read
+    the initial value and no write of its location happens before it.
+    RFHBNA: an rf edge into or out of a non-atomic action is in hb.
+    COHERNA: no non-atomic write of its location happens between a
+    non-atomic read and its source. na says whether actions include a
+    non-atomic one; when they do not, RFHBNA and COHERNA hold and are not
+    checked."""
     hb = lambda u, v: rows[pos[u]] >> pos[v] & 1
     srcs = {r for (_, r) in rf}
     for r in reads:
@@ -183,9 +194,10 @@ def _rf_violation(reads, writes, byid, rf, rows, pos, na):
             continue
         if not _may_read_from(None, r):
             return ("RFVAL", (r.aid,))
-        for w in writes:
-            if w.gvar == r.gvar and hb(w.aid, r.aid):
-                return ("RFVAL", (r.aid, w.aid))
+        pr = pos[r.aid]
+        for i in _bits(wmasks.get(r.gvar, 0)):
+            if rows[i] >> pr & 1:
+                return ("RFVAL", (r.aid, actions[i].aid))
     if not na:
         return None
     for (w, r) in rf:
@@ -195,10 +207,10 @@ def _rf_violation(reads, writes, byid, rf, rows, pos, na):
         ra = byid[r]
         if not is_na(ra):
             continue
-        for w2 in writes:
-            if (is_na(w2) and w2.gvar == ra.gvar and hb(w1, w2.aid)
-                    and hb(w2.aid, r)):
-                return ("COHERNA", (w1, w2.aid, r))
+        for i in _bits(wmasks.get(ra.gvar, 0)):
+            w2 = actions[i].aid
+            if is_na(actions[i]) and hb(w1, w2) and hb(w2, r):
+                return ("COHERNA", (w1, w2, r))
     return None
 
 
@@ -221,26 +233,35 @@ def _mo_masks(ws, rows, pos, rf, at, byid, before=()):
     hb is the bit rows rows over the positions pos. An LL that reads no
     write constrains no SC."""
     idx = {w: i for i, w in enumerate(ws)}
-    wrows = [rows[pos[w]] for w in ws]
-    preds = [sum(1 << i for i, row in enumerate(wrows) if row >> pos[c] & 1)
-             for c in ws]
+    wpos = [pos[w] for w in ws]
+    wrows = [rows[p] for p in wpos]
+    # the writes before c are those whose rows hold c's column bit; most
+    # rows hold no write's
+    cols = sum(1 << p for p in wpos)
+    preds = [0] * len(ws)
+    for i, row in enumerate(wrows):
+        if row & cols:
+            for j, p in enumerate(wpos):
+                if row >> p & 1:
+                    preds[j] |= 1 << i
     for (u, c) in before:
         if c in idx:
             preds[idx[c]] |= 1 << idx[u]
     late = [0] * len(ws)
     succ = [0] * len(ws)
-    src = {}
     for (w, r) in rf:
-        src[r] = w
-        if w in idx:
+        j = idx.get(w)
+        if j is not None:
             br = 1 << pos[r]
             for i, row in enumerate(wrows):
                 if row & br:
-                    late[i] |= 1 << idx[w]
-    for (ll, sc) in at:
-        w = src.get(ll)
-        if w in idx and sc in idx and byid[sc].kind == "SC":
-            succ[idx[w]] |= 1 << idx[sc]
+                    late[i] |= 1 << j
+    if at:
+        src = {r: w for (w, r) in rf}
+        for (ll, sc) in at:
+            w = src.get(ll)
+            if w in idx and sc in idx and byid[sc].kind == "SC":
+                succ[idx[w]] |= 1 << idx[sc]
     return tuple(preds), tuple(late), tuple(succ)
 
 
@@ -267,7 +288,6 @@ def check_axioms(X: Execution):
     along each location's mo order."""
     byid = X.by_id()
     reads = [a for a in X.actions if is_read(a)]
-    writes = [a for a in X.actions if is_write(a)]
     orders = mo_orders_of(X)
     total = mo_pairs(orders)
     if total != X.mo:
@@ -291,7 +311,8 @@ def check_axioms(X: Execution):
             name = _mo_step(masks, (1 << i) - 1, i - 1, i)
             if name is not None:
                 return (name, tuple(ws[:i + 1]))
-    return _rf_violation(reads, writes, byid, X.rf, rows, pos, na)
+    return _rf_violation(X.actions, reads, _write_masks(X.actions), byid,
+                         X.rf, rows, pos, na)
 
 
 def valid(X: Execution) -> bool:
@@ -429,14 +450,15 @@ def rf_classes(pre: PreExecution, pruner=None):
             byid = {a.aid: a for a in actions}
             pos = {a.aid: i for i, a in enumerate(actions)}
             movars = _mo_locations(writes)
+            wmasks = _write_masks(actions)
             na = any(map(is_na, actions))
             base = _add_hb_edges([0] * len(actions),
                                  itertools.chain(sb, r_ctx), pos)
             if base is None:
                 return
         rows = _add_hb_edges(base, _hb_rf(rf, byid, na), pos)
-        if rows is None or _rf_violation(reads, writes, byid, rf, rows, pos,
-                                         na):
+        if rows is None or _rf_violation(actions, reads, wmasks, byid, rf,
+                                         rows, pos, na):
             continue
         mo_choices = [_mo_orders(ws, rows, pos, rf, at, byid, hidden, before)
                       for ws in movars.values()]
@@ -514,9 +536,43 @@ class EnumResult:
     truncated: bool = False
 
 
+def _needs_and_gives(actions):
+    """What a thread run, its actions in program order, needs from the
+    other threads: the (location, vals) of its reads that neither the
+    initial value nor an earlier write of its own can supply; and what it
+    gives them: the (location, vals) of its writes. A read cannot read a
+    later write of its own thread, which would close an hb cycle, nor
+    the initial value after an earlier write of its location (RFVAL)."""
+    needs, gives, written = set(), set(), set()
+    for a in actions:
+        key = (a.gvar, a.vals)
+        if is_read(a):
+            if key not in gives and (a.gvar in written
+                                     or not _may_read_from(None, a)):
+                needs.add(key)
+        elif is_write(a):
+            gives.add(key)
+            written.add(a.gvar)
+    return needs, gives
+
+
+def _unmet(combo):
+    """Whether a run of combo, (pre, sigma, needs, gives) per thread,
+    needs what no other run gives, so that the combination has no valid
+    execution."""
+    for t, run in enumerate(combo):
+        for need in run[2]:
+            if not any(need in other[3]
+                       for j, other in enumerate(combo) if j != t):
+                return True
+    return False
+
+
 def enumerate_program(P, cfg: EnumConfig | None = None) -> EnumResult:
     """All valid executions of a hole-free program, with per-thread
-    post-state maps recovered from the thread-local semantics."""
+    post-state maps recovered from the thread-local semantics. A
+    combination of thread runs where a run needs what no other run gives
+    (_needs_and_gives) is skipped before it is put together."""
     from . import lang
 
     cfg = cfg or EnumConfig()
@@ -530,21 +586,24 @@ def enumerate_program(P, cfg: EnumConfig | None = None) -> EnumResult:
         )
         if cfg.thread_prefilter is not None:
             res = [r for r in res if cfg.thread_prefilter(r[0].actions)]
-        per_thread.append(res)
+        per_thread.append([(p, sg, *_needs_and_gives(p.actions))
+                           for (p, sg) in res])
     execs, outcomes = [], []
     any_unsafe = False
     truncated = False
     for combo in itertools.product(*per_thread):
+        if _unmet(combo):
+            continue
         pre = PreExecution(
-            tuple(a for (p, _) in combo for a in p.actions),
-            frozenset().union(*(p.sb for (p, _) in combo)),
-            frozenset().union(*(p.at for (p, _) in combo)))
+            tuple(a for run in combo for a in run[0].actions),
+            frozenset().union(*(run[0].sb for run in combo)),
+            frozenset().union(*(run[0].at for run in combo)))
         for X in complete(pre):
             if cfg.limit is not None and len(execs) >= cfg.limit:
                 truncated = True
                 break
             execs.append(X)
-            outcomes.append(tuple(dict(s) for (_, s) in combo))
+            outcomes.append(tuple(dict(run[1]) for run in combo))
             if cfg.mode == "NA" and not any_unsafe and not safe(X):
                 any_unsafe = True
         if truncated:

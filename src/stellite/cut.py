@@ -268,7 +268,9 @@ class CutPruner:
 def room_needed(actions, S):
     """What a pre-execution must hold for a context of the actions and
     the LL/SC pairs S to leave it any execution that CutPruner admits,
-    as (key, n) items, each asking room(p)[key] >= n (fits).
+    as (key, n) items, each asking room(p)[key] >= n (fits): the items
+    of location_need for each location, in the order the actions first
+    name it.
 
     The counts restate CutPruner's rules per location x, for one
     pre-execution with r(x) code reads and w(x) code writes:
@@ -287,19 +289,32 @@ def room_needed(actions, S):
 
     Values are only compared for equality, so the test gives a pair and
     its image under a renaming of the values alike."""
-    need = Counter()
     paired = {i for pair in S for i in pair}
+    lls = {ll for (ll, _) in S}
+    counts = {}  # per location: unpaired read vals, writes, pairs
     for a in actions:
+        reads, writes, pairs = counts.get(a.gvar, ((), 0, 0))
         if is_read(a) and a.aid not in paired:
-            need[a.gvar, a.vals] += 1
+            reads += (a.vals,)
         elif is_write(a):
-            need[a.gvar] += 1
-    byid = {a.aid: a for a in actions}
-    for (ll, _) in S:
-        need[byid[ll].gvar] -= 2
-    for x in {a.gvar for a in actions}:
-        need[x] -= 1
-    return tuple((k, n) for k, n in need.items() if n > 0)
+            writes += 1
+        counts[a.gvar] = (reads, writes, pairs + (a.aid in lls))
+    return tuple(item for x, c in counts.items()
+                 for item in location_need(x, *c))
+
+
+def location_need(x, reads, writes, pairs):
+    """room_needed's items for the location x, whose context actions are
+    unpaired reads with the vals reads, writes writes, SCs included, and
+    pairs LL/SC pairs: one item per distinct vals of reads, in order,
+    then key x if the writes exceed 2·pairs + 1."""
+    need = {}
+    for vals in reads:
+        need[x, vals] = need.get((x, vals), 0) + 1
+    spare = writes - 2 * pairs - 1
+    if spare > 0:
+        need[x] = spare
+    return tuple(need.items())
 
 
 def room(actions):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axiomatic import Execution, is_read, is_write, mo_orders_of
+from .axiomatic import READ_KINDS, WRITE_KINDS, Execution, mo_orders_of
 from .blocklocal import CALL, RET, contx_of, in_r_shape
 
 
@@ -40,9 +40,15 @@ class PairIndex:
     that every edge of a guarantee, a deny or the reverse of a guarantee
     under that context joins. Under one context the action sets of
     histories differ only in the values of call and ret, which key
-    returns."""
+    returns.
+
+    heads are the context's ids and call, the targets v of such edges
+    (u,v), and pairs lists, for each source u, one of the context's ids
+    or ret, in order, the (j, bit of (u,v), bit of (v,u)) of each v =
+    heads[j] that is not u, and not call when u is ret."""
 
     def __init__(self, ctx_ids):
+        ctx_ids = list(ctx_ids)
         ids = [*ctx_ids, CALL, RET]
         k = len(ids)
         self.bit = {
@@ -50,6 +56,13 @@ class PairIndex:
             for i, u in enumerate(ids)
             for j, v in enumerate(ids)
         }
+        bit = self.bit
+        self.heads = ctx_ids + [CALL]
+        self.pairs = [
+            (u, [(j, bit[u, v], bit[v, u]) for j, v in enumerate(self.heads)
+                 if v != u and not (u == RET and v == CALL)])
+            for u in ctx_ids + [RET]
+        ]
 
     def encode(self, pairs):
         bit = self.bit
@@ -83,22 +96,16 @@ class ClassMasks:
     v hb* b give a violation once (u,v) is enforced, so (u,v) is denied
     exactly when the threats of the writes up to u meet up[v]. Only the
     rf-less reads' threats are fixed by the class; mo adds the others.
+
+    The index's ids are those of the context actions among actions, in
+    order, or more: a prefix of an execution (blocklocal.downclosure)
+    may lack some of them, or call or ret, and has no edges to or from
+    what it lacks.
     """
 
     def __init__(self, actions, rf, rows, index: PairIndex):
         pos = {a.aid: i for i, a in enumerate(actions)}
         up = [row | 1 << i for i, row in enumerate(rows)]
-        ctx = [a.aid for a in actions if a.origin == "context"]
-        # a write would happen before an rf-less read of its location
-        readers = {r for (_, r) in rf}
-        unread = {}
-        for i, a in enumerate(actions):
-            if is_read(a) and a.aid not in readers:
-                unread[a.gvar] = unread.get(a.gvar, 0) | 1 << i
-        writes = [i for i, a in enumerate(actions) if is_write(a)]
-        self._unread = [unread.get(a.gvar, 0) if is_write(a) else 0
-                        for a in actions]
-        self._pos = pos
         # what a write w1 puts at risk in each write w2 mo-after it: w1,
         # which an edge could make w2 happen before (HBVSMO), and the
         # readers of w1, which would then see w2 happen before them
@@ -106,29 +113,40 @@ class ClassMasks:
         read_by = {}
         for (w, r) in rf:
             read_by[w] = read_by.get(w, 0) | 1 << pos[r]
-        self._mo_threat = {a.aid: 1 << i | read_by.get(a.aid, 0)
-                           for i, a in enumerate(actions) if is_write(a)}
-        # a prefix of an execution (blocklocal.downclosure) may lack call
-        # or ret, and then has no edges to or from it
-        heads = [(v, up[pos[v]]) for v in ctx + [CALL] if v in pos]
+        readers = {r for (_, r) in rf}
+        unread = {}  # the rf-less reads of each location
+        writes = []
+        self._mo_threat = {}
+        for i, a in enumerate(actions):
+            if a.kind in WRITE_KINDS:
+                writes.append(i)
+                self._mo_threat[a.aid] = 1 << i | read_by.get(a.aid, 0)
+            elif a.kind in READ_KINDS and a.aid not in readers:
+                unread[a.gvar] = unread.get(a.gvar, 0) | 1 << i
+        # a write would happen before an rf-less read of its location
+        self._unread = [0] * len(actions)
+        for i in writes:
+            self._unread[i] = unread.get(actions[i].gvar, 0)
+        self._pos = pos
+        heads = [up[pos[v]] if v in pos else None for v in index.heads]
         self._rows = []
         acyc = guarantee = 0
-        for u in ctx + [RET]:
+        for (u, pairs) in index.pairs:
             if u not in pos:
                 continue
             bu = 1 << pos[u]
             targets = []
-            for (v, row) in heads:
-                if u == v or (u == RET and v == CALL):
+            for (j, uv, vu) in pairs:
+                row = heads[j]
+                if row is None:
                     continue
-                bit = index.bit[u, v]
-                targets.append((row, bit))
+                targets.append((row, uv))
                 if row & bu:
                     # v happens before u: (v,u) is a guarantee edge, and
                     # adding (u,v) would close an hb cycle, so the
                     # guarantee fully determines the acyclicity edges
-                    acyc |= bit
-                    guarantee |= index.bit[v, u]
+                    acyc |= uv
+                    guarantee |= vu
             # the writes that reach u by hb*, whose threats (u,v) meets
             self._rows.append(([i for i in writes if up[i] & bu], targets))
         self.acyc = acyc

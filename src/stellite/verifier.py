@@ -39,7 +39,7 @@ from .blocklocal import (
     pre_executions,
     sigma_space,
 )
-from .cut import CutPruner, fits, room, room_needed
+from .cut import CutPruner, fits, location_need, room
 from .history import (
     ClassMasks,
     PairIndex,
@@ -168,44 +168,98 @@ def _multisets(vals, n):
     return itertools.combinations_with_replacement(sorted(vals), n)
 
 
-def _location_choices(loc, budget):
-    """All canonical per-location context action groups within the caps."""
-    vals = sorted(budget.values)
+def _location_counts(loc, budget):
+    """Every count (loads, stores, pairs) of a location's canonical
+    context actions within the caps, by the number of actions."""
     rcap = budget.reads.get(loc, 0)
     wcap = budget.writes.get(loc, 0)
     if loc == lang.FENCE_VAR:
         # the only context actions at the fence location are whole fences
-        return [
-            (loc, (), (), ((0, 0),) * np)
-            for np in range(min(rcap, wcap) + 1)
-        ]
-    # the caps count a pair as one read and one write; plain loads and
-    # stores get what the pair cap leaves
-    out = []
-    pcap = min(budget.pairs.get(loc, 0), rcap, wcap)
-    pair_vals = list(itertools.product(vals, repeat=2))
-    for np in range(pcap + 1):
-        for nl in range(rcap - pcap + 1):
-            for ns in range(wcap - pcap + 1):
-                for pv in _multisets(pair_vals, np):
-                    for lv in _multisets(vals, nl):
-                        for sv in _multisets(vals, ns):
-                            out.append((loc, lv, sv, pv))
-    return out
+        counts = [(0, 0, np) for np in range(min(rcap, wcap) + 1)]
+    else:
+        # the caps count a pair as one read and one write; plain loads
+        # and stores get what the pair cap leaves
+        pcap = min(budget.pairs.get(loc, 0), rcap, wcap)
+        counts = [(nl, ns, np) for np in range(pcap + 1)
+                  for nl in range(rcap - pcap + 1)
+                  for ns in range(wcap - pcap + 1)]
+    by_size = {}
+    for c in counts:
+        by_size.setdefault(c[0] + c[1] + 2 * c[2], []).append(c)
+    return by_size
 
 
-def _build_context(groups):
-    acts, S = [], set()
-    for (loc, lv, sv, pv) in groups:
+def _location_parts(loc, counts, values):
+    """The _Parts of the canonical context action groups of a location
+    with each of the counts."""
+    if loc == lang.FENCE_VAR:
+        return [_Part((loc, (), (), ((0, 0),) * np)) for (_, _, np) in counts]
+    pair_vals = list(itertools.product(sorted(values), repeat=2))
+    return [_Part((loc, lv, sv, pv))
+            for (nl, ns, np) in counts
+            for pv in _multisets(pair_vals, np)
+            for lv in _multisets(values, nl)
+            for sv in _multisets(values, ns)]
+
+
+class _Part:
+    """One location's context actions, as the choice (location, load
+    vals, store vals, pair vals): its size, its room_needed items
+    (cut.location_need) and its sort-key items, (aid, kind, vals) in
+    order, and at first use its actions and LL/SC pairs (built)."""
+
+    __slots__ = ("choice", "size", "need", "key", "_built")
+
+    def __init__(self, choice):
+        loc, lv, sv, pv = self.choice = choice
+        self.size = len(lv) + len(sv) + 2 * len(pv)
+        self.need = location_need(loc, [(v,) for v in lv],
+                                  len(sv) + len(pv), len(pv))
+        self.key = tuple(sorted(self._items()))
+        self._built = None
+
+    def _items(self):
+        """The (aid, kind, vals) of the part's actions, in order."""
+        loc, lv, sv, pv = self.choice
         for i, v in enumerate(lv):
-            acts.append(Action(f"{loc}.r{i}", "load", loc, (v,), "context"))
+            yield f"{loc}.r{i}", "load", (v,)
         for i, v in enumerate(sv):
-            acts.append(Action(f"{loc}.w{i}", "store", loc, (v,), "context"))
+            yield f"{loc}.w{i}", "store", (v,)
         for i, (a, b) in enumerate(pv):
-            ll = Action(f"{loc}.p{i}l", "LL", loc, (a,), "context")
-            sc = Action(f"{loc}.p{i}s", "SC", loc, (b,), "context")
-            acts.extend((ll, sc))
-            S.add((ll.aid, sc.aid))
+            yield f"{loc}.p{i}l", "LL", (a,)
+            yield f"{loc}.p{i}s", "SC", (b,)
+
+    def built(self):
+        """The part's actions and its LL/SC pairs."""
+        if self._built is None:
+            loc = self.choice[0]
+            acts = tuple(Action(aid, kind, loc, vals, "context")
+                         for (aid, kind, vals) in self._items())
+            S = tuple((ll.aid, sc.aid) for ll, sc in zip(acts, acts[1:])
+                      if ll.kind == "LL")
+            self._built = acts, S
+        return self._built
+
+
+# A context shape is a context as the tuple of its locations' _Parts, in
+# location order. Its room_needed items and its sort key are its parts'
+# concatenated: the ids of a location's actions begin with the location
+# and a dot, which sorts before every character of a location name, so
+# the concatenated key items are already sorted.
+
+
+def _need(shape):
+    return tuple(itertools.chain.from_iterable(p.need for p in shape))
+
+
+def _key(shape):
+    return tuple(itertools.chain.from_iterable(p.key for p in shape))
+
+
+def _build_context(shape):
+    built = [p.built() for p in shape]
+    acts = itertools.chain.from_iterable(acts for acts, _ in built)
+    S = itertools.chain.from_iterable(S for _, S in built)
     return CutContext(tuple(acts), frozenset(), frozenset(S))
 
 
@@ -222,35 +276,42 @@ def _sizes(per_loc, n):
                 yield (k,) + rest
 
 
-def enumerate_contexts(B1, B2, budget: Budget | None = None):
-    """Canonical representatives of every context action set and atomicity
-    pairing within the budget, smallest first and within one size by
-    action signature. A generator: the contexts of one size are built
-    only after every smaller one was taken."""
-    if budget is None:
-        budget = context_bound(B1, B2)
+def context_shapes(B1, B2, budget: Budget):
+    """The contexts of enumerate_contexts, in its order, as shapes. A
+    generator: the shapes of one size are made only after every smaller
+    one was taken."""
     locs = sorted(
         set(lang.vars_of(B1)) | set(lang.vars_of(B2)) | set(budget.locations)
     )
-    per_loc = []
-    for x in locs:
-        by_size = {}
-        for choice in _location_choices(x, budget):
-            (_, lv, sv, pv) = choice
-            by_size.setdefault(len(lv) + len(sv) + 2 * len(pv), []).append(
-                choice)
-        per_loc.append(by_size)
+    per_loc = [_location_counts(x, budget) for x in locs]
+    parts = {}  # the _Parts of each location and size, made at first use
+
+    def parts_of(i, k):
+        if (i, k) not in parts:
+            parts[i, k] = _location_parts(locs[i], per_loc[i][k],
+                                          budget.values)
+        return parts[i, k]
+
     top = sum(max(d) for d in per_loc)
-    key = lambda c: tuple(sorted((a.aid, a.kind, a.vals) for a in c.actions))
     for n in range(top + 1):
-        ctxs = [
-            _build_context(combo)
+        shapes = [
+            shape
             for ks in _sizes(per_loc, n)
-            for combo in itertools.product(
-                *(d[k] for d, k in zip(per_loc, ks)))
+            for shape in itertools.product(*map(parts_of, range(len(locs)),
+                                                ks))
         ]
-        ctxs.sort(key=key)
-        yield from ctxs
+        shapes.sort(key=_key)
+        yield from shapes
+
+
+def enumerate_contexts(B1, B2, budget: Budget | None = None):
+    """Canonical representatives of every context action set and atomicity
+    pairing within the budget, smallest first and within one size by
+    action signature: every shape of context_shapes, built."""
+    if budget is None:
+        budget = context_bound(B1, B2)
+    for shape in context_shapes(B1, B2, budget):
+        yield _build_context(shape)
 
 
 class _Class:
@@ -354,16 +415,17 @@ def _context_key(ctx, renaming):
     return tuple(lone), tuple(pairs)
 
 
-def _pair_keys(ctx, free, locals_order):
-    """The key of each pair (ctx, sigma), as a function of sigma, that
-    is the same for a pair and its image under a renaming of the free
-    values. A key is its pair renamed: the free values, ranked by their
-    roles in the pair, become the free values in order. A value's role
-    is the kinds and locations of the context actions that hold it, then
-    the locals of sigma that hold it; ties go by the value itself. So two
-    pairs with one key are renamings of each other, and a pair and its
-    image share a key unless two free values tie without being
-    interchangeable, which only leaves the image to be checked as well."""
+def _pair_keys(ctx, free):
+    """The key of each pair (ctx, sigma), as a function of the values
+    of sigma's locals in order, that is the same for a pair and its
+    image under a renaming of the free values. A key is its pair
+    renamed: the free values, ranked by their roles in the pair, become
+    the free values in order. A value's role is the kinds and locations
+    of the context actions that hold it, then the locals of sigma that
+    hold it; ties go by the value itself. So two pairs with one key are
+    renamings of each other, and a pair and its image share a key unless
+    two free values tie without being interchangeable, which only leaves
+    the image to be checked as well."""
     target = sorted(free)
     roles = {v: tuple(sorted((a.kind, a.gvar) for a in ctx.actions
                              if v in a.vals))
@@ -376,8 +438,7 @@ def _pair_keys(ctx, free, locals_order):
              if len(ranks) == len(free) else None)
     renamed = {}  # each ranking of the free values to ctx renamed by it
 
-    def key(sigma):
-        vals = tuple(sigma[l] for l in locals_order)
+    def key(vals):
         order = plain or tuple(sorted(free, key=lambda v: (
             rank[v], [x == v for x in vals], v)))
         renaming = dict(zip(order, target))
@@ -398,10 +459,15 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
     and all of B2's executions, built only where B1 has survivors.
 
     Only the pre-executions of B1 with room for a cut survivor under the
-    context (cut.room_needed, counted once per context, against cut.room,
-    counted once per pre-execution) are completed. A (context, sigma)
-    pair where none has room has no survivor and passes; it is skipped
-    before it is keyed or anything is built for it.
+    context (cut.room_needed against cut.room, counted once per
+    pre-execution) are completed. The contexts are scanned as the shapes
+    of context_shapes, whose room_needed items are their locations'
+    items, each counted once per check, and B1's pre-executions with
+    room are looked up once per distinct need and sigma. A (context,
+    sigma) pair where none has room has no survivor and passes; it is
+    skipped before it is keyed or anything is built for it, and a
+    context without room under any sigma is never built. Each distinct
+    tuple of context ids gets one PairIndex.
 
     The free values are those of the domain that neither block names
     (lang.fixed_values). The histories and their refinement only compare
@@ -469,30 +535,43 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
              "x1_orbits": 0, "x2": 0, "x2_classes": 0, "x2_denies": 0}
     free = budget.values - lang.fixed_values(B1) - lang.fixed_values(B2)
     rooms = [[room(p.actions) for p in ps] for ps in pre1]
+    fitting = {}  # B1's pre-executions with room for a need, per sigma
+    indexes = {}  # the PairIndex of each tuple of context ids
+    svals = [tuple(sigma[l] for l in locals_order) for sigma in sigmas]
     checked = set()  # the keys of the pairs checked
     try:
-        for ctx in enumerate_contexts(B1, B2, budget):
+        for shape in context_shapes(B1, B2, budget):
             stats["contexts"] += 1
-            need = room_needed(ctx.actions, ctx.S)
+            need = _need(shape)
+            fit = fitting.get(need)
+            if fit is None:
+                fit = fitting[need] = [
+                    [p for p, have in zip(ps, haves) if fits(need, have)]
+                    for ps, haves in zip(pre1, rooms)]
+            if not any(fit):
+                stats["unfit"] += len(sigmas)
+                continue
+            ctx = _build_context(shape)
             pruner = index = pair_key = None
             for i, sigma in enumerate(sigmas):
-                fitting = [p for p, have in zip(pre1[i], rooms[i])
-                           if fits(need, have)]
-                if not fitting:
+                if not fit[i]:
                     stats["unfit"] += 1
                     continue
                 if len(free) > 1:
                     if pair_key is None:
-                        pair_key = _pair_keys(ctx, free, locals_order)
-                    key = pair_key(sigma)
+                        pair_key = _pair_keys(ctx, free)
+                    key = pair_key(svals[i])
                     if key in checked:
                         stats["symmetric"] += 1
                         continue
                     checked.add(key)
                 if pruner is None:
                     pruner = CutPruner(ctx.actions, ctx.S, orbits=True)
-                    index = PairIndex(a.aid for a in ctx.actions)
-                x1s, size1 = _classes(fitting, ctx, index, limit, pruner)
+                    ids = tuple(a.aid for a in ctx.actions)
+                    index = indexes.get(ids)
+                    if index is None:
+                        index = indexes[ids] = PairIndex(ids)
+                x1s, size1 = _classes(fit[i], ctx, index, limit, pruner)
                 stats["x1_cut"] += size1
                 stats["x1_orbits"] += size1 // pruner.orbit
                 if not size1:
@@ -503,7 +582,7 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
                 found = _undominated(x1s, classes, locals_order)
                 if found is not None and pruner.orbit > 1:
                     # the full scan's first failing survivor and deny masks
-                    x1s, _ = _classes(fitting, ctx, index, limit,
+                    x1s, _ = _classes(fit[i], ctx, index, limit,
                                       CutPruner(ctx.actions, ctx.S))
                     classes, _ = _classes(pre2[i], ctx, index, limit)
                     found = _undominated(x1s, classes, locals_order)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stellite import lang
+from stellite import axiomatic, lang
 from stellite.axiomatic import (
     Action,
     BudgetExceeded,
@@ -21,6 +21,7 @@ from stellite.axiomatic import (
     _mo_positions,
     _mo_step,
     _rf_violation,
+    _write_masks,
     check_axioms,
     derive_hb,
     enumerate_program,
@@ -553,7 +554,8 @@ def _slow_rf_classes(actions, sb, at, r_ctx=frozenset(), pruner=None):
         if any(u == v for (u, v) in hb):
             continue
         rows = rows_of(aids, hb)
-        if _rf_violation(reads, writes, byid, rf, rows, pos, na):
+        if _rf_violation(actions, reads, _write_masks(actions), byid, rf,
+                         rows, pos, na):
             continue
         mo_choices = [_slow_mo_orders(ws, rows, pos, rf, at, byid, hidden,
                                       before)
@@ -593,6 +595,54 @@ def test_rf_classes_match_the_slow_path_on_the_corpus_programs():
     assert sum(_assert_rf_classes_match(pre)
                for text in programs
                for pre in _program_pres(lang.parse_program(text))) >= 40
+
+
+# ---------------------------------------------------------------------------
+# enumerate_program skips each combination of thread runs in which a run
+# needs a value that no other run writes; the path it replaced completes
+# every combination
+
+
+def _assert_skipping_keeps_the_result(P, mode):
+    """enumerate_program gives what it gives with no combination skipped,
+    executions and outcomes in the same order; returns how many
+    combinations it skips."""
+    unmet, skipped = axiomatic._unmet, []
+
+    def counted(combo):
+        if unmet(combo):
+            skipped.append(combo)
+            return True
+        return False
+
+    cfg = EnumConfig(mode=mode)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(axiomatic, "_unmet", counted)
+        fast = enumerate_program(P, cfg)
+        mp.setattr(axiomatic, "_unmet", lambda combo: False)
+        assert fast == enumerate_program(P, cfg)
+    return len(skipped)
+
+
+def test_skipping_unmet_needs_keeps_every_execution_on_the_corpus_programs():
+    programs = ORACLE_PROGRAMS_AT + ORACLE_PROGRAMS_NA
+    programs += [(CORPUS / f).read_text()
+                 for f in sorted(p.name for p in CORPUS.glob("*.lit"))]
+    # an LL whose run reads 2, which only its own later SC writes, is
+    # skipped
+    assert sum(_assert_skipping_keeps_the_result(lang.parse_program(text),
+                                                 mode)
+               for text in programs for mode in ("AT", "NA")) > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_obs_program_pairs())
+def test_skipping_unmet_needs_keeps_every_execution_on_random_programs(case):
+    # programs with LL/SC, fences and loads of values only another
+    # thread's stores or SCs supply
+    P1, P2, _, mode = case
+    for P in (P1, P2):
+        _assert_skipping_keeps_the_result(P, mode)
 
 
 def test_rf_classes_match_the_slow_path_on_the_corpus_rows():

@@ -5,12 +5,15 @@ import functools
 import itertools
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from stellite import lang
+from stellite import lang, verifier
 from stellite.axiomatic import (
     PreExecution,
     complete,
+    is_read,
+    is_write,
     mo_orders_of,
     mo_pairs,
     rf_classes,
@@ -367,3 +370,95 @@ def test_the_order_fold_deny_is_the_pair_fold_on_corpus_classes(data):
     for mo_choice in itertools.islice(itertools.product(*mo_choices), 50):
         assert masks.deny(mo_choice) == \
             _pair_fold_deny(masks, mo_pairs(mo_choice)), (pre, rf, mo_choice)
+
+
+# ---------------------------------------------------------------------------
+# ClassMasks reads the pairs of its context off PairIndex.pairs; the slow
+# path it replaced looks each pair up in PairIndex.bit
+
+
+def _plain_masks(actions, rf, rows, index):
+    """ClassMasks's acyc, guarantee, rf-less read threats, mo threats and
+    rows, built with a PairIndex.bit lookup for every pair (u, v)."""
+    pos = {a.aid: i for i, a in enumerate(actions)}
+    up = [row | 1 << i for i, row in enumerate(rows)]
+    ctx = [a.aid for a in actions if a.origin == "context"]
+    readers = {r for (_, r) in rf}
+    unread = {}
+    for i, a in enumerate(actions):
+        if is_read(a) and a.aid not in readers:
+            unread[a.gvar] = unread.get(a.gvar, 0) | 1 << i
+    writes = [i for i, a in enumerate(actions) if is_write(a)]
+    read_by = {}
+    for (w, r) in rf:
+        read_by[w] = read_by.get(w, 0) | 1 << pos[r]
+    heads = [(v, up[pos[v]]) for v in ctx + [CALL] if v in pos]
+    out, acyc, guarantee = [], 0, 0
+    for u in ctx + [RET]:
+        if u not in pos:
+            continue
+        bu = 1 << pos[u]
+        targets = []
+        for (v, row) in heads:
+            if u == v or (u == RET and v == CALL):
+                continue
+            targets.append((row, index.bit[u, v]))
+            if row & bu:
+                acyc |= index.bit[u, v]
+                guarantee |= index.bit[v, u]
+        out.append(([i for i in writes if up[i] & bu], targets))
+    return (acyc, guarantee,
+            [unread.get(a.gvar, 0) if is_write(a) else 0 for a in actions],
+            {a.aid: 1 << i | read_by.get(a.aid, 0)
+             for i, a in enumerate(actions) if is_write(a)},
+            out)
+
+
+def _scan_masks_match_the_plain_ones(B1, B2, budget):
+    """Every ClassMasks that check_cut_refinement builds equals the plain
+    one of its class; returns how many it builds."""
+    built = []
+
+    class Recorded(ClassMasks):
+        def __init__(self, actions, rf, rows, index):
+            super().__init__(actions, rf, rows, index)
+            built.append((self, actions, rf, rows, index))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "ClassMasks", Recorded)
+        check_cut_refinement(B1, B2, budget)
+    for (m, actions, rf, rows, index) in built:
+        assert (m.acyc, m.guarantee, m._unread, m._mo_threat, m._rows) == \
+            _plain_masks(actions, rf, rows, index), (actions, rf)
+    return len(built)
+
+
+@pytest.mark.parametrize("nvalues", [2, 3], ids=["V=2", "V=3"])
+def test_class_masks_match_the_plain_lookups_on_the_corpus(nvalues):
+    built = 0
+    for fname, _ in SUITE:
+        B2, B1 = lang.parse_transformation((CORPUS / fname).read_text())
+        built += _scan_masks_match_the_plain_ones(
+            B1, B2, context_bound(B1, B2, frozenset(range(nvalues))))
+    # the rows build 936 at V=2 and 1,314 at V=3
+    assert built > 500
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from([
+    "l := ld(x)", "st(x, l)", "st(y, 1)", "fc", "a := LL(x); s := SC(x, a)",
+    "if (l) { st(y, l) }",
+]), min_size=1, max_size=2).map("; ".join), st.sampled_from(["skip", "fc",
+                                                             "st(x, 1)"]))
+def test_class_masks_match_the_plain_lookups_on_random_blocks(b1, extra):
+    # the block against itself and against itself with one more
+    # statement, over the contexts of at most three actions
+    B1 = lang.parse_block(b1)
+    B2 = lang.parse_block(f"{b1}; {extra}")
+    shapes_all = verifier.context_shapes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "context_shapes", lambda *args: (
+            itertools.takewhile(lambda s: sum(p.size for p in s) <= 3,
+                                shapes_all(*args))))
+        for (P1, P2) in [(B1, B1), (B2, B1), (B1, B2)]:
+            _scan_masks_match_the_plain_ones(P1, P2, context_bound(P1, P2))

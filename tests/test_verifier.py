@@ -38,6 +38,7 @@ from oracles import (
     single_load_instance,
 )
 from test_acceptance import SUITE
+from test_cut import _PAIR_ROWS, _SUITE_TEXTS
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -217,6 +218,123 @@ def test_fence_location_contexts_are_whole_fences():
 
 
 # ---------------------------------------------------------------------------
+# context shapes (verifier.context_shapes), which the check scans without
+# building the contexts that have no room, against the contexts built
+# whole: the order of a plain enumeration that builds and sorts every
+# context, and room_needed counted over each built context
+
+
+def _shape_size(shape):
+    """The number of actions of a context shape."""
+    return sum(p.size for p in shape)
+
+
+def _plain_contexts(B1, B2, budget):
+    """Every context within the budget, each built whole from one choice
+    of actions per location, sorted by size and then by its sorted
+    (aid, kind, vals)."""
+    locs = sorted(set(lang.vars_of(B1)) | set(lang.vars_of(B2))
+                  | set(budget.locations))
+    vals = sorted(budget.values)
+    multisets = itertools.combinations_with_replacement
+    per_loc = []
+    for x in locs:
+        rcap, wcap = budget.reads.get(x, 0), budget.writes.get(x, 0)
+        if x == lang.FENCE_VAR:
+            choices = [((), (), ((0, 0),) * n)
+                       for n in range(min(rcap, wcap) + 1)]
+        else:
+            pcap = min(budget.pairs.get(x, 0), rcap, wcap)
+            choices = [
+                (lv, sv, pv)
+                for np in range(pcap + 1)
+                for nl in range(rcap - pcap + 1)
+                for ns in range(wcap - pcap + 1)
+                for pv in multisets(itertools.product(vals, repeat=2), np)
+                for lv in multisets(vals, nl)
+                for sv in multisets(vals, ns)]
+        per_loc.append([(x, c) for c in choices])
+    ctxs = []
+    for combo in itertools.product(*per_loc):
+        acts, S = [], set()
+        for (x, (lv, sv, pv)) in combo:
+            acts += [Action(f"{x}.r{i}", "load", x, (v,), "context")
+                     for i, v in enumerate(lv)]
+            acts += [Action(f"{x}.w{i}", "store", x, (v,), "context")
+                     for i, v in enumerate(sv)]
+            for i, (a, b) in enumerate(pv):
+                acts += [Action(f"{x}.p{i}l", "LL", x, (a,), "context"),
+                         Action(f"{x}.p{i}s", "SC", x, (b,), "context")]
+                S.add((f"{x}.p{i}l", f"{x}.p{i}s"))
+        ctxs.append(CutContext(tuple(acts), frozenset(), frozenset(S)))
+    return sorted(ctxs, key=lambda c: (len(c.actions), sorted(
+        (a.aid, a.kind, a.vals) for a in c.actions)))
+
+
+def _shapes_and_contexts(B1, B2, budget):
+    """Each shape of context_shapes with its context built."""
+    return [(s, verifier._build_context(s))
+            for s in verifier.context_shapes(B1, B2, budget)]
+
+
+def _assert_shapes_in_plain_order(B1, B2, budget):
+    shapes = _shapes_and_contexts(B1, B2, budget)
+    assert [c for _, c in shapes] == _plain_contexts(B1, B2, budget)
+    assert [_shape_size(s) for s, _ in shapes] == [
+        len(c.actions) for _, c in shapes]
+    assert list(enumerate_contexts(B1, B2, budget)) == [c for _, c in shapes]
+    return len(shapes)
+
+
+def _assert_shapes_need_what_room_needed_counts(B1, B2, budget):
+    shapes = _shapes_and_contexts(B1, B2, budget)
+    for s, c in shapes:
+        assert verifier._need(s) == room_needed(c.actions, c.S), c
+    return sum(bool(verifier._need(s)) for s, _ in shapes)
+
+
+def _shape_rows(nvalues):
+    """Every SUITE row, and at V=2 the two rows whose contexts hold LL/SC
+    pairs, with their context_bound at V values."""
+    texts = _SUITE_TEXTS + (_PAIR_ROWS if nvalues == 2 else [])
+    for text in texts:
+        B2, B1 = lang.parse_transformation(text)
+        yield B1, B2, context_bound(B1, B2, frozenset(range(nvalues)))
+
+
+@pytest.mark.parametrize("nvalues", [2, 3], ids=["V=2", "V=3"])
+def test_context_shapes_come_in_the_plain_order_on_the_corpus(nvalues):
+    assert sum(_assert_shapes_in_plain_order(*row)
+               for row in _shape_rows(nvalues)) > 1000
+
+
+@pytest.mark.parametrize("nvalues", [2, 3], ids=["V=2", "V=3"])
+def test_a_shape_needs_what_room_needed_counts_on_the_corpus(nvalues):
+    # most contexts of the rows ask a pre-execution for some room
+    assert sum(_assert_shapes_need_what_room_needed_counts(*row)
+               for row in _shape_rows(nvalues)) > 1000
+
+
+_SHAPE_STATEMENTS = st.lists(st.sampled_from([
+    "l := ld(x)", "st(x, l)", "st(y, 1)", "fc", "a := LL(x); s := SC(x, a)",
+    "if (l) { st(y, l) }", "m := ld(y)",
+]), min_size=1, max_size=2).map("; ".join)
+
+
+# the original block is one statement, which keeps the plain enumeration,
+# every context built whole, within thousands of contexts
+@settings(max_examples=40, deadline=None)
+@given(_SHAPE_STATEMENTS, _SHAPE_STATEMENTS.filter(lambda b: ";" not in b))
+# pairs at x, fences and two data locations
+@example("l := ld(x); fc", "a := LL(x); s := SC(x, a); st(y, 1)")
+def test_context_shapes_match_the_built_contexts_on_random_blocks(b1, b2):
+    B1, B2 = lang.parse_block(b1), lang.parse_block(b2)
+    budget = context_bound(B1, B2)
+    _assert_shapes_in_plain_order(B1, B2, budget)
+    _assert_shapes_need_what_room_needed_counts(B1, B2, budget)
+
+
+# ---------------------------------------------------------------------------
 # the finite refinement check
 
 
@@ -240,9 +358,9 @@ def test_verdicts_are_independent_of_enumeration_order(b1, b2, want,
                                                        monkeypatch):
     B1, B2 = lang.parse_block(b1), lang.parse_block(b2)
     forward = check_cut_refinement(B1, B2)
-    enumerate_all = verifier.enumerate_contexts
-    monkeypatch.setattr(verifier, "enumerate_contexts",
-                        lambda *args: reversed(list(enumerate_all(*args))))
+    shapes_all = verifier.context_shapes
+    monkeypatch.setattr(verifier, "context_shapes",
+                        lambda *args: reversed(list(shapes_all(*args))))
     backward = check_cut_refinement(B1, B2)
     assert forward.outcome == want
     assert backward.outcome == want
@@ -538,14 +656,19 @@ _STATEMENTS = st.lists(st.sampled_from([
 def test_renamed_pairs_keep_verdicts_on_random_blocks(b1, b2):
     B1, B2 = lang.parse_block(b1), lang.parse_block(b2)
     enumerate_all = verifier.enumerate_contexts
+    shapes_all = verifier.context_shapes
 
     def enumerate_small(*args):
         # contexts come smallest first, and a renaming keeps the size
         return itertools.takewhile(lambda c: len(c.actions) <= 3,
                                    enumerate_all(*args))
 
+    def shapes_small(*args):
+        return itertools.takewhile(lambda s: _shape_size(s) <= 3,
+                                   shapes_all(*args))
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verifier, "enumerate_contexts", enumerate_small)
+        mp.setattr(verifier, "context_shapes", shapes_small)
         mp.setattr(sys.modules[__name__], "enumerate_contexts",
                    enumerate_small)
         _scans_agree(B1, B2, context_bound(B1, B2, frozenset(range(3))))
@@ -617,15 +740,15 @@ _ORBIT_STATEMENTS = st.lists(st.sampled_from([
 @example("l := ld(x); st(x, l)", "l := ld(x); st(x, l)")
 def test_one_survivor_per_orbit_keeps_verdicts_on_random_blocks(b1, b2):
     B1, B2 = lang.parse_block(b1), lang.parse_block(b2)
-    enumerate_all = verifier.enumerate_contexts
+    shapes_all = verifier.context_shapes
 
-    def enumerate_small(*args):
+    def shapes_small(*args):
         # contexts come smallest first
-        return itertools.takewhile(lambda c: len(c.actions) <= 4,
-                                   enumerate_all(*args))
+        return itertools.takewhile(lambda s: _shape_size(s) <= 4,
+                                   shapes_all(*args))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verifier, "enumerate_contexts", enumerate_small)
+        mp.setattr(verifier, "context_shapes", shapes_small)
         _orbits_agree(B1, B2, context_bound(B1, B2))
 
 
@@ -825,16 +948,16 @@ def _pairs_everywhere(B1, B2):
 def _pair_narrowing_agrees(B1, B2, total=None):
     """The two bounds give one verdict, over the contexts of at most total
     actions if total is given."""
-    enumerate_all = verifier.enumerate_contexts
+    shapes_all = verifier.context_shapes
 
-    def enumerate_small(*args):
+    def shapes_small(*args):
         # contexts come smallest first
-        return itertools.takewhile(lambda c: len(c.actions) <= total,
-                                   enumerate_all(*args))
+        return itertools.takewhile(lambda s: _shape_size(s) <= total,
+                                   shapes_all(*args))
 
     with pytest.MonkeyPatch.context() as mp:
         if total is not None:
-            mp.setattr(verifier, "enumerate_contexts", enumerate_small)
+            mp.setattr(verifier, "context_shapes", shapes_small)
         outcomes = [check_cut_refinement(B1, B2, budget).outcome
                     for budget in (context_bound(B1, B2),
                                    _pairs_everywhere(B1, B2))]
