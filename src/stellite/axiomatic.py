@@ -413,10 +413,10 @@ def rf_classes(pre: PreExecution, pruner=None):
     hb is kept as rows, its reachability bit rows over the positions of
     the actions (_add_hb_edges): the closure of sb ∪ r_ctx once, at the
     first admitted rf choice, then each choice's hb-seeding rf edges
-    added to a copy of its rows. The actions by id and by position and
-    the writes by location, which only admitted choices use, are built
-    there too, and whether any action is non-atomic, which decides
-    whether the non-atomic rules (_hb_rf, _rf_violation) are applied.
+    added to a copy of its rows. The actions by id and the writes by
+    location, which only admitted choices use, are built there too, and
+    whether any action is non-atomic, which decides whether the
+    non-atomic rules (_hb_rf, _rf_violation) are applied.
     """
     actions, sb, at, r_ctx = pre
     reads, writes = [], []
@@ -435,6 +435,7 @@ def rf_classes(pre: PreExecution, pruner=None):
         if pruner is not None:
             opts = pruner.sources(r.aid, opts)
         cands.append(opts)
+    pos = {a.aid: i for i, a in enumerate(actions)}
     base = None
     for choice in itertools.product(*cands):
         rf = frozenset(
@@ -442,13 +443,12 @@ def rf_classes(pre: PreExecution, pruner=None):
         )
         hidden, before = frozenset(), ()
         if pruner is not None:
-            admitted = pruner.admit(rf, reads)
+            admitted = pruner.admit(rf, reads, pos)
             if admitted is None:
                 continue
             hidden, before = admitted
         if base is None:
             byid = {a.aid: a for a in actions}
-            pos = {a.aid: i for i, a in enumerate(actions)}
             movars = _mo_locations(writes)
             wmasks = _write_masks(actions)
             na = any(map(is_na, actions))

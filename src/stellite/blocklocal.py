@@ -60,9 +60,9 @@ def check_context(ctx: CutContext, blocks, pres):
     pres, may run under ctx: context actions carry the context origin,
     are paired LL/SC at the fence location and take no block action's
     id; R has in_r_shape; S pairs a context LL with a context SC
-    injectively per location; and no location is used both atomically
-    and non-atomically by ctx and the blocks together. Locations the
-    blocks do not use are fine."""
+    injectively per location; R, S and call -> ret have no cycle; and no
+    location is used both atomically and non-atomically by ctx and the
+    blocks together. Locations the blocks do not use are fine."""
     paired = {i for pair in ctx.S for i in pair}
     code = {a.aid for ps in pres for p in ps for a in p.actions}
     for a in ctx.actions:
@@ -78,10 +78,6 @@ def check_context(ctx: CutContext, blocks, pres):
         if a.aid in code:
             raise ValueError(f"context action id {a.aid!r} is the id"
                              " of a block action")
-    ids = ctx.ids()
-    for (u, v) in ctx.R:
-        if not in_r_shape(u, v, ids):
-            raise ValueError(f"R edge ({u},{v}) outside its allowed shape")
     seen_ll, seen_sc = set(), set()
     byid = {a.aid: a for a in ctx.actions}
     for (ll, sc) in ctx.S:
@@ -96,6 +92,16 @@ def check_context(ctx: CutContext, blocks, pres):
             raise ValueError("S must be an injective function")
         seen_ll.add(ll)
         seen_sc.add(sc)
+    # R and S seed hb: a cycle would leave no execution, so no check fails
+    ids = ctx.ids()
+    hb = {(CALL, RET), *ctx.S}  # transitive, as no SC is an LL
+    for (u, v) in sorted(ctx.R):
+        if not in_r_shape(u, v, ids):
+            raise ValueError(f"R edge ({u},{v}) outside its allowed shape")
+        if u == v or (v, u) in hb:
+            raise ValueError(f"R edge ({u},{v}) closes a cycle of hb")
+        hb |= {(a, d) for a in {u} | {a for (a, b) in hb if b == u}
+               for d in {v} | {d for (c, d) in hb if c == v}}
     uses = {(a.gvar, is_na(a)) for a in ctx.actions}
     for B in blocks:
         na = lang.na_vars_of(B)

@@ -307,6 +307,9 @@ def cmd_simulate(args) -> int:
     want = args.forbid and _outcome(args.forbid)
     text = Path(args.litmus).read_text()
     prog = lang.parse_program(text)
+    bad = [k for k in want or () if k not in lang.locals_of(prog)]
+    if bad:
+        raise ValueError(f"--forbid names {bad[0]!r}, a local no thread has")
     na = bool(lang.na_vars_of(prog))
     values = frozenset(range(args.values))
     res = enumerate_program(prog, EnumConfig(values=values,

@@ -143,23 +143,27 @@ class CutPruner:
     blocklocal.block_classes, with a pruner yields exactly the classes
     and mo orders of the completions that cut() keeps.
 
-    With orbits, for a context whose R is empty, as
-    verifier.enumerate_contexts builds them, it yields one canonical
-    member of each orbit of those completions instead. A group is the
-    unpaired context actions with one (kind, location, vals), of two or
-    more; permuting the ids within groups maps the context to itself and
-    a survivor to a survivor, and an orbit is the survivors that such
-    permutations map onto each other. No permutation but the identity
-    fixes a survivor: a group's writes hold distinct places in the mo of
-    their location, and its reads read distinct code writes (sources,
-    admit). So every orbit has exactly orbit = Π |g|! members, and the
-    canonical member is the one whose groups are in id order:
+    With orbits, for a context whose R is empty, as verifier.context_shapes
+    builds them, it yields instead the first member of each orbit in the
+    order of block_classes. A group is the unpaired context actions with one
+    (kind, location, vals), of two or more, in the order of their positions;
+    permuting ids within groups maps the context to itself and a survivor to
+    a survivor of its pre-execution, and an orbit is the survivors such
+    permutations map onto each other. No permutation but the identity fixes
+    a survivor: a group's writes hold distinct places in mo, and its reads
+    read distinct code writes (sources, admit). So every orbit has exactly
+    orbit = Π |g|! members. block_classes yields rf choices in
+    itertools.product order over each read's candidates, listed by position,
+    then mo orders in itertools.permutations order, and a group's
+    permutations change only the sources of its own reads, which share one
+    candidate list, or of the reads of its writes, never a group's reads
+    (sources). So the first member is the one where:
 
+    - a read group's members read code writes in increasing position
+      (not id, as "b11" < "b2");
     - a write group's members that some read reads come first, ordered
-      by the position of their first reader among the pre-execution's
-      reads (admit), and the rest follow each other in mo (the before
-      pairs of admit);
-    - a read group's members read code writes in increasing id order.
+      by the position of their first reader among the reads, and the
+      rest follow each other in mo (the before pairs of admit).
 
     A paired LL or SC is left alone: the permutation would have to move
     its partner too.
@@ -208,13 +212,14 @@ class CutPruner:
             return opts
         return [w for w in opts if w is not None and w not in self._ctx]
 
-    def admit(self, rf, reads):
+    def admit(self, rf, reads, pos):
         """None if rf leaves a context read or LL/SC pair non-visible or
         lets two context reads share a source, or with orbits if it is
         not canonical; else (hidden, before): hidden, the non-visible
         context writes, no two of which may be adjacent in one location's
         mo order, and before, the pairs (u, w) of writes that mo must
-        order u first. reads are the pre-execution's read actions."""
+        order u first. reads are the pre-execution's read actions and
+        pos the positions of its actions by id."""
         ctx = self._ctx
         seen = set()
         shown = set()
@@ -246,7 +251,7 @@ class CutPruner:
         if self.orbit == 1:
             return hidden, ()
         for g in self._read_groups:
-            srcs = [rf_of[r] for r in g]
+            srcs = [pos[rf_of[r]] for r in g]
             if srcs != sorted(srcs):
                 return None
         # how many members of each write group some read reads so far: a

@@ -482,23 +482,14 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
     values there is nothing to rename and no pair is keyed.
 
     Within a checked pair, B1's cut survivors are built one per orbit
-    (cut.CutPruner with orbits): the orbits of the permutations of the
-    ids of interchangeable context actions, unpaired ones with one
-    (kind, location, vals). A permutation pi of them maps the context to
-    itself, so it maps B1's cut survivors under the pair to cut
-    survivors and B2's executions to executions under the same pair. It
-    leaves a history's actions A unchanged and relabels its guarantee G
-    and deny D, and refines compares them only as relations over ids:
-    X is dominated exactly when pi(X) is. So a pair passes exactly when
-    every canonical survivor is dominated. Every orbit has the same
-    number of members, the pruner's orbit, so x1_cut and the test of
-    max_block_execs count canonical survivors times that number, which
-    is the count of every survivor: Unknown comes at the same pair. A
-    pair that fails is scanned again in full, with the plain CutPruner
-    and B2's classes afresh, so the first failing survivor, the witness,
-    the candidate list and the deny masks counted there are the full
-    scan's. A context without two interchangeable actions has an orbit
-    of one, and its pruner does no orbit work.
+    (cut.CutPruner with orbits): a permutation pi of interchangeable
+    context actions maps the context, B1's cut survivors and B2's
+    executions under the pair to their like and relabels the G and D of
+    a history, which refines compares as relations over ids, so X is
+    dominated exactly when pi(X) is. x1_cut and max_block_execs count
+    canonical survivors times the orbit, so Unknown comes at the same
+    pair, and the first failing canonical survivor is the full scan's
+    first failing one, as it is the first of its orbit (cut.CutPruner).
 
     Verdict.stats counts the contexts, the pairs skipped for want of
     room (unfit), the pairs with room skipped as renamed images
@@ -580,12 +571,6 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
                 stats["x2"] += size
                 stats["x2_classes"] += len(classes)
                 found = _undominated(x1s, classes, locals_order)
-                if found is not None and pruner.orbit > 1:
-                    # the full scan's first failing survivor and deny masks
-                    x1s, _ = _classes(fit[i], ctx, index, limit,
-                                      CutPruner(ctx.actions, ctx.S))
-                    classes, _ = _classes(pre2[i], ctx, index, limit)
-                    found = _undominated(x1s, classes, locals_order)
                 stats["x2_denies"] += sum(len(c.denies) for c in classes)
                 if found is None:
                     continue

@@ -15,9 +15,7 @@ PYTHONHASHSEED=0 over the same inputs:
   of bench/inputs.py: the executions, outcomes, unsafe and truncated;
 - check_q_instance on every corpus .ctx file against every corpus .tr
   file at V=2: the result, and the block_local executions of both
-  blocks under that context, or the error that rejects the context. A
-  checkout whose block_local still has a check_vs switch gets
-  check_vs=False, as a context at a location only one block uses needs.
+  blocks under that context, or the error that rejects the context.
 
 The row lists and the litmus generator are read from this script's own
 checkout, the corpus from each checkout. Sets are compared as sorted
@@ -31,7 +29,6 @@ from __future__ import annotations
 import ast
 import dataclasses
 import hashlib
-import inspect
 import json
 import os
 import subprocess
@@ -109,9 +106,6 @@ def dump(checkout):
     from inputs import litmus_batch
 
     corpus = Path(checkout) / "corpus"
-    shim = ({"check_vs": False}
-            if "check_vs" in inspect.signature(block_local).parameters
-            else {})
     for fname, n in verify_rows():
         text = fname if "~>" in fname else (corpus / fname).read_text()
         B2, B1 = lang.parse_transformation(text)
@@ -143,7 +137,7 @@ def dump(checkout):
             try:
                 row["holds"] = check_q_instance(B1, B2, ctx)
                 row["executions"] = _digest(
-                    [block_local(B, ctx, **shim) for B in (B1, B2)])
+                    [block_local(B, ctx) for B in (B1, B2)])
             except ValueError as exc:
                 row["error"] = str(exc)
             print(json.dumps(row))

@@ -546,7 +546,7 @@ def _slow_rf_classes(actions, sb, at, r_ctx=frozenset(), pruner=None):
         rf = frozenset((w, r.aid) for w, r in zip(choice, reads)
                        if w is not None)
         admitted = ((frozenset(), ()) if pruner is None
-                    else pruner.admit(rf, reads))
+                    else pruner.admit(rf, reads, pos))
         if admitted is None:
             continue
         hidden, before = admitted

@@ -1,5 +1,7 @@
 """Block-local executions under reduced contexts."""
 
+import re
+
 import pytest
 
 from stellite import lang
@@ -27,12 +29,26 @@ def test_sigma_space_pins_dead_locals_to_zero():
     assert sigma_space((), set(), {0, 1}) == [{}]
 
 
-def test_a_self_loop_context_edge_gives_no_executions():
-    # R: c -> c has the shape of a context edge, but makes hb cyclic
-    c = Action("c", "store", "x", (1,), "context")
+_A = Action("a", "store", "x", (1,), "context")
+_B = Action("b", "store", "x", (0,), "context")
+_LL = Action("l", "LL", "x", (0,), "context")
+_SC = Action("s", "SC", "x", (1,), "context")
+
+
+@pytest.mark.parametrize("actions,R,S,edge", [
+    ((_A,), {("a", "a")}, (), "(a,a)"),
+    ((_A, _B), {("a", "b"), ("b", "a")}, (), "(b,a)"),
+    ((_A,), {("a", CALL), (RET, "a")}, (), "(ret,a)"),
+    ((_LL, _SC), {("s", "l")}, {("l", "s")}, "(s,l)"),
+], ids=["self-loop", "two-cycle", "through-call-and-ret", "against-S"])
+def test_a_cyclic_context_relation_is_rejected(actions, R, S, edge):
+    # each edge has the shape of a context edge, but the cycle makes hb
+    # cyclic under every pre-execution, so neither block would have an
+    # execution and every check would pass
     B = lang.parse_block("l := ld(x)")
-    assert block_local(B, CutContext((c,)))
-    assert block_local(B, CutContext((c,), frozenset({("c", "c")}))) == []
+    assert block_local(B, CutContext(actions, S=frozenset(S)))
+    with pytest.raises(ValueError, match=re.escape(f"R edge {edge} closes")):
+        block_local(B, CutContext(actions, frozenset(R), frozenset(S)))
 
 
 def test_empty_context_wraps_the_blocks_own_executions():

@@ -182,6 +182,26 @@ def test_instance_rejects_an_s_pair_that_is_not_two_context_actions(
         f"error: S pair ({u},{v}) must join two context actions\n")
 
 
+@pytest.mark.parametrize("tr", ["load_to_local_intro.tr", "writeback_elim.tr",
+                                "store_dup.tr"])
+@pytest.mark.parametrize("lines,edge", [
+    ("R: a -> a", "(a,a)"),
+    ("ctx: b = st(x, 0)\nR: a -> b\nR: b -> a", "(b,a)"),
+    ("R: a -> call\nR: ret -> a", "(ret,a)"),
+    ("ctx: l = LL(x, 0)\nctx: s = SC(x, 1)\nS: l -> s\nR: s -> l", "(s,l)"),
+], ids=["self-loop", "two-cycle", "through-call-and-ret", "against-S"])
+def test_instance_rejects_a_cyclic_context_relation(tr, lines, edge,
+                                                    tmp_path, capsys):
+    # under a cyclic R no execution of either block is valid, so even a
+    # refuted transformation would hold
+    ctx = tmp_path / "cyclic.ctx"
+    ctx.write_text(f"ctx: a = st(x, 1)\n{lines}\n")
+    assert main(["instance", str(CORPUS / tr), "--context", str(ctx)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: R edge {edge} closes a cycle" in captured.err
+
+
 def test_adversary_subcommand_round_trips_a_witness(tmp_path, capsys):
     from oracles import single_load_instance_execs
 
@@ -307,6 +327,15 @@ def test_a_malformed_forbid_spec_exits_three_before_enumerating(spec,
     assert captured.out == ""
     bad = next(p for p in spec.split(",") if not p.startswith("v1=0"))
     assert f"error: --forbid item {bad!r} is not local=value" in captured.err
+
+
+def test_a_forbid_local_that_no_thread_has_exits_three(capsys):
+    # sb.lit's locals are v1 and v2, so a=0 could never be admitted
+    assert main(["simulate", str(CORPUS / "sb.lit"),
+                 "--forbid", "v1=0,a=0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --forbid names 'a', a local no thread has\n"
 
 
 @pytest.mark.parametrize("label, rc, out", [("q", 0, "holds\n"),

@@ -321,9 +321,10 @@ def _relabel(X, pi):
 def _one_survivor_per_orbit(pres, ctx):
     """Assert that the canonical survivors of the pre-executions pres
     under ctx, times the permutations of its interchangeable actions,
-    are as many as all survivors, and that each survivor has exactly one
-    image among the canonical ones; return how many survivors the
-    canonical ones leave out."""
+    are as many as all survivors, that each survivor has exactly one
+    image among the canonical ones, and that the canonical ones are, in
+    order, the first survivor of each orbit; return how many survivors
+    the canonical ones leave out."""
     perms = _interchangeable(ctx)
     orbits = CutPruner(ctx.actions, ctx.S, orbits=True)
     assert orbits.orbit == len(perms), ctx
@@ -339,8 +340,13 @@ def _one_survivor_per_orbit(pres, ctx):
     assert len(canonical) * len(perms) == len(every), ctx
     found = set(canonical)
     assert found <= set(every)
+    firsts, seen = [], set()
     for X in every:
         assert sum(_relabel(X, pi) in found for pi in perms) == 1, (X, ctx)
+        if X not in seen:
+            firsts.append(X)
+            seen.update(_relabel(X, pi) for pi in perms)
+    assert canonical == firsts, ctx
     return len(every) - len(canonical)
 
 
@@ -374,6 +380,10 @@ def test_one_survivor_per_orbit_on_the_corpus(texts, nvalues):
     ("w0", "store", "x", 1), ("w1", "store", "x", 1)]), _V2))
 @example(("l := ld(x); st(x, l)", _pairs(("p", "x", 0, 1),
                                          ("q", "x", 0, 0)), _V2))
+# two equal loads of the code stores b2 and b11: compared as id strings,
+# "b11" < "b2" would make the second member of the orbit canonical
+@example(("fc; st(x, 1); fc; fc; fc; fc; st(x, 1)",
+          _ctx(("r0", "load", "x", 1), ("r1", "load", "x", 1)), _V2))
 def test_one_survivor_per_orbit_on_random_blocks(case):
     block, ctx, values = case
     B = lang.parse_block(block)
