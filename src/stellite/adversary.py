@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from . import lang
 from .axiomatic import (
-    Action,
     EnumConfig,
     derive_hb,
     enumerate_program,
@@ -25,7 +24,7 @@ from .blocklocal import CALL, RET, code_of, contx_of, in_r_shape
 from .history import hist
 from .lang import (
     Assign,
-    CodeRegion,
+    FenceStmt,
     HoleStmt,
     IfStmt,
     LLStmt,
@@ -59,17 +58,13 @@ def closed_R(X) -> frozenset:
     return frozenset((u, v) for (u, v) in X.hb if in_r_shape(u, v, ctx))
 
 
-def _fresh_local(counter):
-    n = counter[0]
-    counter[0] += 1
-    return f"w{n}"
-
-
 def build_context(X) -> AdversaryContext:
     """The adversarial context for X, from its context relation closed_R(X)
     and its guarantee. Errors are signalled on the variable e and halt the
     thread by construction (all continuation code is nested under the
-    non-error branch)."""
+    non-error branch). Its locals and flags are named apart from X's. A
+    context fence prints as one fc: program order stands in for the R
+    edge from its LL to its SC."""
     ctxacts = contx_of(X)
     byid = X.by_id()
     R = closed_R(X)
@@ -80,13 +75,16 @@ def build_context(X) -> AdversaryContext:
         if v in vs:
             raise ValueError(f"variable {v!r} collides with the block's")
 
-    # chain LL/SC pairs onto shared threads
+    # chain LL/SC pairs onto shared threads, a fence as one statement
     pair_of = {ll: sc for (ll, sc) in X.at
                if ll in ctx_ids and sc in ctx_ids}
     paired = set(pair_of) | set(pair_of.values())
-    chains = [[ll, sc] for ll, sc in sorted(pair_of.items())]
-    singles = [[i] for i in ctx_ids if i not in paired]
     chain_edges = {(ll, sc) for ll, sc in pair_of.items()}
+    fences = {(ll, sc) for (ll, sc) in chain_edges
+              if byid[ll].gvar == lang.FENCE_VAR}
+    groups = [[(ll, sc)] if (ll, sc) in fences else [(ll,), (sc,)]
+              for ll, sc in sorted(pair_of.items())]
+    groups += [[(i,)] for i in ctx_ids if i not in paired]
 
     # monitored edges: guarantee-shaped pairs, the reverse of the context
     # relation's shape, neither guaranteed by X nor implied by R or by
@@ -96,39 +94,51 @@ def build_context(X) -> AdversaryContext:
            if u != v and in_r_shape(v, u, ctx_ids)}
     H = dom - G - {(v, u) for (u, v) in R} - chain_edges
 
-    watch_r = {(u, v): f"h_{_san(u)}_{_san(v)}" for (u, v) in R}
-    watch_h = {(u, v): f"g_{_san(u)}_{_san(v)}" for (u, v) in H}
-    counter = [0]
+    taken = set(X.locals_order) | {a.gvar for a in X.actions}
+
+    def fresh(stem):
+        """stem, or the first of stem0, stem1, ... not taken; now taken."""
+        name, i = stem, 0
+        while name in taken:
+            name, i = f"{stem}{i}", i + 1
+        taken.add(name)
+        return name
+
+    watch_r = {(u, v): fresh(f"h_{_san(u)}_{_san(v)}")
+               for (u, v) in sorted(R - fences)}
+    watch_h = {(u, v): fresh(f"g_{_san(u)}_{_san(v)}") for (u, v) in sorted(H)}
 
     def guard_read(var, then_branch, err_on_one):
-        l = _fresh_local(counter)
+        l = fresh("w")
         load = LoadStmt(l, var)
         err = (StoreStmt(ERROR_VAR, ("lit", 1)),)
         if err_on_one:
             return [load, IfStmt(l, err, tuple(then_branch))]
         return [load, IfStmt(l, tuple(then_branch), err)]
 
-    def value_check(local, expected, rest):
-        t = _fresh_local(counter)
+    def value_check(l, expected, rest):
+        t = fresh("w")
         err = (StoreStmt(ERROR_VAR, ("lit", 1)),)
         return [
-            Assign(t, ("eq", ("var", local), ("lit", expected))),
+            Assign(t, ("eq", ("var", l), ("lit", expected))),
             IfStmt(t, tuple(rest), err),
         ]
 
     def check_action(m, rest):
-        a = byid[m]
+        if len(m) == 2:  # a fence
+            return [FenceStmt()] + list(rest)
+        a = byid[m[0]]
         if a.kind == "load":
-            l = _fresh_local(counter)
+            l = fresh("w")
             return [LoadStmt(l, a.gvar)] + value_check(l, a.vals[0], rest)
         if a.kind == "store":
             return [StoreStmt(a.gvar, ("lit", a.vals[0]))] + list(rest)
         if a.kind == "LL":
-            l = _fresh_local(counter)
+            l = fresh("w")
             return [LLStmt(l, a.gvar)] + value_check(l, a.vals[0], rest)
         if a.kind == "SC":
-            src = _fresh_local(counter)
-            res = _fresh_local(counter)
+            src = fresh("w")
+            res = fresh("w")
             err = (StoreStmt(ERROR_VAR, ("lit", 1)),)
             return [
                 Assign(src, ("lit", a.vals[0])),
@@ -153,28 +163,29 @@ def build_context(X) -> AdversaryContext:
         return body
 
     def wrap(m, rest):
-        """a(m): R-edge guards, monitor stores, the checked action, monitor
-        guards, R-edge stores, then the continuation."""
-        entry = CALL if m == "hole" else m
-        exit_ = RET if m == "hole" else m
-        tail = [StoreStmt(watch_r[(exit_, v)], ("lit", 1))
-                for (u, v) in sorted(R) if u == exit_] + list(rest)
-        for (u, v) in sorted(H, reverse=True):
-            if v == exit_:
-                tail = guard_read(watch_h[(u, v)], tail, err_on_one=True)
+        """a(m), m the ids of a statement or the hole: R-edge guards,
+        monitor stores, the checked statement, monitor guards, R-edge
+        stores, then the continuation."""
+        entry = {CALL} if m == "hole" else set(m)
+        exit_ = {RET} if m == "hole" else set(m)
+        tail = [StoreStmt(var, ("lit", 1))
+                for (u, v), var in watch_r.items() if u in exit_] + list(rest)
+        for (u, v), var in reversed(watch_h.items()):
+            if v in exit_:
+                tail = guard_read(var, tail, err_on_one=True)
         if m == "hole":
             body = check_hole(tail)
         else:
             body = check_action(m, tail)
-        body = [StoreStmt(watch_h[(u, v)], ("lit", 1))
-                for (u, v) in sorted(H) if u == entry] + body
-        for (u, v) in sorted(R, reverse=True):
-            if v == entry:
-                body = guard_read(watch_r[(u, v)], body, err_on_one=False)
+        body = [StoreStmt(var, ("lit", 1))
+                for (u, v), var in watch_h.items() if u in entry] + body
+        for (u, v), var in reversed(watch_r.items()):
+            if v in entry:
+                body = guard_read(var, body, err_on_one=False)
         return body
 
     threads = []
-    for group in chains + singles:
+    for group in groups:
         body = []
         for m in reversed(group):
             body = wrap(m, body)

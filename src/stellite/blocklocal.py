@@ -17,6 +17,7 @@ from .axiomatic import (
     Action,
     Execution,
     PreExecution,
+    _add_hb_edges,
     class_executions,
     derive_hb,
     is_na,
@@ -32,9 +33,6 @@ class CutContext:
     actions: tuple  # context Actions
     R: frozenset = frozenset()  # pairs over action ids plus 'call'/'ret'
     S: frozenset = frozenset()  # (LL id, SC id) pairs
-
-    def ids(self):
-        return {a.aid for a in self.actions}
 
 
 def sigma_space(locals_order, live, values):
@@ -57,15 +55,20 @@ def in_r_shape(u, v, ids):
 
 def check_context(ctx: CutContext, blocks, pres):
     """ValueError unless the blocks, with the lists of pre-executions
-    pres, may run under ctx: context actions carry the context origin,
-    are paired LL/SC at the fence location and take no block action's
-    id; R has in_r_shape; S pairs a context LL with a context SC
-    injectively per location; R, S and call -> ret have no cycle; and no
-    location is used both atomically and non-atomically by ctx and the
-    blocks together. Locations the blocks do not use are fine."""
+    pres, may run under ctx: context actions have distinct ids, carry the
+    context origin, are paired LL/SC at the fence location and take no
+    block action's id; R has in_r_shape; S pairs a context LL with a
+    context SC injectively per location; R, S and call -> ret have no
+    cycle; and no location is used both atomically and non-atomically by
+    ctx and the blocks together. Locations the blocks do not use are
+    fine."""
     paired = {i for pair in ctx.S for i in pair}
     code = {a.aid for ps in pres for p in ps for a in p.actions}
+    byid = {}
     for a in ctx.actions:
+        if a.aid in byid:
+            raise ValueError(f"context action id {a.aid!r} is used twice")
+        byid[a.aid] = a
         if a.origin != "context":
             raise ValueError("context actions must carry the context origin")
         if a.gvar == lang.FENCE_VAR and not (
@@ -79,7 +82,6 @@ def check_context(ctx: CutContext, blocks, pres):
             raise ValueError(f"context action id {a.aid!r} is the id"
                              " of a block action")
     seen_ll, seen_sc = set(), set()
-    byid = {a.aid: a for a in ctx.actions}
     for (ll, sc) in ctx.S:
         if ll not in byid or sc not in byid:
             raise ValueError(f"S pair ({ll},{sc}) must join two context"
@@ -93,15 +95,14 @@ def check_context(ctx: CutContext, blocks, pres):
         seen_ll.add(ll)
         seen_sc.add(sc)
     # R and S seed hb: a cycle would leave no execution, so no check fails
-    ids = ctx.ids()
-    hb = {(CALL, RET), *ctx.S}  # transitive, as no SC is an LL
+    pos = {i: n for n, i in enumerate([CALL, RET, *byid])}
+    rows = _add_hb_edges([0] * len(pos), [(CALL, RET), *ctx.S], pos)
     for (u, v) in sorted(ctx.R):
-        if not in_r_shape(u, v, ids):
+        if not in_r_shape(u, v, byid):
             raise ValueError(f"R edge ({u},{v}) outside its allowed shape")
-        if u == v or (v, u) in hb:
+        rows = _add_hb_edges(rows, [(u, v)], pos)
+        if rows is None:
             raise ValueError(f"R edge ({u},{v}) closes a cycle of hb")
-        hb |= {(a, d) for a in {u} | {a for (a, b) in hb if b == u}
-               for d in {v} | {d for (c, d) in hb if c == v}}
     uses = {(a.gvar, is_na(a)) for a in ctx.actions}
     for B in blocks:
         na = lang.na_vars_of(B)
@@ -112,12 +113,25 @@ def check_context(ctx: CutContext, blocks, pres):
             f"global {mixed[0]!r} used both atomically and non-atomically")
 
 
+def setup(blocks, values):
+    """What blocks run under one context range over, built here only: the
+    domain (values and every block's literals), the blocks' locals in
+    order, the initial local maps (sigma_space of the locals live in some
+    block) and, for each block, its pre_executions from each map."""
+    blocks = [tuple(B) for B in blocks]
+    values = frozenset(values).union(*map(lang.literals_of, blocks))
+    locals_order = tuple(sorted(set().union(*map(lang.locals_of, blocks))))
+    live = frozenset().union(*map(lang.live_in, blocks))
+    sigmas = sigma_space(locals_order, live, values)
+    pres = tuple([pre_executions(B, sigma, values, locals_order)
+                  for sigma in sigmas] for B in blocks)
+    return values, locals_order, sigmas, pres
+
+
 def pre_executions(B, sigma, values, locals_order):
-    """The pre-executions of block B from the local map sigma, in
-    thread-local order, each with the block's actions between call(sigma)
-    and ret(sigma'). values is the context's value domain; the block's
-    literals are added to it."""
-    values = frozenset(values) | lang.literals_of(B)
+    """The pre-executions of block B from the local map sigma over the
+    domain values, in thread-local order, each with the block's actions
+    between call(sigma) and ret(sigma')."""
     call = Action(CALL, "call", None, tuple(sigma[l] for l in locals_order),
                   "boundary")
     out = []
@@ -133,22 +147,15 @@ def pre_executions(B, sigma, values, locals_order):
     return out
 
 
-def block_local(B, ctx: CutContext, *, values=frozenset({0, 1}),
-                locals_order=None, sigmas=None):
-    """All executions of block B under the reduced context ctx, the rf
-    classes of block_classes from each of sigmas flattened in order.
+def block_local(B, ctx: CutContext, *, values=frozenset({0, 1})):
+    """All executions of block B under the reduced context ctx, from
+    each initial map of setup in order.
 
     Code actions come from the thread-local semantics and sit sb-between
     call and ret; context actions carry no sb; R seeds hb and S extends at.
     A context that check_context rejects is a ValueError.
     """
-    B = tuple(B)
-    if locals_order is None:
-        locals_order = lang.locals_of(B)
-    if sigmas is None:
-        sigmas = sigma_space(locals_order, lang.live_in(B), values)
-    pres = [pre_executions(B, sigma, values, locals_order)
-            for sigma in sigmas]
+    _, locals_order, _, (pres,) = setup((B,), values)
     check_context(ctx, [B], pres)
     return executions(itertools.chain(*pres), ctx, locals_order)
 

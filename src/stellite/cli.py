@@ -166,7 +166,6 @@ def parse_context_file(text) -> CutContext:
     import re
 
     acts, R, S = [], set(), set()
-    labels = {}
     kinds = {"ld": "load", "ldna": "load_NA", "st": "store",
              "stna": "store_NA", "LL": "LL", "SC": "SC"}
     act_re = re.compile(
@@ -190,14 +189,8 @@ def parse_context_file(text) -> CutContext:
             if label in ("call", "ret"):
                 raise ParseError(f"context file line {ln}: label {label!r}"
                                  " is reserved for the block boundary")
-            if label in labels:
-                raise ParseError(
-                    f"context file line {ln}: duplicate label {label!r}"
-                )
-            a = Action(label, kinds[m.group("kind")], m.group("var"),
-                       (int(m.group("val")),), "context")
-            labels[label] = a
-            acts.append(a)
+            acts.append(Action(label, kinds[m.group("kind")], m.group("var"),
+                               (int(m.group("val")),), "context"))
         elif head in ("R", "S"):
             mm = re.match(r"^(\w+)\s*->\s*(\w+)$", rest)
             if not mm:
@@ -205,7 +198,7 @@ def parse_context_file(text) -> CutContext:
             (R if head == "R" else S).add((mm.group(1), mm.group(2)))
         else:
             raise ParseError(f"context file line {ln}: unknown key {head!r}")
-    known = set(labels) | {"call", "ret"}
+    known = {a.aid for a in acts} | {"call", "ret"}
     for (u, v) in R | S:
         if u not in known or v not in known:
             raise ParseError(f"edge endpoint {u!r} or {v!r} is not defined")
@@ -293,7 +286,9 @@ def _emit(args, report, verdict=None):
 
 def _outcome(spec):
     """The local -> value map of an outcome 'l=v,...'; ValueError naming
-    the first item of another shape."""
+    the first item of another shape, or an empty spec."""
+    if not spec.strip():
+        raise ValueError(f"--forbid {spec!r} is empty; give l=v,...")
     want = {}
     for item in spec.split(","):
         k, _, v = item.partition("=")
@@ -304,7 +299,7 @@ def _outcome(spec):
 
 
 def cmd_simulate(args) -> int:
-    want = args.forbid and _outcome(args.forbid)
+    want = None if args.forbid is None else _outcome(args.forbid)
     text = Path(args.litmus).read_text()
     prog = lang.parse_program(text)
     bad = [k for k in want or () if k not in lang.locals_of(prog)]

@@ -36,8 +36,7 @@ from .blocklocal import (
     check_context,
     downclosure,
     executions,
-    pre_executions,
-    sigma_space,
+    setup,
 )
 from .cut import CutPruner, fits, location_need, room
 from .history import (
@@ -95,20 +94,6 @@ class Verdict:
         return self.outcome == "Verified"
 
 
-def _setup(B1, B2, values):
-    """What every check of B1, B2 ranges over: the domain (values and
-    both blocks' literals), both blocks' locals in order, the initial
-    local maps and each block's pre-executions from each map."""
-    values = frozenset(values) | lang.literals_of(B1) | lang.literals_of(B2)
-    locals_order = tuple(sorted(set(lang.locals_of(B1))
-                                | set(lang.locals_of(B2))))
-    live = lang.live_in(B1) | lang.live_in(B2)
-    sigmas = sigma_space(locals_order, live, values)
-    pres = tuple([pre_executions(B, sigma, values, locals_order)
-                  for sigma in sigmas] for B in (B1, B2))
-    return values, locals_order, sigmas, pres
-
-
 def _code_counts(pres):
     """Max number of code reads/writes per location over the lists of
     pre-executions pres (LL counts as a read, SC as a write)."""
@@ -160,7 +145,7 @@ def context_bound(B1, B2, values=frozenset({0, 1})) -> Budget:
     original block has no write of x, only context writes can follow, and
     the new block's execution orders those too.
     """
-    values, _, _, (pre1, pre2) = _setup(B1, B2, values)
+    values, _, _, (pre1, pre2) = setup((B1, B2), values)
     return Budget(*_caps(pre1, pre2), values=values)
 
 
@@ -501,16 +486,16 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
     times the number of sigmas.
 
     A budget with a reads, writes or pairs cap below context_bound's,
-    derived from the same _setup, raises ValueError: its Verified would
-    be unsound. Raised caps are accepted."""
+    derived from the same blocklocal.setup, raises ValueError: its
+    Verified would be unsound. Raised caps are accepted."""
     if lang.na_vars_of(B1) or lang.na_vars_of(B2):
         # the cut rules and the context bound are derived for atomics only
         raise ValueError(
             "the finite check covers atomic blocks only; check ldna/stna"
             " blocks at an explicit context (instance)"
         )
-    values, locals_order, sigmas, (pre1, pre2) = _setup(
-        B1, B2, frozenset({0, 1}) if budget is None else budget.values)
+    values, locals_order, sigmas, (pre1, pre2) = setup(
+        (B1, B2), frozenset({0, 1}) if budget is None else budget.values)
     caps = _caps(pre1, pre2)
     if budget is None:
         budget = Budget(*caps, values=values)
@@ -603,7 +588,7 @@ def check_q_instance(B1, B2, ctx: CutContext,
     both blocks, as in context_bound. A context that
     blocklocal.check_context rejects for the two blocks is a
     ValueError."""
-    _, locals_order, _, (pre1, pre2) = _setup(B1, B2, values)
+    _, locals_order, _, (pre1, pre2) = setup((B1, B2), values)
     check_context(ctx, (B1, B2), pre1 + pre2)
     for ps1, ps2 in zip(pre1, pre2):
         x1s = executions(ps1, ctx, locals_order)

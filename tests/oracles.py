@@ -31,8 +31,7 @@ from stellite.blocklocal import (
     block_classes,
     block_local,
     contx_of,
-    pre_executions,
-    sigma_space,
+    setup,
 )
 from stellite.cut import CutPruner
 from stellite.verifier import context_bound, enumerate_contexts
@@ -259,22 +258,20 @@ def oracle_deny_hit(X, u, v):
     return False
 
 
-def cut_survivors(B, ctx, values=frozenset({0, 1}), locals_order=None,
-                  sigmas=None):
-    """The executions of block B under ctx that cut.cut keeps, built the
-    way verify builds them: block_classes with the CutPruner of ctx, each
-    class flattened by class_executions, from each of sigmas in order."""
-    if locals_order is None:
-        locals_order = lang.locals_of(B)
-    if sigmas is None:
-        sigmas = sigma_space(locals_order, lang.live_in(B), values)
+def cut_survivors(B, ctx, values=frozenset({0, 1})):
+    """The executions of block B under ctx that cut.cut keeps, from each
+    initial map of blocklocal.setup in order (survivors)."""
+    _, locals_order, _, (pres,) = setup((B,), values)
+    return survivors(itertools.chain(*pres), ctx, locals_order)
+
+
+def survivors(pres, ctx, locals_order):
+    """The executions of the pre-executions pres under ctx that cut.cut
+    keeps, built the way verify builds them: block_classes with the
+    CutPruner of ctx, each class flattened by class_executions."""
     pruner = CutPruner(ctx.actions, ctx.S)
-    out = []
-    for sigma in sigmas:
-        pres = pre_executions(B, sigma, values, locals_order)
-        for c in block_classes(pres, ctx, pruner=pruner):
-            out.extend(class_executions(*c, locals_order=locals_order))
-    return out
+    return [X for c in block_classes(pres, ctx, pruner=pruner)
+            for X in class_executions(*c, locals_order=locals_order)]
 
 
 def sample_block_local(minimum=500, cut_only=False):

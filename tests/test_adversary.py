@@ -1,8 +1,13 @@
 """Adversarial context synthesis and the reproduction self-test."""
 
 import dataclasses
+import re
+from pathlib import Path
+
+import pytest
 
 from stellite import lang
+from stellite.axiomatic import Action
 from stellite.adversary import (
     CALL_MARK,
     ERROR_VAR,
@@ -10,7 +15,8 @@ from stellite.adversary import (
     build_context,
     reproduce,
 )
-from stellite.blocklocal import RET, CutContext, block_local
+from stellite.blocklocal import CALL, RET, CutContext, block_local, contx_of
+from stellite.verifier import check_cut_refinement, context_bound
 
 from oracles import (
     forced_read_instance,
@@ -18,6 +24,8 @@ from oracles import (
     single_load_instance,
     single_load_instance_execs,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_empty_context_builds_a_checker_around_the_hole():
@@ -90,3 +98,58 @@ def test_mutated_return_vector_fails_to_reproduce():
     )
     mutated = dataclasses.replace(X, actions=acts)
     assert not reproduce(mutated, B)
+
+
+@pytest.mark.parametrize("block,R", [
+    ("w2 := ld(x); w3 := ld(x)", frozenset()),
+    ("l := ld(h_a_call); m := ld(x)", frozenset({("a", CALL)})),
+], ids=["locals-like-the-checks", "a-global-like-a-watchdog"])
+def test_generated_names_stay_clear_of_the_blocks(block, R):
+    # the checks' locals are w, w0, w1, ... and the watchdog of the edge
+    # a -> call is h_a_call, unless the block has taken the name
+    B = lang.parse_block(block)
+    ctx = CutContext((Action("a", "store", "x", (1,), "context"),), R)
+    execs = block_local(B, ctx)
+    assert execs
+    for X in execs:
+        assert reproduce(X, B)
+
+
+def _refuted_witnesses():
+    """(row, new block, witness) of each Refuted corpus row at V=2."""
+    out = []
+    for path in sorted(CORPUS.glob("*.tr")):
+        B2, B1 = lang.parse_transformation(path.read_text())
+        if lang.na_vars_of(B1) or lang.na_vars_of(B2):
+            continue
+        v = check_cut_refinement(B1, B2, context_bound(B1, B2))
+        if v.outcome == "Refuted":
+            out.append((path.name, B1, v.witness.execution))
+    return out
+
+
+def test_every_refutation_prints_a_parsable_context_that_reproduces():
+    # the four fence-exchange witnesses hold context fences, which print
+    # as fc: LL(fen) and SC(fen, ...) do not parse
+    rows = _refuted_witnesses()
+    assert len(rows) == 12
+    fenced = 0
+    for name, B1, X in rows:
+        text = lang.unparse(build_context(X).program)
+        lang.check_wellformed(lang.parse_program(text))
+        assert "(fen" not in text, name
+        fenced += bool(re.search(r"\bfc\b", text))
+        assert reproduce(X, B1), name
+    assert fenced >= 4
+
+
+def test_a_mutated_fence_witness_fails_to_reproduce():
+    [(_, B1, X)] = [r for r in _refuted_witnesses()
+                    if r[0] == "fence_load_exchange.tr"]
+    assert any(a.gvar == lang.FENCE_VAR for a in contx_of(X))
+    acts = tuple(
+        dataclasses.replace(a, vals=tuple(1 - v for v in a.vals))
+        if a.aid == RET else a
+        for a in X.actions
+    )
+    assert not reproduce(dataclasses.replace(X, actions=acts), B1)

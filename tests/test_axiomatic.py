@@ -35,7 +35,7 @@ from stellite.axiomatic import (
     safe,
     valid,
 )
-from stellite.blocklocal import _under, pre_executions, sigma_space
+from stellite.blocklocal import _under, setup
 from stellite.cut import CutPruner
 from stellite.verifier import check_cut_refinement, context_bound, \
     enumerate_contexts
@@ -661,10 +661,9 @@ def test_rf_classes_match_the_slow_path_on_the_corpus_rows():
                 if (B, ctx) in seen:
                     continue
                 seen.add((B, ctx))
-                locals_order = lang.locals_of(B)
-                for sigma in sigma_space(locals_order, lang.live_in(B),
-                                         values):
-                    for p in pre_executions(B, sigma, values, locals_order):
+                _, _, _, (pres,) = setup((B,), values)
+                for ps in pres:
+                    for p in ps:
                         pre = _under(p, ctx)
                         classes += _assert_rf_classes_match(pre)
                         classes += _assert_rf_classes_match(pre,
@@ -696,10 +695,9 @@ def _shared_mask_pres():
             enumerate_contexts(B1, B2, context_bound(B1, B2, values)), 40):
         pruner = CutPruner(ctx.actions, ctx.S)
         for B in (B1, B2):
-            for sigma in sigma_space(lang.locals_of(B), lang.live_in(B),
-                                     values):
-                for p in pre_executions(B, sigma, values,
-                                        lang.locals_of(B)):
+            _, _, _, (pres,) = setup((B,), values)
+            for ps in pres:
+                for p in ps:
                     out += [(_under(p, ctx), None), (_under(p, ctx), pruner)]
     return out
 

@@ -18,6 +18,8 @@ from stellite.blocklocal import (
     sigma_space,
 )
 
+from stellite.verifier import check_q_instance
+
 from oracles import forced_read_instance_execs, single_load_instance_execs
 
 
@@ -142,6 +144,25 @@ def test_context_validation_rejects_malformed_inputs():
         block_local(
             B, CutContext((Action("b0", "load", "x", (0,), "context"),))
         )
+
+
+def test_a_live_in_local_ranges_over_the_blocks_literals():
+    # verify and instance start st(x,l); m := l == 2 at l = 2, as 2 is in
+    # the domain; block_local has the same setup
+    B = lang.parse_block("st(x,l); m := l == 2")
+    starts = {X.by_id()[CALL].vals for X in block_local(B, CutContext(()))}
+    assert starts == {(0, 0), (1, 0), (2, 0)}
+
+
+def test_a_duplicate_context_action_id_is_rejected():
+    # two actions named a would each be read and written as the other
+    B = lang.parse_block("l := ld(x)")
+    ctx = CutContext((Action("a", "store", "x", (1,), "context"),
+                      Action("a", "store", "x", (0,), "context")))
+    with pytest.raises(ValueError, match="id 'a' is used twice"):
+        block_local(B, ctx)
+    with pytest.raises(ValueError, match="id 'a' is used twice"):
+        check_q_instance(B, B, ctx)
 
 
 def test_a_context_may_use_locations_the_block_does_not():

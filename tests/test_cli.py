@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stellite import cli, lang
+from stellite import cli
 from stellite.axiomatic import Action, EnumConfig, Execution, valid
 from stellite.cut import cut
 from stellite.cli import (
@@ -147,6 +147,33 @@ def test_instance_subcommand_nonatomic_reorder(capsys):
     )
     out = capsys.readouterr().out
     assert rc == 0 and "holds" in out
+
+
+@pytest.mark.parametrize("tr", ["load_to_local_elim.tr",
+                                "load_to_local_intro.tr"])
+def test_instance_fails_where_the_new_block_has_an_unmatched_execution(
+        tr, capsys):
+    # forced_read.ctx stores x = 2 before the call, so the block's load of
+    # x never reads 0 and l := ld(x) ends with an l that skip never has
+    rc = main(["instance", str(CORPUS / tr),
+               "--context", str(CORPUS / "forced_read.ctx")])
+    assert (rc, capsys.readouterr().out) == (1, "fails\n")
+
+
+@pytest.mark.parametrize("duplicate", ["w1", "w2"])
+def test_instance_rejects_a_duplicate_context_label(duplicate, tmp_path,
+                                                    capsys):
+    ctx = tmp_path / "dup.ctx"
+    ctx.write_text(f"ctx: w1 = st(x, 1)\nctx: {duplicate} = st(x, 0)\n")
+    rc = main(["instance", str(CORPUS / "load_intro.tr"),
+               "--context", str(ctx)])
+    captured = capsys.readouterr()
+    if duplicate == "w2":
+        assert (rc, captured.out) == (0, "holds\n")
+    else:
+        assert (rc, captured.out) == (3, "")
+        assert captured.err == ("error: context action id 'w1' is used"
+                                " twice\n")
 
 
 @pytest.mark.parametrize("tr,ctx,rc,out", [
@@ -327,6 +354,16 @@ def test_a_malformed_forbid_spec_exits_three_before_enumerating(spec,
     assert captured.out == ""
     bad = next(p for p in spec.split(",") if not p.startswith("v1=0"))
     assert f"error: --forbid item {bad!r} is not local=value" in captured.err
+
+
+@pytest.mark.parametrize("spec", ["", " "])
+def test_an_empty_forbid_spec_exits_three(spec, capsys):
+    # an empty spec names no outcome, so it could be neither admitted nor
+    # absent
+    assert main(["simulate", str(CORPUS / "sb.lit"), "--forbid", spec]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --forbid {spec!r} is empty; give l=v,...\n"
 
 
 def test_a_forbid_local_that_no_thread_has_exits_three(capsys):

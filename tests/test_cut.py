@@ -10,17 +10,17 @@ from hypothesis import example, given, settings, strategies as st
 from stellite import lang
 from stellite.axiomatic import Action, class_executions, is_read, is_write
 from stellite.blocklocal import (
+    CALL,
     CutContext,
     block_classes,
     block_local,
     code_of,
     contx_of,
-    pre_executions,
-    sigma_space,
+    setup,
 )
 from stellite.cut import (CutPruner, cut, explain_cut, fits, room,
                           room_needed, vis)
-from stellite.verifier import _setup, context_bound, enumerate_contexts
+from stellite.verifier import context_bound, enumerate_contexts
 
 from oracles import cut_survivors, sample_block_local
 from test_acceptance import SUITE
@@ -36,6 +36,13 @@ def _ctx(*specs):
     return CutContext(acts)
 
 
+def _from(B, ctx, **sigma):
+    """The executions of block_local(B, ctx) whose call has the local
+    map sigma."""
+    return [X for X in block_local(B, ctx)
+            if dict(zip(X.locals_order, X.by_id()[CALL].vals)) == sigma]
+
+
 def test_empty_context_always_passes_and_vis_is_code():
     for X in block_local(lang.parse_block("st(x,l); l := ld(x)"),
                          CutContext(())):
@@ -48,7 +55,7 @@ def test_visible_load_and_store_are_allowed():
     ctx = _ctx(("r0", "load", "x", 1), ("w0", "store", "x", 1))
     passing = [
         X
-        for X in block_local(B, ctx, sigmas=[{"l": 1, "m": 0}])
+        for X in _from(B, ctx, l=1, m=0)
         if cut(X)
     ]
     assert passing
@@ -61,7 +68,7 @@ def test_visible_load_and_store_are_allowed():
 def test_nonvisible_context_read_is_rejected():
     B = lang.parse_block("st(x,l)")
     ctx = _ctx(("r0", "load", "x", 0), ("w0", "store", "x", 0))
-    for X in block_local(B, ctx, sigmas=[{"l": 1}]):
+    for X in _from(B, ctx, l=1):
         srcs = dict((r, w) for (w, r) in X.rf)
         if srcs.get("r0") != next(a.aid for a in code_of(X)):
             assert not cut(X)
@@ -71,7 +78,7 @@ def test_nonvisible_context_read_is_rejected():
 def test_two_context_reads_from_one_write_are_rejected():
     B = lang.parse_block("st(x,l)")
     ctx = _ctx(("r0", "load", "x", 1), ("r1", "load", "x", 1))
-    execs = block_local(B, ctx, sigmas=[{"l": 1}])
+    execs = _from(B, ctx, l=1)
     assert execs
     for X in execs:
         # both reads can only source the single code store
@@ -83,7 +90,7 @@ def test_unseparated_nonvisible_writes_are_rejected():
     B = lang.parse_block("l := ld(x)")
     ctx = _ctx(("w0", "store", "x", 1), ("w1", "store", "x", 1))
     saw_reject = False
-    for X in block_local(B, ctx, sigmas=[{"l": 0}]):
+    for X in _from(B, ctx, l=0):
         # the code load reads the initial value, both context stores are
         # non-visible and mo-adjacent
         if not X.rf:
@@ -254,7 +261,7 @@ def test_a_pre_execution_without_room_has_no_survivor_on_the_corpus(
     for text in texts:
         B2, B1 = lang.parse_transformation(text)
         budget = context_bound(B1, B2, frozenset(range(nvalues)))
-        _, _, _, (pre1, _) = _setup(B1, B2, budget.values)
+        _, _, _, (pre1, _) = setup((B1, B2), budget.values)
         for ctx in enumerate_contexts(B1, B2, budget):
             for pres in pre1:
                 rejected += _unfit_have_no_survivor(pres, ctx)
@@ -283,11 +290,9 @@ _ROOM_STMTS = st.sampled_from([
 @example(("l := ld(x)", _pairs(("p", "x", 0, 1)), _V2))
 def test_a_pre_execution_without_room_has_no_survivor_on_random_blocks(case):
     block, ctx, values = case
-    B = lang.parse_block(block)
-    locals_order = lang.locals_of(B)
-    for sigma in sigma_space(locals_order, lang.live_in(B), values):
-        _unfit_have_no_survivor(
-            pre_executions(B, sigma, values, locals_order), ctx)
+    _, _, _, (pres,) = setup((lang.parse_block(block),), values)
+    for ps in pres:
+        _unfit_have_no_survivor(ps, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +362,7 @@ def test_one_survivor_per_orbit_on_the_corpus(texts, nvalues):
     for text in texts:
         B2, B1 = lang.parse_transformation(text)
         budget = context_bound(B1, B2, frozenset(range(nvalues)))
-        _, _, _, (pre1, _) = _setup(B1, B2, budget.values)
+        _, _, _, (pre1, _) = setup((B1, B2), budget.values)
         for ctx in enumerate_contexts(B1, B2, budget):
             need = room_needed(ctx.actions, ctx.S)
             for pres in pre1:
@@ -386,8 +391,6 @@ def test_one_survivor_per_orbit_on_the_corpus(texts, nvalues):
           _ctx(("r0", "load", "x", 1), ("r1", "load", "x", 1)), _V2))
 def test_one_survivor_per_orbit_on_random_blocks(case):
     block, ctx, values = case
-    B = lang.parse_block(block)
-    locals_order = lang.locals_of(B)
-    for sigma in sigma_space(locals_order, lang.live_in(B), values):
-        _one_survivor_per_orbit(
-            pre_executions(B, sigma, values, locals_order), ctx)
+    _, _, _, (pres,) = setup((lang.parse_block(block),), values)
+    for ps in pres:
+        _one_survivor_per_orbit(ps, ctx)

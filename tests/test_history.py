@@ -26,8 +26,7 @@ from stellite.blocklocal import (
     block_local,
     contx_of,
     downclosure,
-    pre_executions,
-    sigma_space,
+    setup,
 )
 from stellite.history import (
     ClassMasks,
@@ -43,7 +42,6 @@ from stellite.verifier import check_cut_refinement, context_bound, \
 
 from oracles import (
     deny_domain,
-    forced_read_instance_execs,
     oracle_deny_hit,
     pairs_of,
     rows_of,
@@ -268,10 +266,7 @@ def test_class_masks_match_the_flattened_executions_on_the_corpus():
                 if (B, ctx) in seen:
                     continue
                 seen.add((B, ctx))
-                locals_order = lang.locals_of(B)
-                pres = [pre_executions(B, sigma, values, locals_order)
-                        for sigma in sigma_space(locals_order,
-                                                 lang.live_in(B), values)]
+                _, _, _, (pres,) = setup((B,), values)
                 flat = block_local(B, ctx, values=values)
                 classes = block_classes(
                     [p for ps in pres for p in ps], ctx)
@@ -351,11 +346,8 @@ def _corpus_classes():
                                     0, 300, 10):
             index = PairIndex(a.aid for a in ctx.actions)
             for B in (B1, B2):
-                locals_order = lang.locals_of(B)
-                pres = [p for sigma in sigma_space(
-                            locals_order, lang.live_in(B), values)
-                        for p in pre_executions(B, sigma, values,
-                                                locals_order)]
+                _, _, _, (pres,) = setup((B,), values)
+                pres = [p for ps in pres for p in ps]
                 out.extend((c, index) for c in block_classes(pres, ctx)
                            if any(len(o[0]) > 1 for o in c[3]))
     return out

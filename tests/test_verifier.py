@@ -18,7 +18,9 @@ from stellite.blocklocal import (
     CutContext,
     block_classes,
     block_local,
+    executions,
     pre_executions,
+    setup,
     sigma_space,
 )
 from stellite.cut import CutPruner, cut, fits, room, room_needed
@@ -36,6 +38,7 @@ from oracles import (
     cut_survivors,
     forced_read_instance,
     single_load_instance,
+    survivors,
 )
 from test_acceptance import SUITE
 from test_cut import _PAIR_ROWS, _SUITE_TEXTS
@@ -89,7 +92,7 @@ def test_the_pair_counts_each_block_as_its_own_initial_maps_do(row):
     # block; those cannot change a block's runs
     text = row if "~>" in row else (CORPUS / row).read_text()
     B2, B1 = lang.parse_transformation(text)
-    values, _, _, pres = verifier._setup(B1, B2, frozenset({0, 1}))
+    values, _, _, pres = setup((B1, B2), frozenset({0, 1}))
     for B, pre in zip((B1, B2), pres):
         assert verifier._code_counts(pre) == _own_code_counts(B, values)
 
@@ -459,10 +462,9 @@ def test_the_candidate_list_is_hist_ext_of_every_original_execution():
         B2, B1 = lang.parse_transformation((CORPUS / fname).read_text())
         budget = context_bound(B1, B2)
         w = check_cut_refinement(B1, B2, budget).witness
-        locals_order = tuple(sorted(set(lang.locals_of(B1))
-                                    | set(lang.locals_of(B2))))
-        ys = block_local(B2, w.context, values=budget.values,
-                         locals_order=locals_order, sigmas=[w.sigma])
+        _, locals_order, sigmas, (_, pre2) = setup((B1, B2), budget.values)
+        ys = executions(pre2[sigmas.index(w.sigma)], w.context,
+                        locals_order)
         assert w.candidates == [hist_ext(Y) for Y in ys], fname
 
 
@@ -492,9 +494,7 @@ def _linear_scan(B1, B2, budget, computed, pairs=None):
     whose histories were computed, in order; pairs, if given, maps each
     (context, sigma) scanned, as _pair keys it, to its (x1_cut, x2,
     passed)."""
-    locals_order = tuple(sorted(set(lang.locals_of(B1))
-                                | set(lang.locals_of(B2))))
-    live = lang.live_in(B1) | lang.live_in(B2)
+    _, locals_order, sigmas, (pre1, pre2) = setup((B1, B2), budget.values)
     stats = {"contexts": 0, "x1_cut": 0, "x2": 0}
 
     def ext(X):
@@ -503,12 +503,10 @@ def _linear_scan(B1, B2, budget, computed, pairs=None):
 
     for ctx in enumerate_contexts(B1, B2, budget):
         stats["contexts"] += 1
-        for sigma in sigma_space(locals_order, live, budget.values):
-            kw = dict(values=budget.values, locals_order=locals_order,
-                      sigmas=[sigma])
-            x1s = cut_survivors(B1, ctx, **kw)
+        for sigma, ps1, ps2 in zip(sigmas, pre1, pre2):
+            x1s = survivors(ps1, ctx, locals_order)
             stats["x1_cut"] += len(x1s)
-            x2s = block_local(B2, ctx, **kw) if x1s else []
+            x2s = executions(ps2, ctx, locals_order) if x1s else []
             if pairs is not None:
                 pairs[_pair(ctx, sigma)] = (len(x1s), len(x2s), True)
             if not x1s:
@@ -541,13 +539,13 @@ def _unfit(B1, B2, budget, pairs):
     """The pairs, keyed as _pair keys them, under which no pre-execution
     of B1 has room for a cut survivor (cut.fits): the pairs that
     check_cut_refinement skips before it keys them."""
-    locals_order = tuple(sorted(set(lang.locals_of(B1))
-                                | set(lang.locals_of(B2))))
+    _, _, sigmas, (pre1, _) = setup((B1, B2), budget.values)
+    pres = {tuple(sorted(sigma.items())): ps
+            for sigma, ps in zip(sigmas, pre1)}
 
     def unfit(ctx, sigma):
         need = room_needed(ctx.actions, ctx.S)
-        return not any(fits(need, room(p.actions)) for p in pre_executions(
-            B1, dict(sigma), budget.values, locals_order))
+        return not any(fits(need, room(p.actions)) for p in pres[sigma])
 
     return {pair for pair in pairs if unfit(*pair)}
 
@@ -935,7 +933,7 @@ def _pairs_everywhere(B1, B2):
     """context_bound(B1, B2) with LL/SC pairs at every data location B1
     reads, each pair adding one read and one write to the caps."""
     budget = context_bound(B1, B2)
-    *_, (pre1, _) = verifier._setup(B1, B2, budget.values)
+    *_, (pre1, _) = setup((B1, B2), budget.values)
     r1, _ = verifier._code_counts(pre1)
     for x, n in r1.items():
         if x != lang.FENCE_VAR and x not in budget.pairs:
