@@ -394,31 +394,74 @@ def _mo_orders(ws, rows, pos, rf, at, byid, hidden, before=()):
                    tuple(w in hidden for w in ws))
 
 
+def _viable_sources(r, opts, base, pos, wmasks, actions):
+    """The rf candidates opts of the read r, None for the initial value,
+    less those that the checks reject whatever else rf holds, with base
+    the bit rows of (sb ∪ r_ctx)+ and wmasks the _write_masks of
+    actions: a write that r reaches, as hb would be cyclic or, for a
+    non-atomic edge, miss it (RFHBNA); a write w that reaches a write w2
+    of its location that reaches r, where mo must put w2 after w (HBVSMO)
+    but may not (COHERENCE), as both are atomic, or COHERNA forbids it,
+    as w2 and r are non-atomic; and the initial value when a write of
+    its location reaches r (RFVAL)."""
+    pr = pos[r.aid]
+    into = 0  # the writes of r's location that reach r
+    for i in _bits(wmasks.get(r.gvar, 0)):
+        if base[i] >> pr & 1:
+            into |= 1 << i
+    out = []
+    for w in opts:
+        if w is None:
+            if not into:
+                out.append(w)
+            continue
+        i = pos[w]
+        if base[pr] >> i & 1:
+            continue
+        atomic = is_atomic_write(actions[i])
+        if not any(atomic and is_atomic_write(actions[j])
+                   or is_na(actions[j]) and is_na(r)
+                   for j in _bits(base[i] & into)):
+            out.append(w)
+    return out
+
+
 def rf_classes(pre: PreExecution, pruner=None):
     """The valid completions of the pre-execution pre, one class per rf
     choice.
 
     Yields (rf, rows, mo_choices) for every rf choice that has a valid
     completion: rf candidates are the writes a read may read from
-    (_may_read_from), looked up by location and value; an rf choice is
-    kept when hb is acyclic and _rf_violation finds nothing;
-    mo_choices holds, per location, the orders of its writes that
-    _mo_orders keeps, and each element of their product completes the
-    class. hb, and so everything that hb alone decides, is the same for
-    every mo order of a class. A pruner (cut.CutPruner) narrows the rf
-    candidates, rejects rf choices and drops mo orders that its filter
-    would discard: admit gives the hidden writes and the before pairs
-    of _mo_orders.
+    (_may_read_from), looked up by location and value, less those that
+    _viable_sources finds rejected; an rf choice is kept when hb is
+    acyclic and _rf_violation finds nothing; mo_choices holds, per
+    location, the orders of its writes that _mo_orders keeps, and each
+    element of their product completes the class. hb, and so everything
+    that hb alone decides, is the same for every mo order of a class. A
+    pruner (cut.CutPruner) narrows the rf candidates, rejects rf
+    choices and drops mo orders that its filter would discard: admit
+    gives the hidden writes and the before pairs of _mo_orders.
 
     hb is kept as rows, its reachability bit rows over the positions of
-    the actions (_add_hb_edges): the closure of sb ∪ r_ctx once, at the
-    first admitted rf choice, then each choice's hb-seeding rf edges
-    added to a copy of its rows. The actions by id and the writes by
-    location, which only admitted choices use, are built there too, and
-    whether any action is non-atomic, which decides whether the
-    non-atomic rules (_hb_rf, _rf_violation) are applied.
+    the actions (_add_hb_edges): the closure of sb ∪ r_ctx once, before
+    the candidates are listed, then each choice's hb-seeding rf edges
+    added to a copy of its rows; a cyclic closure yields nothing.
+    Whether any action is non-atomic decides whether the non-atomic
+    rules (_hb_rf, _rf_violation) are applied.
+
+    Besides each read's candidates, completion reads the values of the
+    actions only in _rf_violation's test that a read without a source
+    may read the initial value, _may_read_from(None, r).
     """
     actions, sb, at, r_ctx = pre
+    pos = {a.aid: i for i, a in enumerate(actions)}
+    base = _add_hb_edges([0] * len(actions), itertools.chain(sb, r_ctx),
+                         pos)
+    if base is None:
+        return
+    byid = {a.aid: a for a in actions}
+    wmasks = _write_masks(actions)
+    na = any(map(is_na, actions))
     reads, writes = [], []
     by_val = {}  # the ids of the writes of each (location, vals)
     for a in actions:
@@ -432,11 +475,11 @@ def rf_classes(pre: PreExecution, pruner=None):
         # the writes _may_read_from allows r, in order
         opts = [None] if _may_read_from(None, r) else []
         opts += by_val.get((r.gvar, r.vals), ())
+        opts = _viable_sources(r, opts, base, pos, wmasks, actions)
         if pruner is not None:
             opts = pruner.sources(r.aid, opts)
         cands.append(opts)
-    pos = {a.aid: i for i, a in enumerate(actions)}
-    base = None
+    movars = _mo_locations(writes)
     for choice in itertools.product(*cands):
         rf = frozenset(
             (w, r.aid) for w, r in zip(choice, reads) if w is not None
@@ -447,15 +490,6 @@ def rf_classes(pre: PreExecution, pruner=None):
             if admitted is None:
                 continue
             hidden, before = admitted
-        if base is None:
-            byid = {a.aid: a for a in actions}
-            movars = _mo_locations(writes)
-            wmasks = _write_masks(actions)
-            na = any(map(is_na, actions))
-            base = _add_hb_edges([0] * len(actions),
-                                 itertools.chain(sb, r_ctx), pos)
-            if base is None:
-                return
         rows = _add_hb_edges(base, _hb_rf(rf, byid, na), pos)
         if rows is None or _rf_violation(actions, reads, wmasks, byid, rf,
                                          rows, pos, na):

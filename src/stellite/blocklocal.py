@@ -18,9 +18,12 @@ from .axiomatic import (
     Execution,
     PreExecution,
     _add_hb_edges,
+    _may_read_from,
     class_executions,
     derive_hb,
     is_na,
+    is_read,
+    is_write,
     rf_classes,
 )
 
@@ -163,8 +166,9 @@ def block_local(B, ctx: CutContext, *, values=frozenset({0, 1})):
 def executions(pres, ctx: CutContext, locals_order):
     """Every execution of the pre-executions pres under ctx: the rf
     classes of block_classes flattened in order."""
-    return [X for c in block_classes(pres, ctx)
-            for X in class_executions(*c, locals_order)]
+    return [X for pre, c in block_classes(pres, ctx)
+            for X in class_executions(pre, c.rf, c.rows, c.mo_choices,
+                                      locals_order)]
 
 
 def _under(p: PreExecution, ctx: CutContext) -> PreExecution:
@@ -175,19 +179,86 @@ def _under(p: PreExecution, ctx: CutContext) -> PreExecution:
                         frozenset(ctx.R) | frozenset(ctx.S))
 
 
-def block_classes(pres, ctx: CutContext, pruner=None):
+class SkeletonClass:
+    """One rf class of a skeleton (Skeletons): its rf, rows and
+    mo_choices as axiomatic.rf_classes yields them, and sources, the
+    position of each read among the skeleton's actions with that of the
+    write it reads, None for the initial value."""
+
+    __slots__ = ("rf", "rows", "mo_choices", "sources")
+
+    def __init__(self, actions, rf, rows, mo_choices):
+        pos = {a.aid: i for i, a in enumerate(actions)}
+        src = {r: w for (w, r) in rf}
+        self.rf, self.rows, self.mo_choices = rf, rows, mo_choices
+        self.sources = tuple((i, pos[src[a.aid]] if a.aid in src else None)
+                             for i, a in enumerate(actions) if is_read(a))
+
+    def admits(self, actions):
+        """Whether a pre-execution of the skeleton with the actions
+        actions has this class: each read may read its source."""
+        return all(_may_read_from(None if j is None else actions[j],
+                                  actions[i]) for i, j in self.sources)
+
+
+class Skeletons:
+    """The rf classes of pre-executions, completed once per skeleton: a
+    table that lives for one verdict.
+
+    A pre-execution's skeleton, with a pruner's, is all that completion
+    reads of them but values: the ids, kinds and locations of the
+    actions, sb, at and r_ctx, and the pruner's structure
+    (cut.CutPruner.key). Completion reads a value only through
+    _may_read_from: an rf edge joins a write and a read of one value,
+    and a read without a source reads 0 (axiomatic.rf_classes). So a
+    skeleton is completed once, with every read and write holding 0,
+    which offers each read every write of its location and the initial
+    value, and each pre-execution of it gets the classes it admits
+    (SkeletonClass.admits), in order. These are rf_classes(pre, pruner)
+    exactly: its candidates are those of the erased completion that
+    _may_read_from allows, each of its rf choices meets the same checks
+    there, and filtering keeps the relative order of the product.
+
+    completed counts the skeletons completed."""
+
+    def __init__(self):
+        self._classes = {}
+        self.completed = 0
+
+    def classes(self, pre: PreExecution, pruner=None):
+        """The rf classes of pre with the pruner, as rf_classes(pre,
+        pruner) gives them, as SkeletonClass, in order."""
+        key = (tuple((a.aid, a.kind, a.gvar) for a in pre.actions),
+               pre.sb, pre.at, pre.r_ctx,
+               None if pruner is None else pruner.key)
+        classes = self._classes.get(key)
+        if classes is None:
+            erased = tuple(Action(a.aid, a.kind, a.gvar, (0,), a.origin)
+                           if is_read(a) or is_write(a) else a
+                           for a in pre.actions)
+            classes = self._classes[key] = [
+                SkeletonClass(erased, *c)
+                for c in rf_classes(pre._replace(actions=erased), pruner)]
+            self.completed += 1
+        return [c for c in classes if c.admits(pre.actions)]
+
+
+def block_classes(pres, ctx: CutContext, pruner=None, table=None):
     """The valid executions of the pre-executions pres under ctx, as the
-    rf classes of axiomatic.rf_classes, in order: (pre, rf, rows,
-    mo_choices), where pre is a pre-execution under ctx (_under), rows
-    is hb as bit rows over the positions of its actions, and
+    rf classes of axiomatic.rf_classes, in order: (pre, c), where pre
+    is a pre-execution under ctx (_under) and c a SkeletonClass, whose
+    rows are hb as bit rows over the positions of pre's actions, and
     axiomatic.class_executions flattens one. This is the one place a
-    pre-execution is put under a context and completed. A pruner
+    pre-execution is put under a context and completed, through the
+    Skeletons table, a fresh one unless one is given. A pruner
     (cut.CutPruner of ctx) keeps only the executions that cut.cut
     keeps, or with orbits one of each orbit of them."""
+    if table is None:
+        table = Skeletons()
     for p in pres:
         pre = _under(p, ctx)
-        for c in rf_classes(pre, pruner):
-            yield (pre, *c)
+        for c in table.classes(pre, pruner):
+            yield pre, c
 
 
 def code_of(X: Execution):

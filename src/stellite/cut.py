@@ -204,6 +204,11 @@ class CutPruner:
         # each member of a write group, as (group, place in it)
         self._member = {w: (i, j) for i, g in enumerate(self._write_groups)
                         for j, w in enumerate(g)}
+        # all that sources and admit read of the pruner: the ids, kinds
+        # and locations of the context actions, S and the groups, so two
+        # pruners with one key act alike (blocklocal.Skeletons)
+        self.key = (tuple((a.aid, a.kind, a.gvar) for a in actions),
+                    frozenset(S), self._read_groups, self._write_groups)
 
     def sources(self, r, opts):
         """The rf candidates of read r worth trying: an unpaired context

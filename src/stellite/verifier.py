@@ -3,7 +3,8 @@
 check_cut_refinement decides the finite, cut-based refinement between two
 blocks by enumerating every reduced context within a derived per-location
 budget and comparing histories. It keeps both blocks' executions
-as rf classes (blocklocal.block_classes) with their history.ClassMasks,
+as rf classes (blocklocal.block_classes), completed once per value-free
+skeleton, with their history.ClassMasks, built once per skeleton class,
 and computes an original-block class's deny masks, one per mo order, only
 as far as the domination scan needs them, and checks each (context,
 sigma) pair once per renaming of the values neither block names, only
@@ -32,6 +33,7 @@ from .axiomatic import (
 )
 from .blocklocal import (
     CutContext,
+    Skeletons,
     block_classes,
     check_context,
     downclosure,
@@ -299,31 +301,63 @@ def enumerate_contexts(B1, B2, budget: Budget | None = None):
         yield _build_context(shape)
 
 
-class _Class:
-    """One rf class of a block's executions under a context: its key,
-    the PairIndex.key of its actions, its ClassMasks, built at first
-    use, and, when it is the original block's, the deny masks of its mo
-    orders, computed in order only as far as a domination test needs
-    them. An mo order only adds threats, so every deny mask of the class
-    holds floor, the deny mask with no mo at all, which its first
-    domination test builds."""
+class _SharedMasks:
+    """What one skeleton class (blocklocal.SkeletonClass) alone decides
+    of its executions' histories, built once per verdict and shared by
+    every pre-execution that has the class: its ClassMasks, built from
+    the actions of the first, as they depend on no value; floor, the
+    deny mask with no mo at all, which every deny mask of the class
+    holds, as an mo order only adds threats; and the deny masks of its
+    mo orders with the reverse of its guarantee, in the order of the
+    product of its mo_choices, computed only as far as a use needs
+    them."""
 
-    def __init__(self, pre, rf, rows, mo_choices, key, index):
-        self.rf_class = (pre, rf, rows, mo_choices)
-        self.key = key
-        self.size = math.prod(map(len, mo_choices))
+    def __init__(self, actions, c, index):
+        self.masks = ClassMasks(actions, c.rf, c.rows, index)
         self.denies = []
-        self.floor = None
-        self._index = index
-        self._masks = None
-        self._orders = itertools.product(*mo_choices)
+        self._floor = None
+        self._orders = itertools.product(*c.mo_choices)
 
     @property
-    def masks(self):
-        if self._masks is None:
-            pre, rf, rows, _ = self.rf_class
-            self._masks = ClassMasks(pre.actions, rf, rows, self._index)
-        return self._masks
+    def floor(self):
+        if self._floor is None:
+            self._floor = self.masks.deny(()) | self.masks.acyc
+        return self._floor
+
+    def deny(self, k):
+        """The k-th deny mask, or None when the class has no more."""
+        while len(self.denies) <= k:
+            mo_choice = next(self._orders, None)
+            if mo_choice is None:
+                return None
+            self.denies.append(self.masks.deny(mo_choice) | self.masks.acyc)
+        return self.denies[k]
+
+
+class _Class:
+    """One rf class of a block's executions under a context: its
+    pre-execution pre, its blocklocal.SkeletonClass c, its key, the
+    PairIndex.key of its actions, and shared, the _SharedMasks of c,
+    looked up in masks_of at first use and built there if missing.
+    denies counts the deny masks of its mo orders that its domination
+    tests read, as far as they read them in order."""
+
+    def __init__(self, pre, c, key, index, masks_of):
+        self.pre, self.c, self.key = pre, c, key
+        self.size = math.prod(map(len, c.mo_choices))
+        self.denies = 0
+        self._index = index
+        self._masks_of = masks_of
+        self._shared = None
+
+    @property
+    def shared(self):
+        if self._shared is None:
+            self._shared = self._masks_of.get(self.c)
+            if self._shared is None:
+                self._shared = self._masks_of[self.c] = _SharedMasks(
+                    self.pre.actions, self.c, self._index)
+        return self._shared
 
     def dominates(self, guarantee, deny):
         """Whether some execution of the class dominates one of the other
@@ -332,18 +366,16 @@ class _Class:
         Testing a class's deny with the reverse of its guarantee is
         refines: once its guarantee is inside the other's, the reverse
         of its guarantee is inside the reverse of the other's."""
-        masks = self.masks
-        if self.floor is None:
-            self.floor = masks.deny(()) | masks.acyc
-        if masks.guarantee & ~guarantee or self.floor & ~deny:
+        m = self.shared
+        if m.masks.guarantee & ~guarantee or m.floor & ~deny:
             return False
-        if any(not d & ~deny for d in self.denies):
-            return True
-        for mo_choice in self._orders:
-            d = masks.deny(mo_choice) | masks.acyc
-            self.denies.append(d)
+        k = 0
+        while (d := m.deny(k)) is not None:
+            k += 1
             if not d & ~deny:
+                self.denies = max(self.denies, k)
                 return True
+        self.denies = k
         return False
 
 
@@ -356,29 +388,30 @@ def _undominated(x1s, classes, locals_order):
     for c in classes:
         groups.setdefault(c.key, []).append(c)
     for c1 in x1s:
-        masks = c1.masks
+        m = c1.shared
         rivals = groups.get(c1.key, ())
-        pre, rf, rows, mo_choices = c1.rf_class
-        for mo_choice in itertools.product(*mo_choices):
-            deny = masks.deny(mo_choice) | masks.acyc
-            if not any(c.dominates(masks.guarantee, deny) for c in rivals):
-                [X] = class_executions(pre, rf, rows,
+        sk = c1.c
+        for k, mo_choice in enumerate(itertools.product(*sk.mo_choices)):
+            deny = m.deny(k)
+            if not any(c.dominates(m.masks.guarantee, deny) for c in rivals):
+                [X] = class_executions(c1.pre, sk.rf, sk.rows,
                                        [(order,) for order in mo_choice],
                                        locals_order=locals_order)
                 return X, c1
     return None
 
 
-def _classes(pres, ctx, index, limit, pruner=None):
+def _classes(pres, ctx, index, limit, table, masks_of, pruner=None):
     """The rf classes of the pre-executions pres under ctx, as _Class,
-    with the number of executions they stand for: their own, times the
-    orbit of a pruner. More than limit in all raise BudgetExceeded."""
+    from the Skeletons table, their _SharedMasks kept in masks_of, with the
+    number of executions they stand for: their own, times the orbit of
+    a pruner. More than limit in all raise BudgetExceeded."""
     weight = 1 if pruner is None else pruner.orbit
-    classes, size, pre = [], 0, None
-    for c in block_classes(pres, ctx, pruner=pruner):
-        if c[0] is not pre:  # the classes of one pre-execution share a key
-            pre, key = c[0], PairIndex.key(c[0].actions)
-        classes.append(_Class(*c, key, index))
+    classes, size, last = [], 0, None
+    for pre, c in block_classes(pres, ctx, pruner, table):
+        if pre is not last:  # the classes of one pre-execution share a key
+            last, key = pre, PairIndex.key(pre.actions)
+        classes.append(_Class(pre, c, key, index, masks_of))
         size += classes[-1].size * weight
         if limit is not None and size > limit:
             raise BudgetExceeded("block-local execution budget exceeded")
@@ -476,14 +509,29 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
     pair, and the first failing canonical survivor is the full scan's
     first failing one, as it is the first of its orbit (cut.CutPruner).
 
+    Every pre-execution is completed under its context through one
+    blocklocal.Skeletons table for the whole check. Completion reads
+    values only through axiomatic._may_read_from: an rf edge joins a
+    write and a read of one value, and a read without a source reads 0.
+    So pre-executions that differ only in values, those of sigma, of
+    their reads or of the context, share a skeleton, which is completed
+    once with its values erased; each takes the classes of that
+    completion whose reads may read their sources, in order, which are
+    the classes of its own completion. A skeleton class's ClassMasks
+    and the deny masks of its mo orders depend on no value either: they
+    are built once per check (_SharedMasks), and every pre-execution
+    with the class shares them.
+
     Verdict.stats counts the contexts, the pairs skipped for want of
     room (unfit), the pairs with room skipped as renamed images
     (symmetric), and over the checked pairs only, B1's cut survivors
     (x1_cut) and the canonical ones among them (x1_orbits), and B2's
     executions (x2), rf classes (x2_classes) and the deny masks of its
-    mo orders that the scan computed (x2_denies), where B1 has
+    mo orders that the scan read (x2_denies), each pair counting those
+    it read whether or not another pair had computed them, where B1 has
     survivors. The checked pairs, symmetric and unfit add up to contexts
-    times the number of sigmas.
+    times the number of sigmas. skeletons counts the skeletons
+    completed.
 
     A budget with a reads, writes or pairs cap below context_bound's,
     derived from the same blocklocal.setup, raises ValueError: its
@@ -508,7 +556,10 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
                     " context_bound derives; a lowered cap voids Verified")
     limit = budget.max_block_execs
     stats = {"contexts": 0, "unfit": 0, "symmetric": 0, "x1_cut": 0,
-             "x1_orbits": 0, "x2": 0, "x2_classes": 0, "x2_denies": 0}
+             "x1_orbits": 0, "x2": 0, "x2_classes": 0, "x2_denies": 0,
+             "skeletons": 0}
+    table = Skeletons()
+    masks_of = {}  # the _SharedMasks of each skeleton class
     free = budget.values - lang.fixed_values(B1) - lang.fixed_values(B2)
     rooms = [[room(p.actions) for p in ps] for ps in pre1]
     fitting = {}  # B1's pre-executions with room for a need, per sigma
@@ -547,25 +598,30 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
                     index = indexes.get(ids)
                     if index is None:
                         index = indexes[ids] = PairIndex(ids)
-                x1s, size1 = _classes(fit[i], ctx, index, limit, pruner)
+                x1s, size1 = _classes(fit[i], ctx, index, limit, table,
+                                      masks_of, pruner)
                 stats["x1_cut"] += size1
                 stats["x1_orbits"] += size1 // pruner.orbit
                 if not size1:
                     continue
-                classes, size = _classes(pre2[i], ctx, index, limit)
+                classes, size = _classes(pre2[i], ctx, index, limit, table,
+                                         masks_of)
                 stats["x2"] += size
                 stats["x2_classes"] += len(classes)
                 found = _undominated(x1s, classes, locals_order)
-                stats["x2_denies"] += sum(len(c.denies) for c in classes)
+                stats["x2_denies"] += sum(c.denies for c in classes)
                 if found is None:
                     continue
                 X, c1 = found
                 # the witness and every candidate, in the order
                 # block_classes yields them, read off the masks of its class
-                e1 = class_hist_ext(X, c1.masks, index)
-                h2s = [class_hist_ext(Y, c.masks, index) for c in classes
+                e1 = class_hist_ext(X, c1.shared.masks, index)
+                h2s = [class_hist_ext(Y, c.shared.masks, index)
+                       for c in classes
                        for Y in class_executions(
-                           *c.rf_class, locals_order=locals_order)]
+                           c.pre, c.c.rf, c.c.rows, c.c.mo_choices,
+                           locals_order=locals_order)]
+                stats["skeletons"] = table.completed
                 return Verdict(
                     "Refuted",
                     witness=Witness(ctx, dict(sigma), X, e1, h2s),
@@ -573,7 +629,9 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
                 )
     except BudgetExceeded as exc:
         stats["error"] = str(exc)
+        stats["skeletons"] = table.completed
         return Verdict("Unknown", stats=stats)
+    stats["skeletons"] = table.completed
     return Verdict("Verified", stats=stats)
 
 

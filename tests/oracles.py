@@ -270,8 +270,9 @@ def survivors(pres, ctx, locals_order):
     keeps, built the way verify builds them: block_classes with the
     CutPruner of ctx, each class flattened by class_executions."""
     pruner = CutPruner(ctx.actions, ctx.S)
-    return [X for c in block_classes(pres, ctx, pruner=pruner)
-            for X in class_executions(*c, locals_order=locals_order)]
+    return [X for pre, c in block_classes(pres, ctx, pruner=pruner)
+            for X in class_executions(pre, c.rf, c.rows, c.mo_choices,
+                                      locals_order=locals_order)]
 
 
 def sample_block_local(minimum=500, cut_only=False):

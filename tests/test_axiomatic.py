@@ -766,9 +766,11 @@ def _case(acts, sb=(), r_ctx=(), pruner=None):
 @given(_random_pres())
 # a cyclic R base; load buffering, where both reads read the other
 # thread's write only through an hb cycle; RFHBNA, a non-atomic read of a
-# write it is not sb-after; a context store a pruner must hide; and three
+# write it is not sb-after; a context store a pruner must hide; three
 # equal context stores, one read by the code, whose other two a pruner
-# with orbits puts in mo in id order
+# with orbits puts in mo in id order; and an atomic read of an atomic
+# write that reaches it through a non-atomic write of its location, a
+# choice no coherence rule forbids
 @example(_case([A("a", "store", "x", 1), A("b", "load", "x", 1)],
                r_ctx=[("a", "b"), ("b", "a")]))
 @example(_case([A("r1", "load", "x", 1), A("w1", "store", "y", 1),
@@ -781,6 +783,9 @@ def _case(acts, sb=(), r_ctx=(), pruner=None):
 @example(_case([A("w", "store", "x", 1), *_CTX_STORES,
                 A("r", "load", "x", 1)],
                pruner=CutPruner(_CTX_STORES, (), orbits=True)))
+@example(_case([A("w", "store", "x", 1), A("n", "store_NA", "x", 1),
+                A("r", "load", "x", 1)],
+               sb=[("w", "n"), ("n", "r"), ("w", "r")]))
 def test_rf_classes_match_the_slow_path_on_random_pre_executions(case):
     pre, pruner = case
     _assert_rf_classes_match(pre, pruner)

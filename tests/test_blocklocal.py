@@ -1,26 +1,41 @@
 """Block-local executions under reduced contexts."""
 
+import itertools
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stellite import lang
-from stellite.axiomatic import Action, derive_hb, valid
+from stellite.axiomatic import Action, derive_hb, rf_classes, valid
 from stellite.blocklocal import (
     CALL,
     RET,
     CutContext,
+    Skeletons,
+    _under,
+    block_classes,
     block_local,
     check_context,
     code_of,
     contx_of,
     downclosure,
+    setup,
     sigma_space,
 )
-
-from stellite.verifier import check_q_instance
+from stellite.cut import CutPruner
+from stellite.verifier import (
+    check_cut_refinement,
+    check_q_instance,
+    context_bound,
+    enumerate_contexts,
+)
 
 from oracles import forced_read_instance_execs, single_load_instance_execs
+from test_acceptance import SUITE
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_sigma_space_pins_dead_locals_to_zero():
@@ -233,3 +248,75 @@ def test_downclosure_members_are_predecessor_closed():
                 if v in keep:
                     assert u in keep
         assert X in downclosure(X)
+
+
+# ---------------------------------------------------------------------------
+# block_classes completes each value-free skeleton once per Skeletons
+# table; the slow path it replaces completes each pre-execution under the
+# context with rf_classes
+
+
+def _table_matches_rf_classes(B1, B2, values, contexts):
+    """For each of the contexts, each block and each pre-execution p of
+    it, block_classes through one Skeletons table for them all gives the
+    classes that rf_classes(_under(p, ctx), pruner) gives, in order, with
+    no pruner, the plain one and the one with orbits; returns the
+    classes compared, the pre-executions looked up and the table."""
+    table, n, looked = Skeletons(), 0, 0
+    _, _, _, pres = setup((B1, B2), values)
+    ps = [p for block in pres for sigma_pres in block for p in sigma_pres]
+    for ctx in contexts:
+        for orbits in (None, False, True):
+            # the pruner before is freed first, and a new one often takes
+            # its address: a table keyed by a pruner's identity fails
+            pruner = None
+            if orbits is not None:
+                pruner = CutPruner(ctx.actions, ctx.S, orbits=orbits)
+            for p in ps:
+                pre = _under(p, ctx)
+                fast = [(q, c.rf, c.rows, c.mo_choices)
+                        for q, c in block_classes([p], ctx, pruner, table)]
+                assert fast == [(pre, *c) for c in rf_classes(pre, pruner)], \
+                    (p, ctx, pruner and pruner.key)
+                n += len(fast)
+                looked += 1
+    return n, looked, table
+
+
+@pytest.mark.parametrize("nvalues", [2, 3], ids=["V=2", "V=3"])
+def test_skeleton_table_matches_rf_classes_on_the_corpus(nvalues):
+    # every SUITE row under every context its check reaches
+    values = frozenset(range(nvalues))
+    compared = looked = completed = 0
+    for fname, _ in SUITE:
+        B2, B1 = lang.parse_transformation((CORPUS / fname).read_text())
+        budget = context_bound(B1, B2, values)
+        reached = check_cut_refinement(B1, B2, budget).stats["contexts"]
+        n, m, table = _table_matches_rf_classes(
+            B1, B2, budget.values,
+            itertools.islice(enumerate_contexts(B1, B2, budget), reached))
+        compared += n
+        looked += m
+        completed += table.completed
+    assert compared > 5_000
+    # far fewer skeletons than pre-executions under a context: 598 for
+    # 4,941 at V=2, 648 for 25,092 at V=3
+    assert completed * 4 < looked
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from([
+    "l := ld(x)", "st(x, l)", "st(x, 2)", "st(y, 1)", "fc",
+    "a := LL(x); s := SC(x, a)", "k := 2; a := LL(y); s := SC(y, k)",
+    "if (l) { st(y, l) }", "n := l == 2; if (n) { m := ld(y) } else { fc }",
+]), min_size=1, max_size=2).map("; ".join), st.sampled_from([
+    "skip", "fc", "st(x, 1)", "m := ld(x)"]))
+def test_skeleton_table_matches_rf_classes_on_random_blocks(b1, extra):
+    # the block and the block with one more statement, under the
+    # contexts of at most three actions
+    B1 = lang.parse_block(b1)
+    B2 = lang.parse_block(f"{b1}; {extra}")
+    budget = context_bound(B1, B2)
+    contexts = itertools.takewhile(lambda ctx: len(ctx.actions) <= 3,
+                                   enumerate_contexts(B1, B2, budget))
+    _table_matches_rf_classes(B1, B2, budget.values, contexts)

@@ -583,6 +583,8 @@ def test_verify_json_reports_rf_classes_and_deny_masks(tmp_path, capsys):
                  str(f)]) == 0
     stats = json.loads(f.read_text())["stats"]
     assert stats["x2_classes"] > 0 and 0 < stats["x2_denies"] <= stats["x2"]
+    # 22 skeletons cover the 147 canonical survivors and 91 rf classes
+    assert 0 < stats["skeletons"] < stats["x2_classes"]
     capsys.readouterr()
 
 

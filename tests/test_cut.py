@@ -337,8 +337,8 @@ def _one_survivor_per_orbit(pres, ctx):
         return 0
 
     def survivors(pruner):
-        return [X for c in block_classes(pres, ctx, pruner=pruner)
-                for X in class_executions(*c)]
+        return [X for pre, c in block_classes(pres, ctx, pruner=pruner)
+                for X in class_executions(pre, c.rf, c.rows, c.mo_choices)]
 
     every = survivors(CutPruner(ctx.actions, ctx.S))
     canonical = survivors(orbits)
