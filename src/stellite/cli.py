@@ -64,10 +64,15 @@ _ORIGINS = ("code", "context", "boundary")
 def execution_from_json(d: dict) -> Execution:
     """The inverse of execution_to_json; ValueError if d has another
     shape, a node id defined twice, an unknown node kind or origin, a var
-    that is not a string or null or a value that is not an integer, or an
-    edge whose endpoint is not a node. Keys it does not read, such as
-    the "mode" of older files, are ignored."""
+    that is not a string or null or a value that is not an integer, a
+    call or ret without one value per local, locals that are not
+    distinct names, or an edge whose endpoint is not a node. Keys it
+    does not read, such as the "mode" of older files, are ignored."""
     try:
+        names = d.get("locals", [])
+        if (type(names) is not list or any(type(l) is not str for l in names)
+                or len(set(names)) < len(names)):
+            raise ValueError(f"locals {names!r} are not distinct names")
         acts = tuple(
             Action(n["id"], n["kind"], n["var"], tuple(n["values"]),
                    n["origin"])
@@ -88,6 +93,9 @@ def execution_from_json(d: dict) -> Execution:
                     type(v) is not int for v in a.vals):
                 raise ValueError(f"node {a.aid!r} has var {a.gvar!r} and"
                                  f" values {list(a.vals)!r}")
+            if a.kind in ("call", "ret") and len(a.vals) != len(names):
+                raise ValueError(f"node {a.aid!r} has values {list(a.vals)!r}"
+                                 f" for locals {names!r}")
         for name, edges in rels.items():
             for (u, v) in edges:
                 if u not in ids or v not in ids:
@@ -101,7 +109,7 @@ def execution_from_json(d: dict) -> Execution:
             mo=rels["mo"],
             hb=rels["hb"],
             r_ctx=rels["context_hb"],
-            locals_order=tuple(d.get("locals", [])),
+            locals_order=tuple(names),
         )
     except (TypeError, KeyError, AttributeError) as exc:
         raise ValueError(f"not an execution: {exc}") from exc

@@ -6,13 +6,13 @@ budget and comparing histories. It keeps both blocks' executions
 as rf classes (blocklocal.block_classes), completed once per value-free
 skeleton, with their history.ClassMasks, built once per skeleton class,
 and computes an original-block class's deny masks, one per mo order, only
-as far as the domination scan needs them, and checks each (context,
-sigma) pair once per renaming of the values neither block names, only
-where the new block has room for a cut survivor, and there each cut
-survivor once per permutation of interchangeable context actions.
-check_q_instance decides
-the quantified refinement at one explicit context instance, with prefix
-matching for racy executions of non-atomic accesses.
+as far as the domination scan needs them, and checks one (context,
+sigma) pair of each orbit under the renamings of the values neither
+block names, only where the new block has room for a cut survivor, and
+there each cut survivor once per permutation of interchangeable context
+actions. check_q_instance decides the quantified refinement at one
+explicit context instance, with prefix matching for racy executions of
+non-atomic accesses.
 """
 
 from __future__ import annotations
@@ -189,6 +189,19 @@ def _location_parts(loc, counts, values):
             for sv in _multisets(values, ns)]
 
 
+def _items(choice):
+    """The (aid, kind, vals) of the actions of a location's choice
+    (location, load vals, store vals, pair vals), in order."""
+    loc, lv, sv, pv = choice
+    for i, v in enumerate(lv):
+        yield f"{loc}.r{i}", "load", (v,)
+    for i, v in enumerate(sv):
+        yield f"{loc}.w{i}", "store", (v,)
+    for i, (a, b) in enumerate(pv):
+        yield f"{loc}.p{i}l", "LL", (a,)
+        yield f"{loc}.p{i}s", "SC", (b,)
+
+
 class _Part:
     """One location's context actions, as the choice (location, load
     vals, store vals, pair vals): its size, its room_needed items
@@ -202,26 +215,15 @@ class _Part:
         self.size = len(lv) + len(sv) + 2 * len(pv)
         self.need = location_need(loc, [(v,) for v in lv],
                                   len(sv) + len(pv), len(pv))
-        self.key = tuple(sorted(self._items()))
+        self.key = tuple(sorted(_items(choice)))
         self._built = None
-
-    def _items(self):
-        """The (aid, kind, vals) of the part's actions, in order."""
-        loc, lv, sv, pv = self.choice
-        for i, v in enumerate(lv):
-            yield f"{loc}.r{i}", "load", (v,)
-        for i, v in enumerate(sv):
-            yield f"{loc}.w{i}", "store", (v,)
-        for i, (a, b) in enumerate(pv):
-            yield f"{loc}.p{i}l", "LL", (a,)
-            yield f"{loc}.p{i}s", "SC", (b,)
 
     def built(self):
         """The part's actions and its LL/SC pairs."""
         if self._built is None:
             loc = self.choice[0]
             acts = tuple(Action(aid, kind, loc, vals, "context")
-                         for (aid, kind, vals) in self._items())
+                         for (aid, kind, vals) in _items(self.choice))
             S = tuple((ll.aid, sc.aid) for ll, sc in zip(acts, acts[1:])
                       if ll.kind == "LL")
             self._built = acts, S
@@ -241,6 +243,42 @@ def _need(shape):
 
 def _key(shape):
     return tuple(itertools.chain.from_iterable(p.key for p in shape))
+
+
+def _renamed_key(shape, svals, r):
+    """The scan-order key of the pair of a shape and sigma's values svals,
+    _key(shape) then svals, with every value v renamed r.get(v, v)."""
+    def ren(x):  # a value, or a tuple of them
+        return r.get(x, x) if type(x) is int else tuple(map(ren, x))
+
+    return tuple(itertools.chain.from_iterable(
+        sorted(_items((loc, *(tuple(sorted(map(ren, vs)))
+                              for vs in (lv, sv, pv)))))
+        for loc, lv, sv, pv in (p.choice for p in shape))), ren(svals)
+
+
+def _first_of_orbit(shape, svals, free):
+    """Whether the pair of a context shape and sigma's values svals comes
+    first in scan order (_renamed_key) among its images under the
+    permutations of the free values, the sorted tuple free.
+
+    Say the pair uses k free values. If they are not the k smallest,
+    renaming a used value to a smaller unused one makes no element of
+    the shape's sorted multisets, a value or an (LL, SC) pair of them,
+    greater in key order, nor one of svals, and some smaller: that image
+    comes first. Otherwise the images that use the same values are the
+    pair renamed by the permutations of those values."""
+    seen = set(svals)
+    for p in shape:
+        _, lv, sv, pv = p.choice
+        seen.update(lv, sv, *pv)
+    used = [v for v in free if v in seen]
+    if used and used[-1] != free[len(used) - 1]:
+        return False
+    key = _key(shape), svals
+    return all(key <= _renamed_key(shape, svals, dict(zip(used, perm)))
+               for perm in itertools.islice(itertools.permutations(used),
+                                            1, None))
 
 
 def _build_context(shape):
@@ -264,19 +302,20 @@ def _sizes(per_loc, n):
 
 
 def context_shapes(B1, B2, budget: Budget):
-    """The contexts of enumerate_contexts, in its order, as shapes. A
-    generator: the shapes of one size are made only after every smaller
-    one was taken."""
+    """The contexts of enumerate_contexts, in its order, as shapes, with
+    values from the domain of blocklocal.setup, the budget's values and
+    the blocks' literals. A generator: the shapes of one size are made
+    only after every smaller one was taken."""
     locs = sorted(
         set(lang.vars_of(B1)) | set(lang.vars_of(B2)) | set(budget.locations)
     )
+    values = budget.values.union(lang.literals_of(B1), lang.literals_of(B2))
     per_loc = [_location_counts(x, budget) for x in locs]
     parts = {}  # the _Parts of each location and size, made at first use
 
     def parts_of(i, k):
         if (i, k) not in parts:
-            parts[i, k] = _location_parts(locs[i], per_loc[i][k],
-                                          budget.values)
+            parts[i, k] = _location_parts(locs[i], per_loc[i][k], values)
         return parts[i, k]
 
     top = sum(max(d) for d in per_loc)
@@ -293,7 +332,8 @@ def context_shapes(B1, B2, budget: Budget):
 
 def enumerate_contexts(B1, B2, budget: Budget | None = None):
     """Canonical representatives of every context action set and atomicity
-    pairing within the budget, smallest first and within one size by
+    pairing within the budget, over its values and the blocks' literals,
+    smallest first and within one size by
     action signature: every shape of context_shapes, built."""
     if budget is None:
         budget = context_bound(B1, B2)
@@ -418,55 +458,6 @@ def _classes(pres, ctx, index, limit, table, masks_of, pruner=None):
     return classes, size
 
 
-def _context_key(ctx, renaming):
-    """The multisets of ctx's unpaired actions, as (kind, location, vals),
-    and of its LL/SC pairs, as (location, LL vals, SC vals), with every
-    value renamed: an enumerated context up to its action ids, as its R
-    is empty."""
-    ren = lambda vals: tuple(renaming.get(v, v) for v in vals)
-    byid = {a.aid: a for a in ctx.actions}
-    paired = {i for pair in ctx.S for i in pair}
-    lone = sorted((a.kind, a.gvar, ren(a.vals)) for a in ctx.actions
-                  if a.aid not in paired)
-    pairs = sorted((byid[ll].gvar, ren(byid[ll].vals), ren(byid[sc].vals))
-                   for (ll, sc) in ctx.S)
-    return tuple(lone), tuple(pairs)
-
-
-def _pair_keys(ctx, free):
-    """The key of each pair (ctx, sigma), as a function of the values
-    of sigma's locals in order, that is the same for a pair and its
-    image under a renaming of the free values. A key is its pair
-    renamed: the free values, ranked by their roles in the pair, become
-    the free values in order. A value's role is the kinds and locations
-    of the context actions that hold it, then the locals of sigma that
-    hold it; ties go by the value itself. So two pairs with one key are
-    renamings of each other, and a pair and its image share a key unless
-    two free values tie without being interchangeable, which only leaves
-    the image to be checked as well."""
-    target = sorted(free)
-    roles = {v: tuple(sorted((a.kind, a.gvar) for a in ctx.actions
-                             if v in a.vals))
-             for v in free}
-    # the roles in ctx, compared once per context as their ranks
-    ranks = {r: i for i, r in enumerate(sorted(set(roles.values())))}
-    rank = {v: ranks[r] for v, r in roles.items()}
-    # the ranking when ctx alone tells the free values apart
-    plain = (tuple(sorted(free, key=rank.get))
-             if len(ranks) == len(free) else None)
-    renamed = {}  # each ranking of the free values to ctx renamed by it
-
-    def key(vals):
-        order = plain or tuple(sorted(free, key=lambda v: (
-            rank[v], [x == v for x in vals], v)))
-        renaming = dict(zip(order, target))
-        if order not in renamed:
-            renamed[order] = _context_key(ctx, renaming)
-        return renamed[order], tuple(renaming.get(x, x) for x in vals)
-
-    return key
-
-
 def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
     """Does every cut execution of B1 under every reduced context have a
     history dominated by some execution of B2 under the same context?
@@ -483,21 +474,19 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
     items, each counted once per check, and B1's pre-executions with
     room are looked up once per distinct need and sigma. A (context,
     sigma) pair where none has room has no survivor and passes; it is
-    skipped before it is keyed or anything is built for it, and a
-    context without room under any sigma is never built. Each distinct
-    tuple of context ids gets one PairIndex.
+    skipped before anything is built for it. A context is built, with
+    its CutPruner and PairIndex, only once a pair of it is checked, and
+    each distinct tuple of context ids gets one PairIndex.
 
     The free values are those of the domain that neither block names
-    (lang.fixed_values). The histories and their refinement only compare
-    values for equality, so a permutation of the free values maps the
-    executions of both blocks under a (context, sigma) pair to those
-    under its image, and their histories alike: a pair passes exactly
-    when its image does, with as many executions on each side. A pair
-    with room is skipped when its key (_pair_keys), the same for all its
-    images, is that of a pair already checked, and so passed. The first
-    failing pair, its witness, and the pair where max_block_execs gives
-    Unknown stay those of the unreduced scan. With fewer than two free
-    values there is nothing to rename and no pair is keyed.
+    (lang.fixed_values). Histories and their refinement only compare
+    values for equality, so a permutation of the free values maps a
+    (context, sigma) pair's executions on both sides, their histories
+    and its room to those of its image. A pair with room is checked only
+    when it comes first in scan order among its images (_first_of_orbit).
+    The first failing pair and the pair where max_block_execs gives
+    Unknown are the first of their orbits, so they and the witness stay
+    those of the unreduced scan.
 
     Within a checked pair, B1's cut survivors are built one per orbit
     (cut.CutPruner with orbits): a permutation pi of interchangeable
@@ -560,12 +549,12 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
              "skeletons": 0}
     table = Skeletons()
     masks_of = {}  # the _SharedMasks of each skeleton class
-    free = budget.values - lang.fixed_values(B1) - lang.fixed_values(B2)
+    free = tuple(sorted(values - lang.fixed_values(B1)
+                        - lang.fixed_values(B2)))
     rooms = [[room(p.actions) for p in ps] for ps in pre1]
     fitting = {}  # B1's pre-executions with room for a need, per sigma
     indexes = {}  # the PairIndex of each tuple of context ids
     svals = [tuple(sigma[l] for l in locals_order) for sigma in sigmas]
-    checked = set()  # the keys of the pairs checked
     try:
         for shape in context_shapes(B1, B2, budget):
             stats["contexts"] += 1
@@ -578,21 +567,17 @@ def check_cut_refinement(B1, B2, budget: Budget | None = None) -> Verdict:
             if not any(fit):
                 stats["unfit"] += len(sigmas)
                 continue
-            ctx = _build_context(shape)
-            pruner = index = pair_key = None
+            ctx = pruner = index = None
             for i, sigma in enumerate(sigmas):
                 if not fit[i]:
                     stats["unfit"] += 1
                     continue
-                if len(free) > 1:
-                    if pair_key is None:
-                        pair_key = _pair_keys(ctx, free)
-                    key = pair_key(svals[i])
-                    if key in checked:
-                        stats["symmetric"] += 1
-                        continue
-                    checked.add(key)
-                if pruner is None:
+                if len(free) > 1 and not _first_of_orbit(shape, svals[i],
+                                                         free):
+                    stats["symmetric"] += 1
+                    continue
+                if ctx is None:
+                    ctx = _build_context(shape)
                     pruner = CutPruner(ctx.actions, ctx.S, orbits=True)
                     ids = tuple(a.aid for a in ctx.actions)
                     index = indexes.get(ids)

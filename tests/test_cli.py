@@ -471,6 +471,42 @@ def test_adversary_rejects_a_malformed_execution(mutate, message, tmp_path,
     assert rc == 3 and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: None, None),
+    (lambda d: _node(d, "call").update(values=[]),
+     "node 'call' has values [] for locals ['l']"),
+    (lambda d: d["locals"].append("m"),
+     "node 'call' has values [0] for locals ['l', 'm']"),
+    (lambda d: d.update(locals=["l", "l"]), "are not distinct names"),
+    (lambda d: d.update(locals=[0]), "are not distinct names"),
+    (lambda d: d.update(locals="l"), "are not distinct names"),
+], ids=["as reported", "call without values", "one more local",
+        "duplicate local", "integer local", "string of locals"])
+def test_adversary_rejects_boundary_values_that_miss_the_locals(
+        mutate, message, tmp_path, capsys):
+    # zipping the locals with call's or ret's values once dropped the
+    # unmatched ones, and the check reproduced the execution
+    report = tmp_path / "report.json"
+    assert main(["verify", str(CORPUS / "writeback_intro.tr"),
+                 "--json", str(report)]) == 1
+    d = json.loads(report.read_text())["witness"]["execution"]
+    mutate(d)
+    execfile = tmp_path / "exec.json"
+    execfile.write_text(json.dumps(d))
+    blockfile = tmp_path / "block.txt"
+    blockfile.write_text("l := ld(x); st(x,l)")
+    capsys.readouterr()
+    rc = main(
+        ["adversary", str(execfile), "--block", str(blockfile), "--check"]
+    )
+    captured = capsys.readouterr()
+    if message is None:
+        assert rc == 0 and "reproduction: ok" in captured.out
+    else:
+        assert rc == 3 and message in captured.err
+        assert "Traceback" not in captured.err
+
+
 # per subcommand, the valid contents of its input files in argument order
 _VALID = {
     "verify": [(CORPUS / "load_to_local_intro.tr").read_text()],

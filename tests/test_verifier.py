@@ -403,6 +403,20 @@ def test_a_cap_below_the_derived_one_is_refused(lower):
         check_cut_refinement(B1, B2, lower(base))
 
 
+def test_contexts_range_over_the_literals_the_budget_values_lack():
+    # the blocks run over the values and their literals; a context that
+    # could not hold 3 never loaded y=3, and the check answered Verified
+    B2, B1 = lang.parse_transformation(
+        "l := ld(x); if (l) { st(y,3) } ~> l := ld(x); st(y,3)")
+    base = context_bound(B1, B2)
+    assert base.values == {0, 1, 3}
+    assert check_cut_refinement(B1, B2, base).outcome == "Refuted"
+    narrow = dataclasses.replace(base, values=frozenset({0, 1}))
+    assert check_cut_refinement(B1, B2, narrow).outcome == "Refuted"
+    assert list(enumerate_contexts(B1, B2, narrow)) == list(
+        enumerate_contexts(B1, B2, base))
+
+
 @pytest.mark.parametrize(
     "b1,b2", [("fc", "skip"), ("skip", "fc"), ("ld(x)", "skip")]
 )
@@ -550,12 +564,28 @@ def _unfit(B1, B2, budget, pairs):
     return {pair for pair in pairs if unfit(*pair)}
 
 
+def _context_key(ctx, renaming):
+    """The multisets of ctx's unpaired actions, as (kind, location, vals),
+    and of its LL/SC pairs, as (location, LL vals, SC vals), with every
+    value renamed: an enumerated context up to its action ids, as its R
+    is empty."""
+    ren = lambda vals: tuple(renaming.get(v, v) for v in vals)
+    byid = {a.aid: a for a in ctx.actions}
+    paired = {i for pair in ctx.S for i in pair}
+    lone = sorted((a.kind, a.gvar, ren(a.vals)) for a in ctx.actions
+                  if a.aid not in paired)
+    pairs = sorted((byid[ll].gvar, ren(byid[ll].vals), ren(byid[sc].vals))
+                   for (ll, sc) in ctx.S)
+    return tuple(lone), tuple(pairs)
+
+
 def _renamed_images(B1, B2, budget, pairs):
     """Each of the pairs, keyed as _pair keys them and in scan order, that
     a permutation of the free values maps to an earlier pair not itself
     such an image, mapped to that earlier pair: of pairs with room, the
     ones that check_cut_refinement skips, with the checked pair each is
-    an image of."""
+    an image of. Every permutation of the free values is tried on every
+    pair, each renamed context keyed whole (_context_key)."""
     free = sorted(budget.values - lang.fixed_values(B1)
                   - lang.fixed_values(B2))
     if len(free) < 2:
@@ -564,7 +594,7 @@ def _renamed_images(B1, B2, budget, pairs):
     perms = [dict(zip(free, p)) for p in itertools.permutations(free)]
     checked, images = {}, {}
     for ctx, sigma in pairs:
-        keys = [(verifier._context_key(ctx, r),
+        keys = [(_context_key(ctx, r),
                  tuple((l, r.get(v, v)) for l, v in sigma)) for r in perms]
         image = next((checked[k] for k in keys if k in checked), None)
         if image is None:
@@ -581,10 +611,9 @@ def _scans_agree(B1, B2, budget):
     checked before it. The check must skip every pair without room, each
     of which the linear scan must find without cut survivors. Where
     pairs with room are renamed images, the check must skip just as
-    many, as no two free values of the rows here tie in role without
-    being interchangeable; the linear scan must give each the x1_cut, x2
-    and pass or fail of its checked image; and the checked and skipped
-    pairs must add up to its stats."""
+    many; the linear scan must give each the x1_cut, x2 and pass or fail
+    of its checked image; and the checked and skipped pairs must add up
+    to its stats."""
     slow_computed, fast_computed, pairs = [], [], {}
     slow = _linear_scan(B1, B2, budget, slow_computed, pairs)
     with pytest.MonkeyPatch.context() as mp:
@@ -619,7 +648,8 @@ def _scans_agree(B1, B2, budget):
 # transformations ("original ~> replacement") whose fixed values, those
 # no renaming may move, each hold something a context can tell apart: an
 # SC's or an =='s result 1, a literal, and a local that an if tests
-# against 0; and, at V=4, three free values with six permutations
+# against 0; at V=4, three free values with six permutations; and at
+# V=5, four free values with 24
 RENAMING_ROWS = [
     ("a := LL(x); s := SC(x,a); st(y,s) ~> a := LL(x); st(y,a)", 3),
     ("m := l == k; st(y,m) ~> m := l == k; st(y,m)", 3),
@@ -629,6 +659,8 @@ RENAMING_ROWS = [
     ("l := ld(x); if (l) { st(y,l) } ~> l := ld(x); st(y,l)", 3),
     ("st(x,l) ~> st(x,l)", 4),
     ("st(x,l) ~> st(x,l); st(x,l)", 4),
+    ("st(x,l) ~> st(x,l)", 5),
+    ("st(x,l); st(y,m) ~> st(y,m); st(x,l)", 5),
 ]
 
 
@@ -670,6 +702,31 @@ def test_renamed_pairs_keep_verdicts_on_random_blocks(b1, b2):
         mp.setattr(sys.modules[__name__], "enumerate_contexts",
                    enumerate_small)
         _scans_agree(B1, B2, context_bound(B1, B2, frozenset(range(3))))
+
+
+@pytest.mark.parametrize(
+    "row,nvalues", [(f, 3) for f in GENERATE_ROWS] + RENAMING_ROWS)
+def test_a_pair_is_checked_exactly_when_it_is_first_of_its_orbit(row,
+                                                                 nvalues):
+    # every pair with room, against the images that trying every
+    # permutation of the free values on every such pair finds; contexts
+    # of up to four actions, which keep the V=5 rows within seconds (a
+    # renaming keeps the size)
+    text = row if "~>" in row else (CORPUS / row).read_text()
+    B2, B1 = lang.parse_transformation(text)
+    budget = context_bound(B1, B2, frozenset(range(nvalues)))
+    _, locals_order, sigmas, _ = setup((B1, B2), budget.values)
+    free = tuple(sorted(budget.values - lang.fixed_values(B1)
+                        - lang.fixed_values(B2)))
+    pairs = {_pair(c, sigma): (s, tuple(sigma[l] for l in locals_order))
+             for s, c in _shapes_and_contexts(B1, B2, budget)
+             if _shape_size(s) <= 4 for sigma in sigmas}
+    unfit = _unfit(B1, B2, budget, pairs)
+    pairs = {p: args for p, args in pairs.items() if p not in unfit}
+    images = _renamed_images(B1, B2, budget, pairs)
+    assert [verifier._first_of_orbit(s, svals, free)
+            for s, svals in pairs.values()] == [
+                p not in images for p in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +829,8 @@ def test_an_sc_result_is_fixed_so_one_and_two_are_not_swapped():
 def test_a_larger_domain_adds_only_skipped_pairs():
     # st(x,l) names no value but 0; from V=4 on, each pair's orbit under
     # the renamings of the free values is there in full, so V=12, with
-    # 11! renamings, checks the pairs that V=4 checks and keys the rest
+    # 11! renamings, checks the pairs that V=4 checks and skips the rest,
+    # each the renamed image of one that comes before it in scan order
     B = lang.parse_block("st(x,l)")
     v4, v12 = (check_cut_refinement(B, B, context_bound(
         B, B, frozenset(range(n)))) for n in (4, 12))
