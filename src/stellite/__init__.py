@@ -42,4 +42,13 @@ from .verifier import (  # noqa: F401
     context_bound,
     enumerate_contexts,
 )
-from .adversary import build_context, reproduce  # noqa: F401
+
+
+def __getattr__(name):
+    """build_context and reproduce, from the adversary module, which no
+    verdict needs and which is imported on their first use (PEP 562)."""
+    if name in ("build_context", "reproduce"):
+        from . import adversary
+
+        return getattr(adversary, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

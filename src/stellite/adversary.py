@@ -10,7 +10,7 @@ mismatch writes the observable error variable and halts the thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import lang
 from .axiomatic import (
@@ -39,8 +39,7 @@ CALL_MARK = "kcall"
 RET_MARK = "kret"
 
 
-@dataclass
-class AdversaryContext:
+class AdversaryContext(NamedTuple):
     program: Program  # with one hole
     watch_r: dict  # R edge -> watchdog variable
     watch_h: dict  # monitored edge -> monitor variable

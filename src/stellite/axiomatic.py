@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 READ_KINDS = frozenset({"load", "load_NA", "LL"})
@@ -19,8 +18,7 @@ WRITE_KINDS = frozenset({"store", "store_NA", "SC"})
 NA_KINDS = frozenset({"load_NA", "store_NA"})
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     """One memory event.
 
     vals has length 1 for memory actions, 0 for a failed SC, and one entry
@@ -58,8 +56,7 @@ def is_atomic_write(a: Action) -> bool:
     return a.kind in ("store", "SC")
 
 
-@dataclass(frozen=True)
-class Execution:
+class Execution(NamedTuple):
     actions: tuple[Action, ...]
     sb: frozenset
     at: frozenset
@@ -554,16 +551,14 @@ class BudgetExceeded(Exception):
 # whole-program enumeration
 
 
-@dataclass
-class EnumConfig:
+class EnumConfig(NamedTuple):
     values: frozenset = frozenset({0, 1})
     mode: str = "AT"  # "NA": report races in EnumResult.unsafe
     limit: int | None = 2_000_000
     thread_prefilter: object = None  # predicate over a thread's action tuple
 
 
-@dataclass
-class EnumResult:
+class EnumResult(NamedTuple):
     executions: list
     outcomes: list  # per execution: tuple of per-thread final VMaps
     unsafe: bool | None = None

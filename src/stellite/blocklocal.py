@@ -10,7 +10,7 @@ block entry and exit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import lang
 from .axiomatic import (
@@ -31,8 +31,7 @@ CALL = "call"
 RET = "ret"
 
 
-@dataclass(frozen=True)
-class CutContext:
+class CutContext(NamedTuple):
     actions: tuple  # context Actions
     R: frozenset = frozenset()  # pairs over action ids plus 'call'/'ret'
     S: frozenset = frozenset()  # (LL id, SC id) pairs

@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, adversary, lang, verifier
+from . import __version__, lang, verifier
 from .axiomatic import (
     READ_KINDS,
     WRITE_KINDS,
@@ -222,7 +222,7 @@ def cmd_verify(args) -> int:
     B2, B1 = lang.parse_transformation(text)
     budget = verifier.context_bound(B1, B2, frozenset(range(args.values)))
     if args.max_execs is not None:
-        budget.max_block_execs = args.max_execs
+        budget = budget._replace(max_block_execs=args.max_execs)
     t0 = time.perf_counter()
     verdict = check_cut_refinement(B1, B2, budget)
     dt = time.perf_counter() - t0
@@ -364,6 +364,8 @@ def cmd_instance(args) -> int:
 
 
 def cmd_adversary(args) -> int:
+    from . import adversary
+
     X = execution_from_json(json.loads(Path(args.execfile).read_text()))
     broken = check_axioms(X)
     if broken is not None:

@@ -10,14 +10,13 @@ instead; refines reads those edges off G, so D does not list them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .axiomatic import READ_KINDS, WRITE_KINDS, Execution, mo_orders_of
 from .blocklocal import CALL, RET, contx_of, in_r_shape
 
 
-@dataclass(frozen=True)
-class History:
+class History(NamedTuple):
     A: frozenset  # context actions plus boundary actions, by value
     G: frozenset  # guarantee edges over ids
     D: frozenset = frozenset()  # deny edges over ids

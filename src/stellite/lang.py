@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .axiomatic import Action, PreExecution
 
@@ -28,58 +28,49 @@ class ParseError(Exception):
 # expressions: ("lit", n) | ("var", l) | ("eq", a, b) | ("ne", a, b)
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(NamedTuple):
     lhs: str
     expr: tuple
 
 
-@dataclass(frozen=True)
-class LoadStmt:
+class LoadStmt(NamedTuple):
     lhs: str | None  # None for a bare load that discards the value
     gvar: str
     na: bool = False
 
 
-@dataclass(frozen=True)
-class StoreStmt:
+class StoreStmt(NamedTuple):
     gvar: str
     src: tuple  # ("var", l) | ("lit", n)
     na: bool = False
 
 
-@dataclass(frozen=True)
-class LLStmt:
+class LLStmt(NamedTuple):
     lhs: str
     gvar: str
 
 
-@dataclass(frozen=True)
-class SCStmt:
+class SCStmt(NamedTuple):
     lhs: str
     gvar: str
     src: str
 
 
-@dataclass(frozen=True)
-class FenceStmt:
+class FenceStmt(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class IfStmt:
+class IfStmt(NamedTuple):
     cond: str
     then: tuple
     els: tuple
 
 
-@dataclass(frozen=True)
-class HoleStmt:
+class HoleStmt(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class CodeRegion:
+class CodeRegion(NamedTuple):
     """Marks the statements of a code-block substituted into a context's
     hole: LL/SC reservations do not span its boundary (check_wellformed).
     The thread-local semantics runs its body in place."""
@@ -87,9 +78,28 @@ class CodeRegion:
     body: tuple
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     threads: tuple  # tuple of statement tuples
+
+
+def _same(a, b):
+    return type(a) is type(b) and tuple.__eq__(a, b)
+
+
+def _differ(a, b):
+    return not _same(a, b)
+
+
+def _hash(s):
+    return hash((type(s), tuple.__hash__(s)))
+
+
+# As plain tuples FenceStmt() == HoleStmt() == () and LLStmt("a", "x") ==
+# ("a", "x"); the AST compares and hashes by type as well.
+for _cls in (Assign, LoadStmt, StoreStmt, LLStmt, SCStmt, FenceStmt, IfStmt,
+             HoleStmt, CodeRegion, Program):
+    _cls.__eq__, _cls.__ne__, _cls.__hash__ = _same, _differ, _hash
+del _cls
 
 
 Block = tuple  # a block is a tuple of statements

@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import lang
 from .axiomatic import (
@@ -50,8 +51,7 @@ from .history import (
 )
 
 
-@dataclass
-class Budget:
+class Budget(NamedTuple):
     """Per-location caps on context actions, and the execution cap.
 
     reads and writes cap the context reads and writes of a location;
@@ -68,7 +68,7 @@ class Budget:
 
     reads: dict
     writes: dict
-    pairs: dict = field(default_factory=dict)
+    pairs: dict = MappingProxyType({})
     values: frozenset = frozenset({0, 1})
     max_block_execs: int | None = 200_000
 
@@ -77,8 +77,7 @@ class Budget:
         return sorted(set(self.reads) | set(self.writes) | set(self.pairs))
 
 
-@dataclass
-class Witness:
+class Witness(NamedTuple):
     context: CutContext
     sigma: dict
     execution: object
@@ -86,11 +85,10 @@ class Witness:
     candidates: list
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     outcome: str  # 'Verified' | 'Refuted' | 'Unknown'
+    stats: dict
     witness: Witness | None = None
-    stats: dict = field(default_factory=dict)
 
     def __bool__(self):
         return self.outcome == "Verified"

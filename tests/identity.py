@@ -75,10 +75,14 @@ def verify_rows():
 
 
 def _canon(x):
-    """x as nested lists, with sets sorted, dataclasses by field and
-    histories by A, G and D."""
+    """x as nested lists, with sets sorted, records by field and
+    histories by A, G and D. A record is a NamedTuple, or a dataclass in
+    a checkout that still has them; both kinds are written alike."""
     if hasattr(x, "A") and hasattr(x, "G"):
         return ["history", _canon(x.A), _canon(x.G), _canon(x.D)]
+    if isinstance(x, tuple) and hasattr(x, "_fields"):
+        return [type(x).__name__] + [
+            [f, _canon(getattr(x, f))] for f in x._fields]
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return [type(x).__name__] + [
             [f.name, _canon(getattr(x, f.name))]

@@ -1,6 +1,5 @@
 """Adversarial context synthesis and the reproduction self-test."""
 
-import dataclasses
 import re
 from pathlib import Path
 
@@ -91,12 +90,12 @@ def test_mutated_return_vector_fails_to_reproduce():
     B, _ = forced_read_instance()
     X = forced_read_instance_execs()[0]
     acts = tuple(
-        dataclasses.replace(a, vals=(1 - a.vals[0], a.vals[1]))
+        a._replace(vals=(1 - a.vals[0], a.vals[1]))
         if a.aid == RET
         else a
         for a in X.actions
     )
-    mutated = dataclasses.replace(X, actions=acts)
+    mutated = X._replace(actions=acts)
     assert not reproduce(mutated, B)
 
 
@@ -148,8 +147,8 @@ def test_a_mutated_fence_witness_fails_to_reproduce():
                     if r[0] == "fence_load_exchange.tr"]
     assert any(a.gvar == lang.FENCE_VAR for a in contx_of(X))
     acts = tuple(
-        dataclasses.replace(a, vals=tuple(1 - v for v in a.vals))
+        a._replace(vals=tuple(1 - v for v in a.vals))
         if a.aid == RET else a
         for a in X.actions
     )
-    assert not reproduce(dataclasses.replace(X, actions=acts), B1)
+    assert not reproduce(X._replace(actions=acts), B1)

@@ -1,6 +1,5 @@
 """The redundancy filter over block-local executions."""
 
-import dataclasses
 import itertools
 from pathlib import Path
 
@@ -318,9 +317,8 @@ def _relabel(X, pi):
     """X with its action ids moved by pi in every relation."""
     move = lambda rel: frozenset((pi.get(u, u), pi.get(v, v))
                                  for (u, v) in rel)
-    return dataclasses.replace(X, sb=move(X.sb), at=move(X.at),
-                               rf=move(X.rf), mo=move(X.mo),
-                               hb=move(X.hb), r_ctx=move(X.r_ctx))
+    return X._replace(sb=move(X.sb), at=move(X.at), rf=move(X.rf),
+                      mo=move(X.mo), hb=move(X.hb), r_ctx=move(X.r_ctx))
 
 
 def _one_survivor_per_orbit(pres, ctx):

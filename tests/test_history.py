@@ -1,6 +1,5 @@
 """Histories, their deny edges and their refinement order."""
 
-import dataclasses
 import functools
 import itertools
 from pathlib import Path
@@ -285,7 +284,7 @@ def test_class_masks_match_the_flattened_executions_and_the_oracle(data):
     pre = PreExecution(X.actions, X.sb, X.at, X.r_ctx)
     index = PairIndex(a.aid for a in contx_of(X))
     flat = list(complete(pre))
-    assert dataclasses.replace(X, locals_order=()) in flat
+    assert X._replace(locals_order=()) in flat
     classes = ((pre, *c) for c in rf_classes(pre))
     for Y in _assert_classes_match(classes, flat, index):
         # the deny and acyclicity edges by their definitions, not through

@@ -49,6 +49,22 @@ def test_skip_is_the_empty_block():
     assert pre_executions("skip") == [((), frozenset(), {})]
 
 
+def test_statements_compare_and_hash_by_type():
+    assert FenceStmt() != HoleStmt() and not FenceStmt() == HoleStmt()
+    assert FenceStmt() != () and () != FenceStmt()
+    assert LLStmt("a", "x") != ("a", "x") and ("a", "x") != LLStmt("a", "x")
+    assert Program(((),)) != lang.CodeRegion(((),))
+    assert IfStmt("c", (FenceStmt(),), ()) != IfStmt("c", (HoleStmt(),), ())
+    assert len({FenceStmt(), HoleStmt()}) == 2
+    text = "a := LL(x); fc; if (a) { st(x, 1) } else { b := SC(x, a) }"
+    B, again = lang.parse_block(text), lang.parse_block(text)
+    assert B is not again
+    for s, t in zip(B, again, strict=True):
+        assert s == t and not s != t and hash(s) == hash(t)
+    assert B == again and hash(B) == hash(again)
+    assert B[1] == FenceStmt() and hash(B[1]) == hash(FenceStmt())
+
+
 def test_sc_without_preceding_ll_is_rejected():
     with pytest.raises(ParseError):
         lang.parse_block("m := SC(x, l)")

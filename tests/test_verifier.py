@@ -1,6 +1,5 @@
 """Context bounds, context enumeration and the refinement checks."""
 
-import dataclasses
 import itertools
 import math
 import sys
@@ -388,9 +387,9 @@ def test_enlarging_the_budget_never_flips_refuted_to_verified(b1, b2):
 
 @pytest.mark.parametrize("lower", [
     lambda b: Budget(reads={}, writes={}, values=b.values),
-    lambda b: dataclasses.replace(b, pairs={}),
-    lambda b: dataclasses.replace(b, reads={**b.reads, "x": b.reads["x"] - 1}),
-    lambda b: dataclasses.replace(b, writes={**b.writes, "x": 0}),
+    lambda b: b._replace(pairs={}),
+    lambda b: b._replace(reads={**b.reads, "x": b.reads["x"] - 1}),
+    lambda b: b._replace(writes={**b.writes, "x": 0}),
 ], ids=["no caps", "no pairs", "one read fewer", "no writes"])
 def test_a_cap_below_the_derived_one_is_refused(lower):
     # a whole program shows writeback_elim unsound (below); with the
@@ -411,7 +410,7 @@ def test_contexts_range_over_the_literals_the_budget_values_lack():
     base = context_bound(B1, B2)
     assert base.values == {0, 1, 3}
     assert check_cut_refinement(B1, B2, base).outcome == "Refuted"
-    narrow = dataclasses.replace(base, values=frozenset({0, 1}))
+    narrow = base._replace(values=frozenset({0, 1}))
     assert check_cut_refinement(B1, B2, narrow).outcome == "Refuted"
     assert list(enumerate_contexts(B1, B2, narrow)) == list(
         enumerate_contexts(B1, B2, base))
@@ -431,7 +430,7 @@ def test_overflowing_the_execution_budget_reports_unknown():
     B1 = lang.parse_block("l := ld(x)")
     B2 = lang.parse_block("l := ld(x)")
     budget = context_bound(B1, B2)
-    budget = dataclasses.replace(budget, max_block_execs=0)
+    budget = budget._replace(max_block_execs=0)
     v = check_cut_refinement(B1, B2, budget)
     assert v.outcome == "Unknown"
     assert "error" in v.stats
@@ -450,9 +449,9 @@ def test_the_execution_budget_caps_cut_survivors_on_the_b1_side():
     survivors = peak(B1, True)
     # B1's unfiltered executions would overflow a cap its survivors fit
     assert peak(B2, False) <= survivors < peak(B1, False)
-    within = dataclasses.replace(budget, max_block_execs=survivors)
+    within = budget._replace(max_block_execs=survivors)
     assert check_cut_refinement(B1, B2, within).outcome == "Verified"
-    below = dataclasses.replace(budget, max_block_execs=survivors - 1)
+    below = budget._replace(max_block_execs=survivors - 1)
     assert check_cut_refinement(B1, B2, below).outcome == "Unknown"
 
 
@@ -462,7 +461,7 @@ def test_the_execution_cap_gives_the_table_verdict_or_unknown(fname, want):
     B2, B1 = lang.parse_transformation((CORPUS / fname).read_text())
     budget = context_bound(B1, B2)
     for cap in (0, 1, 10, 100):
-        capped = dataclasses.replace(budget, max_block_execs=cap)
+        capped = budget._replace(max_block_execs=cap)
         assert check_cut_refinement(B1, B2, capped).outcome in (
             want, "Unknown"), cap
 
@@ -780,8 +779,7 @@ def test_one_survivor_per_orbit_keeps_the_verdict(row, nvalues):
     if nvalues == 2:
         # the execution cap gives Unknown at the same pair
         for cap in (1, 10, 100):
-            _orbits_agree(B1, B2, dataclasses.replace(
-                budget, max_block_execs=cap))
+            _orbits_agree(B1, B2, budget._replace(max_block_execs=cap))
 
 
 _ORBIT_STATEMENTS = st.lists(st.sampled_from([
