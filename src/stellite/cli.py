@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, lang, verifier
+from . import __version__, lang
 from .axiomatic import (
     READ_KINDS,
     WRITE_KINDS,
@@ -26,9 +26,7 @@ from .axiomatic import (
     is_na,
     safe,
 )
-from .blocklocal import CutContext
 from .lang import ParseError
-from .verifier import check_cut_refinement, check_q_instance
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +171,8 @@ def parse_context_file(text) -> CutContext:
     """
     import re
 
+    from .blocklocal import CutContext
+
     acts, R, S = [], set(), set()
     kinds = {"ld": "load", "ldna": "load_NA", "st": "store",
              "stna": "store_NA", "LL": "LL", "SC": "SC"}
@@ -218,9 +218,11 @@ def parse_context_file(text) -> CutContext:
 
 
 def cmd_verify(args) -> int:
+    from .verifier import check_cut_refinement, context_bound
+
     text = Path(args.file).read_text()
     B2, B1 = lang.parse_transformation(text)
-    budget = verifier.context_bound(B1, B2, frozenset(range(args.values)))
+    budget = context_bound(B1, B2, frozenset(range(args.values)))
     if args.max_execs is not None:
         budget = budget._replace(max_block_execs=args.max_execs)
     t0 = time.perf_counter()
@@ -306,23 +308,40 @@ def _outcome(spec):
     return want
 
 
+def _outcome_names(prog):
+    """For each thread, the name of each of its locals in an outcome:
+    t<i>.<local>, the prefix of the thread's action ids, for a local
+    that another thread has too, else the local itself."""
+    locs = [lang.locals_of(th) for th in prog.threads]
+    seen, shared = set(), set()
+    for ls in locs:
+        shared |= seen.intersection(ls)
+        seen.update(ls)
+    return [{l: f"t{i}.{l}" if l in shared else l for l in ls}
+            for i, ls in enumerate(locs)]
+
+
 def cmd_simulate(args) -> int:
     want = None if args.forbid is None else _outcome(args.forbid)
     text = Path(args.litmus).read_text()
     prog = lang.parse_program(text)
-    bad = [k for k in want or () if k not in lang.locals_of(prog)]
-    if bad:
-        raise ValueError(f"--forbid names {bad[0]!r}, a local no thread has")
+    names = _outcome_names(prog)
+    known = {n for ns in names for n in ns.values()}
+    for k in want or ():
+        qualified = [ns[k] for ns in names if ns.get(k, k) != k]
+        if qualified:
+            raise ValueError(f"--forbid names {k!r}, a local of more than"
+                             f" one thread; name {' or '.join(qualified)}")
+        if k not in known:
+            raise ValueError(f"--forbid names {k!r}, a local no thread has")
     na = bool(lang.na_vars_of(prog))
     values = frozenset(range(args.values))
     res = enumerate_program(prog, EnumConfig(values=values,
                                              mode="NA" if na else "AT"))
     outcomes = {}
-    for X, sigmas in zip(res.executions, res.outcomes):
-        merged = {}
-        for sg in sigmas:
-            merged.update(sg)
-        key = tuple(sorted(merged.items()))
+    for sigmas in res.outcomes:
+        key = tuple(sorted((ns[l], v) for ns, sg in zip(names, sigmas)
+                           for l, v in sg.items()))
         outcomes.setdefault(key, 0)
         outcomes[key] += 1
     print(f"{len(res.executions)} valid executions,"
@@ -354,6 +373,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_instance(args) -> int:
+    from .verifier import check_q_instance
+
     B2, B1 = lang.parse_transformation(Path(args.file).read_text())
     ctx = parse_context_file(Path(args.context).read_text())
     values = frozenset(range(args.values))

@@ -114,195 +114,221 @@ def threads_of(p) -> tuple:
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
-_TOKEN = re.compile(
-    r"""(?P<ws>\s+|\#[^\n]*)
-      | (?P<hole>\{-\})
-      | (?P<sym>\|\|\||~>|:=|==|!=|[(){},;])
-      | (?P<int>\d+)
-      | (?P<id>[A-Za-z_][A-Za-z_0-9]*)
-    """,
-    re.VERBOSE,
-)
+_TOKENS = r"[A-Za-z_][A-Za-z_0-9]*|[(),;]|\d+|:=|\|\|\||\{-\}|[{}]|~>|==|!="
+_ONE_TOKEN = re.compile(_TOKENS)
+# Each match skips whitespace and comments and takes into group 1 a
+# token, or "" at the end. From a character that starts no token it takes
+# the rest of the text, so only the last token can be bad, and group 1
+# never fails, so no match backtracks into a comment.
+_TOKEN = re.compile(r"\s*(?:#[^\n]*\s*)*(" + _TOKENS + r"|[\s\S]+|$)")
+_ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_BARE = {"{-}": HoleStmt(), "skip": None, "fc": FenceStmt()}  # one-token
 
 
 def _tokenize(text):
-    toks, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r} at {pos}")
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        kind = m.lastgroup
-        val = m.group()
-        toks.append((kind, val, m.start()))
+    """The tokens of text as strings, in one pass; ParseError at the
+    first character that starts no token."""
+    toks = list(filter(None, _TOKEN.findall(text)))
+    if toks and not _ONE_TOKEN.fullmatch(toks[-1]):
+        pos = len(text) - len(toks[-1])
+        raise ParseError(f"unexpected character {text[pos]!r} at {pos}")
     return toks
 
 
-def _where(p, v):
-    """Where the token v at position p stands, or the end of input, for an
-    error message."""
-    return "at end of input" if p is None else f"at {p}, found {v!r}"
+def _spans(text):
+    """The (position, token) of each token of text, lexed as _tokenize
+    lexes it; only error messages need the positions."""
+    return [(m.start(1), m[1]) for m in _TOKEN.finditer(text) if m[1]]
 
 
 class _Parser:
+    """Walks the tokens by index; None stands after the last one. A
+    token's first character tells its kind: a digit starts a number, a
+    letter or _ a name."""
+
     def __init__(self, text):
-        self.toks = _tokenize(text)
-        self.i = 0
+        self.text, self.toks, self.i = text, _tokenize(text) + [None], 0
 
-    def peek(self):
-        """The next token, or (None, None, None) at the end of input."""
-        return self.toks[self.i] if self.i < len(self.toks) else (None,) * 3
+    def _at(self, i):
+        """The position and text of token i, or (None, None) at the end."""
+        spans = _spans(self.text)
+        return spans[i] if i < len(spans) else (None, None)
 
-    def next(self):
-        t = self.peek()
-        self.i += 1
-        return t
+    def _expected(self, what):
+        """The error for the next token, where what was expected."""
+        p, v = self._at(self.i)
+        where = "at end of input" if p is None else f"at {p}, found {v!r}"
+        return ParseError(f"expected {what} {where}")
+
+    def accept(self, val):
+        """Step over the next token if it is val; whether it was."""
+        if self.toks[self.i] == val:
+            self.i += 1
+            return True
+        return False
 
     def expect(self, val):
-        k, v, p = self.next()
-        if v != val:
-            raise ParseError(f"expected {val!r} {_where(p, v)}")
-        return v
-
-    def at(self, val):
-        return self.peek()[1] == val
-
-    def done(self):
-        return self.i >= len(self.toks)
+        if self.toks[self.i] != val:
+            raise self._expected(repr(val))
+        self.i += 1
 
     def end(self):
         """Fail unless every token was consumed."""
-        if not self.done():
-            k, v, pos = self.peek()
-            raise ParseError(f"trailing input at {pos}: {v!r}")
+        if self.toks[self.i] is not None:
+            p, v = self._at(self.i)
+            raise ParseError(f"trailing input at {p}: {v!r}")
 
     # blocks -----------------------------------------------------------
 
-    def stmts(self, stop=()):
-        out = []
-        while not self.done() and self.peek()[1] not in stop:
+    def stmts(self, stop=None):
+        toks, out = self.toks, []
+        while toks[self.i] not in (None, stop):
             s = self.stmt()
             if s is not None:
                 out.append(s)
-            if self.at(";"):
-                self.next()
-            else:
+            if toks[self.i] != ";":
                 break
+            self.i += 1
         return tuple(out)
 
+    def _braced(self):
+        self.expect("{")
+        b = self.stmts("}")
+        self.expect("}")
+        return b
+
     def _atom(self):
-        k, v, p = self.next()
-        if k == "int":
-            return ("lit", int(v))
-        if k == "id":
-            return ("var", v)
-        raise ParseError(f"expected value or local {_where(p, v)}")
+        t = self.toks[self.i]
+        if t is not None and (t[0].isdecimal() or t[0] in _ID_START):
+            self.i += 1
+            return ("lit", int(t)) if t[0].isdecimal() else ("var", t)
+        raise self._expected("value or local")
+
+    def _name(self, what="local"):
+        t = self.toks[self.i]
+        if t is None or t[0] not in _ID_START:
+            raise self._expected(what)
+        self.i += 1
+        return t
 
     def stmt(self):
-        k, v, p = self.peek()
-        if k == "hole":
-            self.next()
-            return HoleStmt()
-        if v == "skip":
-            self.next()
-            return None
-        if v == "fc":
-            self.next()
-            return FenceStmt()
-        if v in ("st", "stna"):
+        t = self.toks[self.i]
+        if t in _BARE:
+            self.i += 1
+            return _BARE[t]
+        if t == "st" or t == "stna":
             g, src = self._access(self._atom)
-            return StoreStmt(g, src, na=(v == "stna"))
-        if v in ("ld", "ldna"):
-            return LoadStmt(None, self._access()[0], na=(v == "ldna"))
-        if v == "if":
-            self.next()
+            return StoreStmt(g, src, na=(t == "stna"))
+        if t == "ld" or t == "ldna":
+            return LoadStmt(None, self._access()[0], na=(t == "ldna"))
+        if t == "if":
+            self.i += 1
             self.expect("(")
-            cond = self._name("local")
+            cond = self._name()
             self.expect(")")
-            self.expect("{")
-            then = self.stmts(stop=("}",))
-            self.expect("}")
-            els = ()
-            if self.at("else"):
-                self.next()
-                self.expect("{")
-                els = self.stmts(stop=("}",))
-                self.expect("}")
+            then = self._braced()
+            els = self._braced() if self.accept("else") else ()
             return IfStmt(cond, then, els)
-        if k == "id":
-            self.next()
-            self.expect(":=")
-            k2, v2, _ = self.peek()
-            if v2 in ("ld", "ldna"):
-                return LoadStmt(v, self._access()[0], na=(v2 == "ldna"))
-            if v2 == "LL":
-                return LLStmt(v, self._access()[0])
-            if v2 == "SC":
-                g, src = self._access(lambda: self._name("local"))
-                return SCStmt(v, g, src)
-            a = self._atom()
-            if self.peek()[1] in ("==", "!="):
-                _, op, _ = self.next()
-                b = self._atom()
-                return Assign(v, ("eq" if op == "==" else "ne", a, b))
-            return Assign(v, a)
-        raise ParseError(f"unexpected token {v!r} at {p}")
-
-    def _name(self, what):
-        k, v, p = self.next()
-        if k != "id":
-            raise ParseError(f"expected {what} {_where(p, v)}")
-        return v
+        if t[0] not in _ID_START:
+            p, v = self._at(self.i)
+            raise ParseError(f"unexpected token {v!r} at {p}")
+        self.i += 1
+        self.expect(":=")
+        op = self.toks[self.i]
+        if op == "ld" or op == "ldna":
+            return LoadStmt(t, self._access()[0], na=(op == "ldna"))
+        if op == "LL":
+            return LLStmt(t, self._access()[0])
+        if op == "SC":
+            g, src = self._access(self._name)
+            return SCStmt(t, g, src)
+        a = self._atom()
+        if self.accept("=="):
+            return Assign(t, ("eq", a, self._atom()))
+        if self.accept("!="):
+            return Assign(t, ("ne", a, self._atom()))
+        return Assign(t, a)
 
     def _access(self, arg=None):
         """An access op(global[, arg]) from its op on: the global and,
         given arg, what arg parses after the comma (else None)."""
-        self.next()
+        self.i += 1
         self.expect("(")
-        g, val = self._global(), None
+        g, val = self._name("global name"), None
+        if g == FENCE_VAR:
+            raise ParseError(f"{FENCE_VAR!r} is reserved for fences")
         if arg is not None:
             self.expect(",")
             val = arg()
         self.expect(")")
         return g, val
 
-    def _global(self):
-        v = self._name("global name")
-        if v == FENCE_VAR:
-            raise ParseError(f"{FENCE_VAR!r} is reserved for fences")
-        return v
-
 
 # ---------------------------------------------------------------------------
 # well-formedness
 
+_AT, _NA = 1, 2  # how a global is accessed: atomically, non-atomically
 
-def _check_llsc(stmts, pending):
-    """Walk a statement sequence tracking which locations hold an unconsumed
-    LL reservation; SC without one is a pairing error."""
-    for s in stmts:
-        if isinstance(s, LLStmt):
-            pending[s.gvar] = True
-        elif isinstance(s, SCStmt):
-            if not pending.get(s.gvar):
-                raise ParseError(
-                    f"SC on {s.gvar!r} without a preceding LL"
-                )
-            pending[s.gvar] = False
-        elif isinstance(s, IfStmt):
-            p1, p2 = dict(pending), dict(pending)
-            _check_llsc(s.then, p1)
-            _check_llsc(s.els, p2)
-            for g in set(p1) | set(p2):
-                pending[g] = p1.get(g, False) and p2.get(g, False)
-        elif isinstance(s, CodeRegion):
-            # reservations never span the block/context boundary
-            _check_llsc(s.body, {})
-            for g in list(pending):
-                pending[g] = False
-    return pending
+
+def _scan(threads):
+    """One walk over every statement of threads in source order: the
+    accesses of each global (a mask of _AT and _NA, by first use), the
+    global of each SC without a preceding LL, and the number of holes.
+    An LL reserves its location until an SC there; a reservation holds
+    after an if when both branches keep it, and none spans the boundary
+    of a code region."""
+    uses, unpaired, holes = {}, [], 0
+
+    def walk(stmts, pending):
+        nonlocal holes
+        for s in stmts:
+            kind = type(s)
+            if kind is LoadStmt or kind is StoreStmt:
+                uses[s.gvar] = uses.get(s.gvar, 0) | (_NA if s.na else _AT)
+            elif kind is LLStmt or kind is SCStmt:
+                uses[s.gvar] = uses.get(s.gvar, 0) | _AT
+                if kind is LLStmt:
+                    pending.add(s.gvar)
+                elif s.gvar in pending:
+                    pending.remove(s.gvar)
+                else:
+                    unpaired.append(s.gvar)
+            elif kind is IfStmt:
+                pending = (walk(s.then, set(pending))
+                           & walk(s.els, set(pending)))
+            elif kind is CodeRegion:
+                walk(s.body, set())
+                pending = set()
+            elif kind is HoleStmt:
+                holes += 1
+        return pending
+
+    for th in threads:
+        walk(th, set())
+    return uses, unpaired, holes
+
+
+def _check(threads, blocks=False):
+    """Raise the first broken syntactic invariant of threads: no hole in
+    blocks, LL/SC pairing, atomic/NA partitioning of globals, at most one
+    hole."""
+    uses, unpaired, holes = _scan(threads)
+    if blocks and holes:
+        raise ParseError("code-blocks may not contain holes")
+    if unpaired:
+        raise ParseError(f"SC on {unpaired[0]!r} without a preceding LL")
+    for g, m in uses.items():
+        if m == _AT | _NA:
+            raise ParseError(f"global {g!r} used both atomically and"
+                             " non-atomically")
+    if holes > 1:
+        raise ParseError("more than one hole in context")
+
+
+def check_wellformed(p):
+    """p, if its syntactic invariants hold (_check); else ParseError."""
+    _check(threads_of(p))
+    return p
 
 
 def _stmts(stmts):
@@ -337,38 +363,6 @@ def _written(s):
     return None
 
 
-def _gvar_uses(stmts, uses):
-    for s in _stmts(stmts):
-        if isinstance(s, (LoadStmt, StoreStmt)):
-            uses.setdefault(s.gvar, set()).add("na" if s.na else "at")
-        elif isinstance(s, (LLStmt, SCStmt)):
-            uses.setdefault(s.gvar, set()).add("at")
-    return uses
-
-
-def check_wellformed(p):
-    """Syntactic invariants: LL/SC pairing, atomic/NA partitioning of
-    globals, at most one hole."""
-    uses = {}
-    holes = 0
-    for th in threads_of(p):
-        _check_llsc(th, {})
-        _gvar_uses(th, uses)
-        holes += _count_holes(th)
-    for g, m in uses.items():
-        if len(m) > 1:
-            raise ParseError(
-                f"global {g!r} used both atomically and non-atomically"
-            )
-    if holes > 1:
-        raise ParseError("more than one hole in context")
-    return p
-
-
-def _count_holes(stmts):
-    return sum(isinstance(s, HoleStmt) for s in _stmts(stmts))
-
-
 # ---------------------------------------------------------------------------
 # entry points
 
@@ -377,21 +371,18 @@ def parse_block(text) -> Block:
     p = _Parser(text)
     b = p.stmts()
     p.end()
-    if _count_holes(b):
-        raise ParseError("code-blocks may not contain holes")
-    check_wellformed(b)
+    _check((b,), blocks=True)
     return b
 
 
 def parse_program(text) -> Program:
     p = _Parser(text)
-    threads = [p.stmts(stop=("|||",))]
-    while p.at("|||"):
-        p.next()
-        threads.append(p.stmts(stop=("|||",)))
+    threads = [p.stmts("|||")]
+    while p.accept("|||"):
+        threads.append(p.stmts("|||"))
     p.end()
     prog = Program(tuple(threads))
-    check_wellformed(prog)
+    _check(prog.threads)
     return prog
 
 
@@ -400,14 +391,11 @@ def parse_transformation(text):
     B2 is the original block and B1 the replacement to be checked
     against it."""
     p = _Parser(text)
-    lhs = p.stmts(stop=("~>",))
+    lhs = p.stmts("~>")
     p.expect("~>")
     rhs = p.stmts()
     p.end()
-    for b in (lhs, rhs):
-        if _count_holes(b):
-            raise ParseError("code-blocks may not contain holes")
-    check_wellformed(Program((lhs, rhs)))
+    _check((lhs, rhs), blocks=True)
     return lhs, rhs
 
 
@@ -417,19 +405,12 @@ def parse_transformation(text):
 
 def vars_of(p) -> frozenset:
     """Globals syntactically accessed; never contains the fence variable."""
-    return frozenset(_gvar_uses_flat(p))
-
-
-def _gvar_uses_flat(p):
-    uses = {}
-    for th in threads_of(p):
-        _gvar_uses(th, uses)
-    return uses
+    return frozenset(_scan(threads_of(p))[0])
 
 
 def na_vars_of(p) -> frozenset:
     return frozenset(
-        g for g, m in _gvar_uses_flat(p).items() if "na" in m
+        g for g, m in _scan(threads_of(p))[0].items() if m & _NA
     )
 
 

@@ -14,6 +14,11 @@ PYTHONHASHSEED=0 over the same inputs:
   its actions A, guarantee G and deny D;
 - enumerate_program on litmus_batch(7, 2000) and litmus_batch(11, 2000)
   of bench/inputs.py: the executions, outcomes, unsafe and truncated;
+- the parser: the AST of each of those litmus programs and of each
+  corpus .tr and .lit file, and, for every string literal of
+  tests/test_lang.py and tests/test_cli.py (each malformed input they
+  parse among them), the AST that parse_block, parse_program and
+  parse_transformation give, or the text of the ParseError they raise;
 - check_q_instance on every corpus .ctx file against every corpus .tr
   file at V=2: the result, and the block_local executions of both
   blocks under that context, or the error that rejects the context.
@@ -101,6 +106,18 @@ def _digest(x):
     return hashlib.sha256(repr(_canon(x)).encode()).hexdigest()[:16]
 
 
+def parse_texts():
+    """Every string literal of tests/test_lang.py and tests/test_cli.py,
+    sorted."""
+    texts = set()
+    for name in ("test_lang.py", "test_cli.py"):
+        tree = ast.parse((HERE / name).read_text())
+        texts.update(n.value for n in ast.walk(tree)
+                     if isinstance(n, ast.Constant) and isinstance(n.value,
+                                                                   str))
+    return sorted(texts)
+
+
 def dump(checkout):
     """Print one JSON line per row for the package of checkout."""
     import stellite
@@ -116,6 +133,12 @@ def dump(checkout):
         sys.exit(f"stellite was imported from {stellite.__file__}")
     sys.path.insert(0, str(HERE.parent / "bench"))
     from inputs import litmus_batch
+
+    def parsed(parse, text):
+        try:
+            return {"ast": _digest(parse(text))}
+        except lang.ParseError as exc:
+            return {"error": str(exc)}
 
     corpus = Path(checkout) / "corpus"
     for fname, n in verify_rows():
@@ -133,14 +156,25 @@ def dump(checkout):
     for seed in LITMUS_SEEDS:
         for i, (text, mode) in enumerate(litmus_batch(seed,
                                                       LITMUS_PROGRAMS)):
-            res = enumerate_program(lang.parse_program(text),
-                                    EnumConfig(mode=mode))
+            prog = lang.parse_program(text)
+            print(json.dumps({"row": f"parse litmus {seed}:{i}",
+                              "ast": _digest(prog)}))
+            res = enumerate_program(prog, EnumConfig(mode=mode))
             print(json.dumps({"row": f"litmus {seed}:{i}",
                               "executions": len(res.executions),
                               "unsafe": res.unsafe,
                               "truncated": res.truncated,
                               "digest": _digest((res.executions,
                                                  res.outcomes))}))
+    for path in sorted([*corpus.glob("*.tr"), *corpus.glob("*.lit")]):
+        parse = (lang.parse_transformation if path.suffix == ".tr"
+                 else lang.parse_program)
+        print(json.dumps({"row": f"parse {path.name}",
+                          **parsed(parse, path.read_text())}))
+    for text in parse_texts():
+        for name in ("parse_block", "parse_program", "parse_transformation"):
+            print(json.dumps({"row": f"parse {name} {text!r}",
+                              **parsed(getattr(lang, name), text)}))
     for cpath in sorted(corpus.glob("*.ctx")):
         ctx = parse_context_file(cpath.read_text())
         for tpath in sorted(corpus.glob("*.tr")):

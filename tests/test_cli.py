@@ -659,3 +659,28 @@ def test_verify_reports_the_survivors_checked_one_per_orbit(tmp_path,
     stats = json.loads(f.read_text())["stats"]
     assert (stats["x1_cut"], stats["x1_orbits"]) == (1237, 147)
     assert " cut=1237 orbits=147 " in capsys.readouterr().out
+
+
+def test_simulate_keeps_apart_the_same_local_of_two_threads(tmp_path,
+                                                            capsys):
+    # each thread's a is its own: four outcomes, not the two of one
+    # merged map that kept the last thread's a
+    lit = tmp_path / "two.lit"
+    lit.write_text("st(x,1); a := ld(y) ||| st(y,1); a := ld(x)")
+    f = tmp_path / "s.json"
+    assert main(["simulate", str(lit), "--json", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert "4 outcomes" in out
+    for a0 in (0, 1):
+        for a1 in (0, 1):
+            assert f"allowed: t0.a={a0} t1.a={a1} " in out
+    assert json.loads(f.read_text())["outcomes"] == [
+        {"t0.a": a0, "t1.a": a1} for a0 in (0, 1) for a1 in (0, 1)]
+    assert main(["simulate", str(lit), "--forbid", "t0.a=0,t1.a=0"]) == 1
+    assert "forbidden outcome admitted: t0.a=0,t1.a=0" in (
+        capsys.readouterr().out)
+    assert main(["simulate", str(lit), "--forbid", "a=0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --forbid names 'a', a local of more than"
+                            " one thread; name t0.a or t1.a\n")

@@ -78,6 +78,78 @@ def test_importing_the_package_leaves_the_adversary_and_the_cli_unloaded():
     assert out.splitlines() == ["[]", "True True"]
 
 
+def _loaded_after(probe):
+    """The stellite modules loaded once the code probe has run in a new
+    interpreter, sorted."""
+    probe += ("\nprint(sorted(m for m in sys.modules"
+              " if m.startswith('stellite')))\n")
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + probe], check=True,
+        capture_output=True, text=True, cwd=SRC.parent.parent,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent))).stdout
+    return out.splitlines()[-1]
+
+
+def test_parsing_loads_only_the_parser_and_the_model():
+    assert _loaded_after(
+        "import stellite\nstellite.parse_program('st(x, 1) ||| ld(x)')") == (
+        "['stellite', 'stellite.axiomatic', 'stellite.lang']")
+
+
+def test_simulate_loads_no_module_of_the_verifier():
+    # as python -m stellite.cli simulate corpus/sb.lit
+    loaded = _loaded_after(
+        "import runpy\n"
+        "sys.argv = ['stellite', 'simulate', 'corpus/sb.lit']\n"
+        "try:\n"
+        "    runpy.run_module('stellite.cli', run_name='__main__',"
+        " alter_sys=True)\n"
+        "except SystemExit as e:\n"
+        "    assert e.code == 0, e.code\n")
+    assert loaded == "['stellite', 'stellite.axiomatic', 'stellite.lang']"
+
+
+# every name the package exported when it imported all of its modules
+EXPORTS = {
+    "adversary": ["build_context", "reproduce"],
+    "axiomatic": ["Action", "EnumConfig", "Execution", "check_axioms",
+                  "derive_hb", "enumerate_program", "obs_refines_ex",
+                  "obs_refines_pr", "safe", "valid"],
+    "blocklocal": ["CutContext", "block_local", "code_of", "contx_of",
+                   "downclosure"],
+    "cut": ["cut", "explain_cut", "vis"],
+    "history": ["History", "deny", "hist", "hist_ext", "refines"],
+    "lang": ["ParseError", "Program", "live_in", "locals_of", "parse_block",
+             "parse_program", "parse_transformation", "vars_of"],
+    "verifier": ["Budget", "Verdict", "check_cut_refinement",
+                 "check_q_instance", "context_bound", "enumerate_contexts"],
+}
+
+
+@pytest.mark.parametrize("module, name", [
+    (m, n) for m, names in EXPORTS.items() for n in names])
+def test_each_exported_name_is_its_modules_own(module, name):
+    import importlib
+
+    import stellite
+
+    home = importlib.import_module(f"stellite.{module}")
+    assert getattr(stellite, name) is getattr(home, name)
+    assert name in dir(stellite)
+
+
+def test_the_function_cut_keeps_its_name_once_the_module_cut_loads():
+    # loading stellite.cut binds the module in the package, which must
+    # not hide the exported function of the same name
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stellite.verifier, stellite\n"
+         "print(stellite.cut is sys.modules['stellite.cut'].cut)"],
+        check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent))).stdout
+    assert out == "True\n"
+
+
 def test_the_package_has_no_other_lazy_name():
     import stellite
 

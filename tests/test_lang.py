@@ -16,6 +16,7 @@ from stellite.lang import (
     StoreStmt,
 )
 
+import reference
 from oracles import _oracle_at
 
 
@@ -364,3 +365,80 @@ def test_each_malformed_access_keeps_its_message(text, message):
     with pytest.raises(ParseError) as exc:
         lang.parse_block(text)
     assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the parser against the reference parser of tests/reference.py, on the
+# unparsed text of random ASTs and on that text with its tokens mutated
+
+_NAME = st.sampled_from(["a", "b", "x", "y", "fen", "skip", "st", "_1"])
+_ATOM = st.one_of(st.builds(lambda n: ("lit", n), st.integers(0, 12)),
+                  st.builds(lambda v: ("var", v), _NAME))
+_STMT = st.one_of(
+    st.builds(Assign, _NAME, _ATOM),
+    st.builds(lambda l, op, a, b: Assign(l, (op, a, b)), _NAME,
+              st.sampled_from(["eq", "ne"]), _ATOM, _ATOM),
+    st.builds(lang.LoadStmt, st.none() | _NAME, _NAME, st.booleans()),
+    st.builds(StoreStmt, _NAME, _ATOM, st.booleans()),
+    st.builds(LLStmt, _NAME, _NAME),
+    st.builds(SCStmt, _NAME, _NAME, _NAME),
+    st.just(FenceStmt()),
+    st.just(HoleStmt()),
+)
+_BLOCK = st.recursive(
+    st.lists(_STMT, max_size=3).map(tuple),
+    lambda block: st.lists(
+        st.one_of(_STMT, st.builds(IfStmt, _NAME, block, block)),
+        max_size=3).map(tuple),
+    max_leaves=6)
+# what goes between two tokens, and the characters that start no token
+# or only a longer one
+_GAP = st.sampled_from([" ", "", "\n", "\t", " # note ; ||| \n"])
+_STRAY_CHAR = st.sampled_from(list("@$-|:=!~>{}é²٣\x00"))
+
+
+@st.composite
+def _parser_inputs(draw):
+    """The text of a random program or transformation, its tokens then
+    dropped, doubled, swapped or joined by other gaps, and stray
+    characters put in."""
+    blocks = draw(st.lists(_BLOCK, min_size=1, max_size=3))
+    sep = draw(st.sampled_from(["|||", "~>"]))
+    text = lang.unparse_block(blocks[0])
+    for b in blocks[1:]:
+        # at times an empty statement after the separator
+        text += f" {sep} {draw(st.sampled_from(['', '', ';']))} "
+        text += lang.unparse_block(b)
+    toks = [v for _, v, _ in reference._tokenize(text)]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(toks)))
+        how = draw(st.sampled_from(["drop", "double", "swap", "stray"]))
+        if how == "stray":
+            toks.insert(k, draw(_STRAY_CHAR))
+        elif k < len(toks) and how == "drop":
+            del toks[k]
+        elif k < len(toks) and how == "double":
+            toks.insert(k, toks[k])
+        elif k + 1 < len(toks):
+            toks[k], toks[k + 1] = toks[k + 1], toks[k]
+    gaps = draw(st.lists(_GAP, min_size=len(toks) + 1,
+                         max_size=len(toks) + 1))
+    return "".join(g + t for g, t in zip(gaps, toks + [""]))
+
+
+def _result(parse, text):
+    try:
+        return "parsed", parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_parser_inputs())
+@example("a := LL(x) ||| ; st(x, 1)")
+@example("if (a) { st(x,1) } else { ld(y) ; } ||| st(y, 2")
+@example("st(x,1) ~> ld(x) @")
+def test_the_parser_gives_the_reference_ast_or_its_error(text):
+    for name in ("parse_block", "parse_program", "parse_transformation"):
+        got = _result(getattr(lang, name), text)
+        assert got == _result(getattr(reference, name), text), name
